@@ -57,9 +57,10 @@ def _resolve_threshold(spec: str, ideal_diag, run_files, n: int) -> tuple[float,
 
 
 def _fidelity_report(rho: np.ndarray, target: np.ndarray, tolerance: float = 1e-6) -> dict:
+    root = metrics.root_fidelity(rho, target, tolerance)
     return {
-        "root_fidelity": metrics.root_fidelity(rho, target, tolerance),
-        "fidelity": metrics.fidelity(rho, target, tolerance),
+        "root_fidelity": root,
+        "fidelity": root**2,
         "trace_distance": metrics.trace_distance(rho, target),
         "purity_reconstructed": metrics.purity(rho),
         "purity_target": metrics.purity(target),
@@ -173,7 +174,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
 
     report = _fidelity_report(result.rho, target)
     report["fidelity_bound"] = metrics.fidelity_bound(
-        diag_record.probabilities(), t, metrics.numerical_rank(target)
+        diag_record.probabilities(), t, report["rank_target"]
     )
     (outdir / "fidelity.json").write_text(json.dumps(report, indent=2))
 

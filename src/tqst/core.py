@@ -12,6 +12,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from functools import reduce
@@ -209,21 +210,69 @@ def save_density(path: str | Path, rho: np.ndarray) -> None:
         "re": rho.real.tolist(),
         "im": rho.imag.tolist(),
     }
-    Path(path).write_text(json.dumps(payload))
+    Path(path).write_text(json.dumps(payload, allow_nan=False))
 
 
 def load_density(path: str | Path) -> np.ndarray:
-    """Read a density matrix written by :func:`save_density`."""
-    payload = json.loads(Path(path).read_text())
+    """Read a density matrix written by :func:`save_density`; non-finite
+    entries are rejected."""
     try:
-        n = int(payload["n_qubits"])
+        payload = json.loads(Path(path).read_text())
+        dim = 2 ** int(payload["n_qubits"])
         re = np.array(payload["re"], dtype=float)
         im = np.array(payload["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a density-matrix JSON file ({exc})") from exc
-    dim = 2**n
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
             f"{path}: arrays have shape {re.shape}/{im.shape}, expected ({dim}, {dim})"
         )
-    return re + 1j * im
+    rho = re + 1j * im
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{path}: matrix has non-finite entries")
+    return rho
+
+
+def write_table(path: str | Path, columns, rows, comment: dict | None = None) -> None:
+    """Write a CSV table: an optional ``# key=value ...`` comment line, the
+    header row ``columns``, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in comment.items()) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_table(path: str | Path, columns) -> tuple[dict, list]:
+    """Read a :func:`write_table` file whose header row is ``columns``.
+
+    Returns the comment's fields (as strings) and the data rows as
+    ``(line number, fields)`` pairs.  A malformed comment, a missing or
+    different header, no data rows, or a row with the wrong field count
+    raises ``ValueError`` naming the file and the line.
+    """
+    lines = Path(path).read_text().splitlines()
+    header = 2 if lines and lines[0].startswith("#") else 1  # its line number
+    try:
+        fields = dict(item.split("=", 1) for item in lines[0][1:].split()) if header == 2 else {}
+    except ValueError:
+        raise ValueError(f"{path}:1: comment is not '# key=value ...'") from None
+    rows = list(enumerate(csv.reader(lines[header - 1:]), header))
+    if len(rows) < 2 or rows[0][1] != list(columns):
+        raise ValueError(f"{path}:{header}: expected header {','.join(columns)!r} and data rows")
+    for line, row in rows[1:]:
+        if len(row) != len(columns):
+            raise ValueError(f"{path}:{line}: expected {len(columns)} fields, got {len(row)}")
+    return fields, rows[1:]
+
+
+def read_index_counts(path: str | Path, columns) -> tuple[dict, np.ndarray]:
+    """Read an ``index,count`` table whose indices run 0..N-1, each once and
+    in order; returns the comment fields and the non-negative counts."""
+    fields, rows = read_table(path, columns)
+    for k, (line, (index, count)) in enumerate(rows):
+        if index != str(k) or not count.isdecimal():
+            raise ValueError(f"{path}:{line}: expected '{k},<count >= 0>' (indices run "
+                             f"0..N-1, each once and in order), got '{index},{count}'")
+    return fields, np.array([int(count) for _, (_, count) in rows], dtype=np.int64)

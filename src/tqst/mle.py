@@ -14,7 +14,6 @@ is minimized with a quasi-Newton descent using the analytic gradient.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import basis_word, product_ket, validate_word, word_to_index
+from .core import basis_word, product_ket, read_table, validate_word, word_to_index, write_table
 
 
 @dataclass(frozen=True)
@@ -243,25 +242,26 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
 # file formats
 
 
+COUNTS_COLUMNS = ("projector_word", "observed", "shots")
+
+
 def write_counts_csv(path: str | Path, records: list[CountRecord]) -> None:
-    """Counts CSV: one (projector_word, observed, shots) row per record."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["projector_word", "observed", "shots"])
-        for rec in records:
-            writer.writerow([rec.projector, rec.observed, rec.shots])
+    """Counts CSV: one ``projector_word,observed,shots`` row per record."""
+    write_table(path, COUNTS_COLUMNS, ((r.projector, r.observed, r.shots) for r in records))
 
 
 def read_counts_csv(path: str | Path) -> list[CountRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] in ("projector", "projector_word"):
-                continue
-            records.append(CountRecord(row[0], int(row[1]), int(row[2])))
-    if not records:
-        raise ValueError(f"{path}: no count records")
-    return records
+    """Read counts, rejecting duplicate projector words."""
+    _, rows = read_table(path, COUNTS_COLUMNS)
+    records = {}
+    try:
+        for line, (word, observed, shots) in rows:
+            if word in records:
+                raise ValueError(f"duplicate projector word {word!r}")
+            records[word] = CountRecord(word, int(observed), int(shots))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    return list(records.values())
 
 
 def write_diagnostics(path: str | Path, result: ReconstructionResult) -> None:

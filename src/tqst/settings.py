@@ -9,12 +9,11 @@ outcome distribution of a setting gives the corresponding Pauli correlator.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
-from .core import STATE_VECTORS, n_qubits_of, validate_word
+from .core import STATE_VECTORS, n_qubits_of, read_index_counts, validate_word, write_table
 from .threshold import MeasurementPlan
 
 _BASIS_OF_LETTER = {"H": "Z", "V": "Z", "D": "X", "A": "X", "R": "Y", "L": "Y"}
@@ -94,24 +93,12 @@ def read_settings_csv(path: str | Path) -> list[str]:
     return out
 
 
+HISTOGRAM_COLUMNS = ("outcome_index", "count")
+
+
 def write_histogram_csv(path: str | Path, counts: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outcome_index", "count"])
-        for k, c in enumerate(counts):
-            writer.writerow([k, int(c)])
+    write_table(path, HISTOGRAM_COLUMNS, enumerate(np.asarray(counts).tolist()))
 
 
 def read_histogram_csv(path: str | Path) -> np.ndarray:
-    rows = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "outcome_index":
-                continue
-            rows[int(row[0])] = int(row[1])
-    if not rows:
-        raise ValueError(f"{path}: no histogram rows")
-    counts = np.zeros(max(rows) + 1, dtype=np.int64)
-    for k, c in rows.items():
-        counts[k] = c
-    return counts
+    return read_index_counts(path, HISTOGRAM_COLUMNS)[1]

@@ -9,15 +9,13 @@ the conventional 4**n measurements.
 
 from __future__ import annotations
 
-import csv
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ElementIndex, basis_word
+from .core import ElementIndex, basis_word, read_index_counts, read_table, write_table
 from .projectors import projector_for
 
 EXPECTED_ZERO = 1e-12
@@ -174,78 +172,54 @@ def estimate_threshold(
 # file formats
 
 
+DIAGONAL_COLUMNS = ("basis_index", "count")
+PLAN_COLUMNS = ("i", "j", "part", "projector_word")
+
+
 def write_diagonal_csv(path: str | Path, record: DiagonalRecord) -> None:
-    """Diagonal counts CSV: a header comment carrying the shot count, then
-    one (basis_index, count) row per computational-basis state."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# n_s={record.shots}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["basis_index", "count"])
-        for k, c in enumerate(record.counts):
-            writer.writerow([k, int(c)])
+    """Diagonal counts CSV: a ``# n_s=<shots>`` comment, then one
+    ``basis_index,count`` row per computational-basis state."""
+    write_table(path, DIAGONAL_COLUMNS, enumerate(record.counts.tolist()), {"n_s": record.shots})
 
 
 def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
-    shots = None
-    rows = {}
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = re.search(r"n_s\s*=\s*(\d+)", line)
-                if m:
-                    shots = int(m.group(1))
-                continue
-            first, _, rest = line.partition(",")
-            if first == "basis_index":
-                continue
-            rows[int(first)] = int(rest)
-    if shots is None:
-        raise ValueError(f"{path}: missing '# n_s=...' header")
-    if not rows:
-        raise ValueError(f"{path}: no count rows")
-    size = max(rows) + 1
-    dim = 1 << (size - 1).bit_length()
-    counts = np.zeros(max(dim, 2), dtype=np.int64)
-    for k, c in rows.items():
-        counts[k] = c
-    return DiagonalRecord(counts=counts, shots=shots)
+    fields, counts = read_index_counts(path, DIAGONAL_COLUMNS)
+    try:
+        return DiagonalRecord(counts=counts, shots=int(fields["n_s"]))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: not a '# n_s=<shots>' diagonal record ({exc!r})") from None
 
 
 def write_plan_csv(path: str | Path, plan: MeasurementPlan) -> None:
-    """Plan CSV: one row per target with fields i, j, part, projector_word."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# n_qubits={plan.n} threshold={plan.threshold!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "part", "projector_word"])
-        for idx, word in plan.targets:
-            writer.writerow([idx.i, idx.j, idx.part, word])
+    """Plan CSV: a ``# n_qubits=<n> threshold=<t>`` comment, then one
+    ``i,j,part,projector_word`` row per target."""
+    rows = ((idx.i, idx.j, idx.part, word) for idx, word in plan.targets)
+    write_table(path, PLAN_COLUMNS, rows, {"n_qubits": plan.n, "threshold": plan.threshold})
 
 
 def read_plan_csv(path: str | Path) -> MeasurementPlan:
-    n = None
-    threshold = 0.0
-    targets = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                m = re.search(r"n_qubits\s*=\s*(\d+)", row[0])
-                if m:
-                    n = int(m.group(1))
-                m = re.search(r"threshold\s*=\s*([0-9.eE+-]+)", row[0])
-                if m:
-                    threshold = float(m.group(1))
-                continue
-            if row[0] == "i":
-                continue
-            i, j, part, word = int(row[0]), int(row[1]), row[2], row[3]
-            targets.append((ElementIndex(i, j, part), word))
-    if not targets:
-        raise ValueError(f"{path}: no plan targets")
-    if n is None:
-        n = len(targets[0][1])
-    return MeasurementPlan(n=n, threshold=threshold, targets=tuple(targets))
+    """Read a plan, requiring the 2**n diagonal targets first and in order, no
+    duplicate targets, and every word equal to ``projector_for`` its element."""
+    fields, rows = read_table(path, PLAN_COLUMNS)
+    try:
+        n, t = int(fields["n_qubits"]), float(fields["threshold"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}:1: need '# n_qubits=<n> threshold=<t>' ({exc!r})") from None
+    # 1 <= n and 2**n <= len(rows), without computing 2**n for a huge n
+    if not (1 <= n < len(rows).bit_length() and 0.0 <= t <= 1.0):
+        raise ValueError(f"{path}:1: n_qubits={n} threshold={t} out of range for {len(rows)} rows")
+    targets = {}
+    try:
+        for line, (i, j, part, word) in rows:
+            idx = ElementIndex(int(i), int(j), part)
+            if len(targets) < 2**n and idx != ElementIndex(len(targets), len(targets), "diag"):
+                raise ValueError(f"{idx} where diagonal target {len(targets)} belongs")
+            if idx in targets:
+                raise ValueError(f"duplicate target {idx}")
+            expected = projector_for(n, idx)
+            if word != expected:
+                raise ValueError(f"word {word!r} does not measure {idx}, {expected!r} does")
+            targets[idx] = word
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    return MeasurementPlan(n=n, threshold=t, targets=tuple(targets.items()))

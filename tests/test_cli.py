@@ -138,16 +138,42 @@ def test_auto_threshold_pipeline(tmp_path):
     assert 0 < payload["threshold"] < 0.5
 
 
-def test_invalid_input_exits_2_with_json_error(tmp_path):
-    r = tqst("run", "--state", "w", "--threshold", 0.5)
-    assert r.returncode == 2
-    payload = json.loads(r.stderr)
-    assert "error" in payload
+PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
+    f"{k},{k},diag,{word}\n" for k, word in enumerate(("HH", "HV", "VH", "VV"))
+)
 
-    r = tqst("run", "--state", "w", "--n", 3, "--threshold", 1.7,
-             "--out", tmp_path)
-    assert r.returncode == 2
-    assert "error" in json.loads(r.stderr)
+
+@pytest.mark.parametrize("files, args, message", [
+    pytest.param({}, ("run", "--state", "w", "--threshold", 0.5),
+                 "--n is required", id="missing-n"),
+    pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 1.7, "--out", "{tmp}"),
+                 "threshold must be in [0, 1]", id="threshold-out-of-range"),
+    pytest.param({"diag.csv": "# n_s=10\nbasis_index,count\n0,4\n3,6\n"},
+                 ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
+                 "diag.csv:4:", id="gapped-diagonal"),
+    pytest.param({"diag.csv": "# n_s=10\nbasis_index,count\n0,4\n1,3\n1,3\n3,0\n"},
+                 ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
+                 "diag.csv:5:", id="duplicated-diagonal"),
+    pytest.param({"counts.csv": "projector_word,observed,shots\nHH,5,10\nHV,5\n"},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}"),
+                 "counts.csv:3:", id="short-counts-row"),
+    pytest.param({"plan.csv": PLAN_N2.replace(",HV\n", ",HVH\n")},
+                 ("settings", "--plan", "{tmp}/plan.csv"),
+                 "plan.csv:4:", id="plan-word-length"),
+    pytest.param({"plan.csv": PLAN_N2 + "1,2,re,RR\n1,2,im,RR\n"},
+                 ("settings", "--plan", "{tmp}/plan.csv"),
+                 "plan.csv:8:", id="plan-word-mismatch"),
+    pytest.param({"rho.json": '{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, NaN]], '
+                              '"im": [[0.0, 0.0], [0.0, 0.0]]}'},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json", id="non-finite-density"),
+])
+def test_invalid_input_exits_2_with_json_error(tmp_path, files, args, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    r = tqst(*(str(a).format(tmp=tmp_path) for a in args))
+    assert r.returncode == 2, r.stderr
+    assert message in json.loads(r.stderr)["error"]
 
 
 def test_nonconvergence_exits_3(w3_run, tmp_path):

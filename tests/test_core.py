@@ -13,11 +13,15 @@ from tqst.core import (
     load_density,
     n_qubits_of,
     product_ket,
+    read_table,
     save_density,
     validate_density,
     word_to_index,
 )
+from tqst.mle import read_counts_csv
+from tqst.settings import read_histogram_csv
 from tqst.simulator import w_state
+from tqst.threshold import read_diagonal_csv, read_plan_csv
 
 
 def brute_force_tensor(word):
@@ -148,6 +152,31 @@ def test_load_density_rejects_malformed(tmp_path):
     path.write_text('{"n_qubits": 2, "re": [[1.0]], "im": [[0.0]]}')
     with pytest.raises(ValueError):
         load_density(path)
+    path.write_text('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, Infinity]], "im": [[0, 0], [0, 0]]}')
+    with pytest.raises(ValueError, match="non-finite"):
+        load_density(path)
+    with pytest.raises(ValueError):
+        save_density(path, np.diag([1.0, np.nan]))
+
+
+def _read_two_columns(path):
+    return read_table(path, ("word", "count"))
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    pytest.param(read_histogram_csv, "outcome_index,count\n0,5\n2,7\n", 3, id="gap"),
+    pytest.param(read_counts_csv, "projector_word,observed,shots\nHV,1,2\nHV,1,2\n", 3,
+                 id="duplicate-word"),
+    pytest.param(read_plan_csv, "# n_qubits=1 threshold=0.5\ni,j,part,projector_word\n"
+                 "0,0,diag,H\n1,1,diag,V\n0,1,re,D\n0,1,re,D\n", 6, id="duplicate-target"),
+    pytest.param(read_diagonal_csv, "# n_s=3\nindex,count\n0,1\n1,2\n", 2, id="wrong-header"),
+    pytest.param(_read_two_columns, "word,count\nHV,1\nVH,1,2\n", 3, id="wrong-field-count"),
+])
+def test_table_readers_name_file_and_line(tmp_path, reader, text, line):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"table.csv:{line}:"):
+        reader(path)
 
 
 def test_element_index_invariants():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from tqst.core import basis_word, expectation, validate_density
@@ -223,8 +224,20 @@ def test_nonconvergence_is_flagged_not_raised():
     assert validate_density(result.rho, 1e-6).ok
 
 
-def test_counts_csv_roundtrip(tmp_path):
-    records = exact_records(w_state(2), 2, shots=10**4)
-    path = tmp_path / "counts.csv"
+@st.composite
+def count_records(draw):
+    n = draw(st.integers(1, 4))
+    words = draw(st.lists(st.text("HVDARL", min_size=n, max_size=n), min_size=1, unique=True))
+    records = []
+    for word in words:
+        shots = draw(st.integers(1, 10**8))
+        records.append(CountRecord(word, draw(st.integers(0, shots)), shots))
+    return records
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=count_records())
+def test_counts_csv_roundtrip(tmp_path, records):
+    path = tmp_path / "counts.csv"  # overwritten by every example
     write_counts_csv(path, records)
     assert read_counts_csv(path) == records

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tqst.projectors import build_projector_table
 from tqst.settings import (
@@ -160,8 +161,9 @@ def test_settings_csv_roundtrip(tmp_path):
     assert read_settings_csv(path) == settings
 
 
-def test_histogram_csv_roundtrip(tmp_path):
-    counts = sample_setting_counts(ghz_state(2), "XX", 1000, seed=7)
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(path, counts)
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(counts=st.lists(st.integers(0, 10**9), min_size=1, max_size=64))
+def test_histogram_csv_roundtrip(tmp_path, counts):
+    path = tmp_path / "hist.csv"  # overwritten by every example
+    write_histogram_csv(path, np.array(counts))
     assert np.array_equal(read_histogram_csv(path), counts)

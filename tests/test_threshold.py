@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tqst.core import validate_word
 from tqst.simulator import NoiseModel, sample_counts, w_state
@@ -83,9 +84,20 @@ def test_plan_size_formula_for_uniform_support():
         assert plan.size == 2**n + support_size * (support_size - 1)
 
 
-def test_plan_words_serialize_and_parse(tmp_path):
-    record = uniform_support_record(3, [1, 2, 4])
-    plan = select_offdiagonal(record, 0.05)
+#: diagonal counts over 2**n indices, 1 <= n <= 4, with a positive sum
+diagonals = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(0, 10**6), min_size=2**n, max_size=2**n)
+).filter(sum)
+# each example overwrites the same files under tmp_path
+roundtrip = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@roundtrip
+@given(counts=diagonals, t=st.floats(0.0, 1.0))
+def test_plan_words_serialize_and_parse(tmp_path, counts, t):
+    record = DiagonalRecord(counts=np.array(counts), shots=sum(counts))
+    plan = select_offdiagonal(record, t)
     for _, word in plan.targets:
         assert validate_word(word) == word
     path = tmp_path / "plan.csv"
@@ -96,12 +108,14 @@ def test_plan_words_serialize_and_parse(tmp_path):
     assert back.targets == plan.targets
 
 
-def test_diagonal_csv_roundtrip(tmp_path):
-    record = DiagonalRecord(counts=np.array([10, 20, 30, 40]), shots=100)
+@roundtrip
+@given(counts=diagonals)
+def test_diagonal_csv_roundtrip(tmp_path, counts):
+    record = DiagonalRecord(counts=np.array(counts), shots=sum(counts))
     path = tmp_path / "diag.csv"
     write_diagonal_csv(path, record)
     back = read_diagonal_csv(path)
-    assert back.shots == 100
+    assert back.shots == record.shots
     assert np.array_equal(back.counts, record.counts)
 
 
