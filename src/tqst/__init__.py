@@ -21,6 +21,7 @@ from .core import (
 from .metrics import (
     fidelity,
     fidelity_bound,
+    joint_support,
     numerical_rank,
     purity,
     root_fidelity,
@@ -44,6 +45,7 @@ from .simulator import (
     NoiseModel,
     apply_depolarizing,
     color_code_state,
+    density,
     ghz_state,
     random_filled_state,
     sample_counts,

@@ -22,7 +22,7 @@ from . import core, metrics, mle, projectors, settings as settings_mod, simulato
 STATE_NAMES = ("w", "ghz", "colorcode0", "colorcode1", "random")
 
 
-def _target_state(state: str, n: int | None, filling: float, seed: int | None) -> tuple[np.ndarray, int]:
+def _target_ket(state: str, n: int | None, filling: float, seed: int | None) -> tuple[np.ndarray, int]:
     if state in ("colorcode0", "colorcode1"):
         if n not in (None, 7):
             raise ValueError(f"{state} is a 7-qubit state, got --n {n}")
@@ -38,13 +38,25 @@ def _target_state(state: str, n: int | None, filling: float, seed: int | None) -
     raise ValueError(f"unknown state {state!r}")
 
 
+def _check_threshold(spec: str, run_files) -> float | None:
+    """The numeric threshold in [0, 1], or None for 'auto' with at least two
+    replicas; anything else raises before a command samples or writes."""
+    if spec == "auto":
+        if len(run_files) < 2:
+            raise ValueError("--threshold auto needs at least two --run-file replicas")
+        return None
+    t = float(spec)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {t}")
+    return t
+
+
 def _resolve_threshold(spec: str, ideal_diag, run_files, n: int) -> tuple[float, dict | None]:
-    if spec != "auto":
-        return float(spec), None
-    if ideal_diag is None or len(run_files) < 2:
-        raise ValueError(
-            "--threshold auto needs an ideal diagonal and at least two --run-file replicas"
-        )
+    t = _check_threshold(spec, run_files)
+    if t is not None:
+        return t, None
+    if ideal_diag is None:
+        raise ValueError("--threshold auto needs an ideal diagonal")
     runs = [threshold.read_diagonal_csv(f) for f in run_files]
     est = threshold.estimate_threshold(ideal_diag, runs, n)
     info = {
@@ -57,7 +69,10 @@ def _resolve_threshold(spec: str, ideal_diag, run_files, n: int) -> tuple[float,
 
 
 def _fidelity_report(rho: np.ndarray, target: np.ndarray, tolerance: float = 1e-6) -> dict:
-    root = metrics.root_fidelity(rho, target, tolerance)
+    # The target is the argument square-rooted: a pure target is its own
+    # square root, while square-rooting a rank-deficient rho turns each of
+    # its round-off eigenvalues (~1e-16) into a ~1e-8 error.
+    root = metrics.root_fidelity(target, rho, tolerance)
     return {
         "root_fidelity": root,
         "fidelity": root**2,
@@ -143,9 +158,11 @@ def cli():
 def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
         parametrization, rank, max_iterations, gradient_tolerance, out):
     """Full pipeline: diagonal, threshold, plan, measurements, reconstruction."""
+    _check_threshold(threshold_spec, run_files)
+    ket, n = _target_ket(state, n, filling, seed)
+    target = simulator.density(ket)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    target, n = _target_state(state, n, filling, seed)
     noise = simulator.NoiseModel(
         depolarizing=lam, sampling="exact" if exact else "multinomial", seed=seed
     )
@@ -172,7 +189,13 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     core.save_density(outdir / "rho.json", result.rho)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
 
-    report = _fidelity_report(result.rho, target)
+    # Every reported metric is unitarily invariant, so the report is computed
+    # on the (rank + 1)-dimensional joint support of the target and the fit.
+    # The target comes first, so the basis starts with the target ket and its
+    # compressed matrix is diag(1, 0, ...) up to round-off: the fidelity then
+    # equals <psi|rho|psi> to round-off, which it does not in the other order.
+    target_c, rho_c = metrics.joint_support(ket.conj()[None, :], result.factor)
+    report = _fidelity_report(rho_c, target_c)
     report["fidelity_bound"] = metrics.fidelity_bound(
         diag_record.probabilities(), t, report["rank_target"]
     )
@@ -212,7 +235,8 @@ def simulate(state, n, filling, lam, shots, seed, exact, plan_file, out):
     """Sample synthetic counts for a target state; writes diagonal and counts CSVs."""
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    target, n = _target_state(state, n, filling, seed)
+    ket, n = _target_ket(state, n, filling, seed)
+    target = simulator.density(ket)
     plan = threshold.read_plan_csv(plan_file) if plan_file else threshold.diagonal_plan(n)
     noise = simulator.NoiseModel(
         depolarizing=lam, sampling="exact" if exact else "multinomial", seed=seed
@@ -271,6 +295,10 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
     if diagonal_file is not None:
         present = {rec.projector for rec in records}
         diag_record = threshold.read_diagonal_csv(diagonal_file)
+        n = len(records[0].projector)
+        if diag_record.n != n:
+            raise ValueError(f"{diagonal_file} is a {diag_record.n}-qubit diagonal, "
+                             f"but {counts_file} has {n}-qubit projector words")
         for k, count in enumerate(diag_record.counts):
             word = core.basis_word(k, diag_record.n)
             if word not in present:

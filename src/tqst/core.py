@@ -218,15 +218,17 @@ def load_density(path: str | Path) -> np.ndarray:
     entries are rejected."""
     try:
         payload = json.loads(Path(path).read_text())
-        dim = 2 ** int(payload["n_qubits"])
+        n = int(payload["n_qubits"])
         re = np.array(payload["re"], dtype=float)
         im = np.array(payload["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a density-matrix JSON file ({exc})") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(
-            f"{path}: arrays have shape {re.shape}/{im.shape}, expected ({dim}, {dim})"
-        )
+    # the dimension comes from the arrays, so n_qubits is never exponentiated unchecked
+    dim = re.shape[0] if re.ndim == 2 else 0
+    if n != dim.bit_length() - 1 or re.shape != (dim, dim) or im.shape != (dim, dim) \
+            or dim != 2**n:
+        raise ValueError(f"{path}: n_qubits={n} does not match arrays of shape "
+                         f"{re.shape}/{im.shape}, which must be 2**n_qubits square")
     rho = re + 1j * im
     if not np.isfinite(rho).all():
         raise ValueError(f"{path}: matrix has non-finite entries")

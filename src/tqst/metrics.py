@@ -54,8 +54,23 @@ def numerical_rank(rho: np.ndarray, eigen_tolerance: float = 1e-8) -> int:
 
 
 def purity(rho: np.ndarray) -> float:
-    """tr(rho^2)."""
-    return float(np.real(np.trace(rho @ rho)))
+    """tr(rho^2), computed as sum |rho_ij|^2, which equals it for Hermitian rho."""
+    return float(np.vdot(rho, rho).real)
+
+
+def joint_support(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compress rho = a^H a and sigma = b^H b onto their joint support.
+
+    ``a`` and ``b`` are factors with 2**n columns.  Q, an orthonormal basis
+    of a space holding both supports, comes from the reduced QR of
+    [a^H, b^H]; the result is (Q^H rho Q, Q^H sigma Q), each at most
+    (rows of a + rows of b) square.  Root fidelity, trace distance, purity
+    and rank are unitarily invariant, so each takes the same value on the
+    compressed pair as on (rho, sigma).
+    """
+    q, _ = np.linalg.qr(np.hstack([a.conj().T, b.conj().T]))
+    ca, cb = a @ q, b @ q
+    return ca.conj().T @ ca, cb.conj().T @ cb
 
 
 def fidelity_bound(diag: np.ndarray, t: float, rank: int) -> float:

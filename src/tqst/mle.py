@@ -61,9 +61,18 @@ class MleOptions:
 
 @dataclass
 class ReconstructionResult:
+    """The fitted state, as the density matrix ``rho`` and as its factor:
+    ``rho`` equals ``factor^H factor``, with ``factor`` the fitted F scaled to
+    unit Frobenius norm (r x 2**n for ``low_rank``, 2**n x 2**n for ``full``).
+    ``nfev``, ``status`` and ``message`` are scipy's for the minimization."""
+
     rho: np.ndarray
+    factor: np.ndarray
     final_objective: float
     iterations: int
+    nfev: int
+    status: int
+    message: str
     gradient_norm: float
     parametrization: str
     converged: bool
@@ -229,8 +238,12 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
     gnorm = float(np.linalg.norm(res.jac))
     return ReconstructionResult(
         rho=rho,
+        factor=f / math.sqrt(np.real(np.vdot(f, f))),
         final_objective=float(res.fun),
         iterations=int(res.nit),
+        nfev=int(res.nfev),
+        status=int(res.status),
+        message=str(res.message),
         gradient_norm=gnorm,
         parametrization=options.parametrization,
         converged=bool(res.success or gnorm <= options.gradient_tolerance),
@@ -270,6 +283,9 @@ def write_diagnostics(path: str | Path, result: ReconstructionResult) -> None:
             {
                 "objective": result.final_objective,
                 "iterations": result.iterations,
+                "nfev": result.nfev,
+                "status": result.status,
+                "message": result.message,
                 "gradient_norm": result.gradient_norm,
                 "wall_time_s": result.wall_time_s,
                 "parametrization": result.parametrization,

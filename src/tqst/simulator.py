@@ -39,42 +39,43 @@ class NoiseModel:
             raise ValueError("sampling must be 'exact' or 'multinomial'")
 
 
-def _pure(ket: np.ndarray) -> np.ndarray:
-    ket = ket / np.linalg.norm(ket)
+def density(ket: np.ndarray) -> np.ndarray:
+    """The pure-state density matrix |ket><ket| of a normalized ket."""
     return np.outer(ket, ket.conj())
 
 
 def w_state(n: int) -> np.ndarray:
-    """Equal superposition of the n single-excitation basis states."""
+    """Normalized ket: equal superposition of the n single-excitation basis states."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     ket = np.zeros(2**n, dtype=complex)
     for k in range(n):
         ket[1 << k] = 1.0
-    return _pure(ket)
+    return ket / np.linalg.norm(ket)
 
 
 def ghz_state(n: int) -> np.ndarray:
-    """(|0...0> + |1...1>)/sqrt(2)."""
+    """Normalized ket (|0...0> + |1...1>)/sqrt(2)."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     ket = np.zeros(2**n, dtype=complex)
     ket[0] = ket[-1] = 1.0
-    return _pure(ket)
+    return ket / np.linalg.norm(ket)
 
 
 def color_code_state(logical: int) -> np.ndarray:
-    """7-qubit color-code logical codeword (logical 0 or 1), eight equal components."""
+    """Normalized ket of the 7-qubit color-code logical codeword (logical 0 or 1),
+    eight equal components."""
     if logical not in (0, 1):
         raise ValueError("logical must be 0 or 1")
     ket = np.zeros(2**7, dtype=complex)
     for bits in _COLOR_CODE_BITS[logical]:
         ket[int(bits, 2)] = 1.0
-    return _pure(ket)
+    return ket / np.linalg.norm(ket)
 
 
 def random_filled_state(n: int, filling: float, seed: int | None = None) -> np.ndarray:
-    """Random pure state supported on ceil(filling * 2**n) basis indices.
+    """Normalized random ket supported on ceil(filling * 2**n) basis indices.
 
     Support indices are drawn uniformly without replacement and amplitudes
     from a complex Gaussian, so the same seed always gives the same state.
@@ -89,7 +90,7 @@ def random_filled_state(n: int, filling: float, seed: int | None = None) -> np.n
     idx = rng.choice(dim, size=support, replace=False)
     ket = np.zeros(dim, dtype=complex)
     ket[idx] = rng.normal(size=support) + 1j * rng.normal(size=support)
-    return _pure(ket)
+    return ket / np.linalg.norm(ket)
 
 
 def apply_depolarizing(rho: np.ndarray, lam: float) -> np.ndarray:

@@ -28,7 +28,7 @@ from tqst.projectors import (
     psd_projection,
 )
 from tqst.settings import settings_for_plan
-from tqst.simulator import NoiseModel, color_code_state, sample_counts, w_state
+from tqst.simulator import NoiseModel, color_code_state, density, sample_counts, w_state
 from tqst.threshold import (
     DiagonalRecord,
     diagonal_plan,
@@ -109,7 +109,7 @@ def test_criterion_4_noiseless_w_state_replication():
     exact = NoiseModel(sampling="exact")
     results = []
     for n, t in ((4, 0.1), (5, 0.01), (6, 0.001), (7, 0.0001)):
-        rho = w_state(n)
+        rho = density(w_state(n))
         _, diag = sample_counts(rho, diagonal_plan(n), shots, exact)
         plan = select_offdiagonal(diag, t)
         assert plan.size == 2**n + n * (n - 1), (n, plan.size)
@@ -130,7 +130,7 @@ def test_criterion_5_noisy_w_state_trend():
     lam = 0.05
     results = []
     for n in (8, 9, 10):
-        rho = w_state(n)
+        rho = density(w_state(n))
         ideal = np.real(np.diag(rho))
         runs = [
             sample_counts(rho, diagonal_plan(n), shots,
@@ -179,7 +179,7 @@ def test_criterion_6_fidelity_bound_validity():
 
 def test_criterion_7_color_code_counts():
     start = time.perf_counter()
-    rho = color_code_state(0)
+    rho = density(color_code_state(0))
     _, diag = sample_counts(rho, diagonal_plan(7), 10**4, NoiseModel(sampling="exact"))
     plan = select_offdiagonal(diag, 0.01)
     assert plan.size == 184

@@ -55,6 +55,8 @@ def test_run_artifacts_parse_through_module_readers(w3_run):
     assert len(settings) == summary["settings"]
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert diagnostics["converged"] is True
+    assert diagnostics["nfev"] >= diagnostics["iterations"] > 0
+    assert isinstance(diagnostics["status"], int) and diagnostics["message"]
     report = json.loads((out / "fidelity.json").read_text())
     assert report["fidelity"] == pytest.approx(summary["fidelity"])
 
@@ -138,6 +140,7 @@ def test_auto_threshold_pipeline(tmp_path):
     assert 0 < payload["threshold"] < 0.5
 
 
+DIAG_N3 = "# n_s=10\nbasis_index,count\n" + "".join(f"{k},{5 * (k in (1, 2))}\n" for k in range(8))
 PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     f"{k},{k},diag,{word}\n" for k, word in enumerate(("HH", "HV", "VH", "VV"))
 )
@@ -148,6 +151,15 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
                  "--n is required", id="missing-n"),
     pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 1.7, "--out", "{tmp}"),
                  "threshold must be in [0, 1]", id="threshold-out-of-range"),
+    pytest.param({"diag.csv": DIAG_N3},
+                 ("run", "--state", "w", "--n", 3, "--threshold", "auto",
+                  "--run-file", "{tmp}/diag.csv", "--out", "{tmp}"),
+                 "at least two --run-file replicas", id="auto-one-replica"),
+    pytest.param({"diag.csv": DIAG_N3, "counts.csv": "projector_word,observed,shots\nHHHH,5,10\n"},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--diag", "{tmp}/diag.csv",
+                  "--out", "{tmp}"),
+                 "{tmp}/diag.csv is a 3-qubit diagonal, but {tmp}/counts.csv has 4-qubit",
+                 id="diag-qubit-mismatch"),
     pytest.param({"diag.csv": "# n_s=10\nbasis_index,count\n0,4\n3,6\n"},
                  ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
                  "diag.csv:4:", id="gapped-diagonal"),
@@ -173,7 +185,9 @@ def test_invalid_input_exits_2_with_json_error(tmp_path, files, args, message):
         (tmp_path / name).write_text(text)
     r = tqst(*(str(a).format(tmp=tmp_path) for a in args))
     assert r.returncode == 2, r.stderr
-    assert message in json.loads(r.stderr)["error"]
+    assert message.format(tmp=tmp_path) in json.loads(r.stderr)["error"]
+    # rejected before anything is sampled or written
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_nonconvergence_exits_3(w3_run, tmp_path):

@@ -20,7 +20,7 @@ from tqst.core import (
 )
 from tqst.mle import read_counts_csv
 from tqst.settings import read_histogram_csv
-from tqst.simulator import w_state
+from tqst.simulator import density, w_state
 from tqst.threshold import read_diagonal_csv, read_plan_csv
 
 
@@ -76,7 +76,7 @@ def test_expectation_projector_onto_itself():
 
 
 def test_expectation_w3_excitation_component():
-    assert expectation(w_state(3), "HVH") == pytest.approx(1 / 3)
+    assert expectation(density(w_state(3)), "HVH") == pytest.approx(1 / 3)
 
 
 def test_expectation_dimension_mismatch():
@@ -151,6 +151,10 @@ def test_load_density_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n_qubits": 2, "re": [[1.0]], "im": [[0.0]]}')
     with pytest.raises(ValueError):
+        load_density(path)
+    # the qubit count is checked against the arrays, never exponentiated first
+    path.write_text('{"n_qubits": 100000000, "re": [[1.0]], "im": [[0.0]]}')
+    with pytest.raises(ValueError, match=r"bad.json: n_qubits=100000000 does not match"):
         load_density(path)
     path.write_text('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, Infinity]], "im": [[0, 0], [0, 0]]}')
     with pytest.raises(ValueError, match="non-finite"):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tqst.core import product_ket
 from tqst.metrics import (
     fidelity,
     fidelity_bound,
+    joint_support,
     numerical_rank,
     purity,
     root_fidelity,
@@ -117,6 +119,44 @@ def test_purity():
     assert purity(pure("RL")) == pytest.approx(1.0)
     assert purity(np.eye(8) / 8) == pytest.approx(1 / 8)
     assert purity(np.diag([0.75, 0.25])) == pytest.approx(0.625)
+
+
+def random_factor(rng, rows, dim):
+    """A random complex rows x dim factor F with tr(F^H F) = 1."""
+    f = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    return f / np.linalg.norm(f)
+
+
+# n <= 8 and factor ranks 1-3; the example is a full-shaped 4 x 4 factor, where
+# the two factors together have more rows (4 + 1) than the dimension
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), rank_a=st.integers(1, 3), rank_b=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, rank_a=4, rank_b=1, seed=0)
+def test_joint_support_matches_dense_metrics(n, rank_a, rank_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_factor(rng, rank_a, 2**n), random_factor(rng, rank_b, 2**n)
+    rho, sigma = a.conj().T @ a, b.conj().T @ b
+    rho_c, sigma_c = joint_support(a, b)
+    assert rho_c.shape == sigma_c.shape == (min(rank_a + rank_b, 2**n),) * 2
+    assert trace_distance(rho_c, sigma_c) == pytest.approx(trace_distance(rho, sigma), abs=1e-9)
+    assert purity(rho_c) == pytest.approx(purity(rho), abs=1e-9)
+    assert purity(sigma_c) == pytest.approx(purity(sigma), abs=1e-9)
+    assert numerical_rank(rho_c) == numerical_rank(rho)
+    assert numerical_rank(sigma_c) == numerical_rank(sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=2, rank=4, seed=0)
+def test_joint_support_fidelity_against_pure_target(n, rank, seed):
+    # the order `tqst run` uses: the target first, in the support and in the fidelity
+    rng = np.random.default_rng(seed)
+    a = random_factor(rng, rank, 2**n)
+    psi = random_factor(rng, 1, 2**n)[0]
+    target_c, rho_c = joint_support(psi.conj()[None, :], a)
+    exact = np.sqrt(np.real(psi.conj() @ a.conj().T @ (a @ psi)))
+    assert root_fidelity(target_c, rho_c) == pytest.approx(exact, abs=1e-12)
 
 
 def test_fidelity_bound_trivial_threshold():

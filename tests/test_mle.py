@@ -16,7 +16,7 @@ from tqst.mle import (
     write_counts_csv,
 )
 from tqst.projectors import build_projector_table
-from tqst.simulator import NoiseModel, sample_counts, w_state
+from tqst.simulator import NoiseModel, density, sample_counts, w_state
 from tqst.threshold import diagonal_plan, select_offdiagonal
 
 
@@ -130,7 +130,7 @@ def test_objective_never_increases_along_descent():
 
 
 def test_reconstruct_w4_threshold_plan():
-    rho = w_state(4)
+    rho = density(w_state(4))
     exact = NoiseModel(sampling="exact")
     _, diag = sample_counts(rho, diagonal_plan(4), 10**6, exact)
     plan = select_offdiagonal(diag, 0.1)
@@ -153,7 +153,7 @@ def test_reconstruct_basis_state_from_diagonal_only():
 
 
 def test_reconstruct_sampled_w3_regression():
-    rho = w_state(3)
+    rho = density(w_state(3))
     noise = NoiseModel(sampling="multinomial", seed=1)
     _, diag = sample_counts(rho, diagonal_plan(3), 10**4, noise)
     plan = select_offdiagonal(diag, 0.05)
@@ -165,11 +165,27 @@ def test_reconstruct_sampled_w3_regression():
 
 
 def test_reconstruct_deterministic_given_seed():
-    rho = w_state(2)
+    rho = density(w_state(2))
     records = exact_records(rho, 2, shots=10**4)
     a = reconstruct(records, MleOptions(seed=42))
     b = reconstruct(records, MleOptions(seed=42))
     assert np.array_equal(a.rho, b.rho)
+
+
+@pytest.mark.parametrize("parametrization, rank, shape", [
+    ("full", 1, (8, 8)), ("low_rank", 2, (2, 8)),
+])
+def test_result_factor_reproduces_rho(parametrization, rank, shape):
+    rho = density(w_state(3))
+    noise = NoiseModel(0.05, "multinomial", seed=2)
+    _, diag = sample_counts(rho, diagonal_plan(3), 10**4, noise)
+    records, _ = sample_counts(rho, select_offdiagonal(diag, 0.05), 10**4, noise)
+    result = reconstruct(records, MleOptions(parametrization, rank, seed=2))
+    f = result.factor
+    assert f.shape == shape
+    assert np.max(np.abs(f.conj().T @ f - result.rho)) <= 1e-12
+    assert result.nfev >= result.iterations > 0
+    assert isinstance(result.status, int) and result.message
 
 
 def test_output_is_always_physical():
@@ -205,7 +221,7 @@ def test_full_and_low_rank_agree_on_pure_data():
 
 
 def test_reconstruct_requires_all_diagonal_projectors():
-    records = exact_records(w_state(2), 2)
+    records = exact_records(density(w_state(2)), 2)
     trimmed = [r for r in records if r.projector != "HV"]
     with pytest.raises(ValueError):
         reconstruct(trimmed)
@@ -217,7 +233,7 @@ def test_reconstruct_rejects_mixed_qubit_counts():
 
 
 def test_nonconvergence_is_flagged_not_raised():
-    rho = w_state(3)
+    rho = density(w_state(3))
     records = exact_records(rho, 3, shots=10**4)
     result = reconstruct(records, MleOptions(seed=0, max_iterations=2))
     assert not result.converged

@@ -14,7 +14,7 @@ from tqst.projectors import (
     psd_projection,
     quadrant_walk,
 )
-from tqst.simulator import w_state
+from tqst.simulator import density, w_state
 
 
 def test_two_qubit_offdiagonal_pair():
@@ -194,7 +194,7 @@ def test_linear_inversion_recovers_basis_state():
 
 
 def test_linear_inversion_recovers_w2():
-    rho = w_state(2)
+    rho = density(w_state(2))
     expected = np.zeros((4, 4))
     expected[np.ix_([1, 2], [1, 2])] = 0.5
     assert np.max(np.abs(rho - expected)) < 1e-12

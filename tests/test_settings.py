@@ -14,7 +14,13 @@ from tqst.settings import (
     write_histogram_csv,
     write_settings_csv,
 )
-from tqst.simulator import ghz_state, color_code_state, random_filled_state, w_state
+from tqst.simulator import (
+    color_code_state,
+    density,
+    ghz_state,
+    random_filled_state,
+    w_state,
+)
 from tqst.threshold import DiagonalRecord, diagonal_plan, select_offdiagonal
 
 
@@ -46,7 +52,7 @@ def test_color_code_settings_count():
 
 def test_color_code_settings_same_for_both_logical_states():
     def plan_for(logical):
-        diag = np.real(np.diag(color_code_state(logical)))
+        diag = np.real(np.diag(density(color_code_state(logical))))
         counts = np.round(diag * 8).astype(np.int64) * 1250
         record = DiagonalRecord(counts=counts, shots=10**4)
         return select_offdiagonal(record, 0.01)
@@ -97,7 +103,7 @@ def test_correlator_maximally_mixed():
 
 
 def test_correlator_ghz_zz():
-    assert pauli_correlator(ghz_state(2), "ZZ") == pytest.approx(1.0)
+    assert pauli_correlator(density(ghz_state(2)), "ZZ") == pytest.approx(1.0)
 
 
 def test_correlator_dimension_mismatch():
@@ -109,7 +115,7 @@ def test_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(31)
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        rho = random_filled_state(n, 0.7, seed=int(rng.integers(1000)))
+        rho = density(random_filled_state(n, 0.7, seed=int(rng.integers(1000))))
         setting = "".join(rng.choice(list("XYZ"), size=n))
         probs = outcome_probabilities(rho, setting)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
@@ -123,19 +129,19 @@ def test_sampling_ground_state_all_on_outcome_zero():
 
 
 def test_sampling_ghz_only_even_outcomes():
-    counts = sample_setting_counts(ghz_state(2), "ZZ", 10**4, seed=1)
+    counts = sample_setting_counts(density(ghz_state(2)), "ZZ", 10**4, seed=1)
     assert counts[1] == counts[2] == 0
     assert counts.sum() == 10**4
 
 
 def test_sampling_deterministic():
-    a = sample_setting_counts(w_state(2), "XY", 5000, seed=3)
-    b = sample_setting_counts(w_state(2), "XY", 5000, seed=3)
+    a = sample_setting_counts(density(w_state(2)), "XY", 5000, seed=3)
+    b = sample_setting_counts(density(w_state(2)), "XY", 5000, seed=3)
     assert np.array_equal(a, b)
 
 
 def test_histogram_frequencies_converge():
-    rho = w_state(3)
+    rho = density(w_state(3))
     shots = 10**6
     for setting in ("ZZZ", "XXY", "YXZ"):
         probs = outcome_probabilities(rho, setting)
@@ -145,7 +151,7 @@ def test_histogram_frequencies_converge():
 
 
 def test_correlator_from_histogram_converges():
-    rho = w_state(2)
+    rho = density(w_state(2))
     shots = 10**6
     for setting in ("XX", "ZZ", "XY"):
         counts = sample_setting_counts(rho, setting, shots, seed=6)

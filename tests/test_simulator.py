@@ -9,6 +9,7 @@ from tqst.simulator import (
     NoiseModel,
     apply_depolarizing,
     color_code_state,
+    density,
     ghz_state,
     random_filled_state,
     sample_counts,
@@ -18,14 +19,14 @@ from tqst.threshold import DiagonalRecord, diagonal_plan, select_offdiagonal
 
 
 def test_w2_matrix_values():
-    rho = w_state(2)
+    rho = density(w_state(2))
     expected = np.zeros((4, 4))
     expected[np.ix_([1, 2], [1, 2])] = 0.5
     assert np.allclose(rho, expected, atol=1e-12)
 
 
 def test_w7_diagonal_support():
-    diag = np.real(np.diag(w_state(7)))
+    diag = np.real(np.diag(density(w_state(7))))
     support = np.flatnonzero(diag > 1e-12)
     assert len(support) == 7
     assert np.allclose(diag[support], 1 / 7)
@@ -34,11 +35,11 @@ def test_w7_diagonal_support():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_w_state_is_pure(n):
-    assert purity(w_state(n)) == pytest.approx(1.0, abs=1e-12)
+    assert purity(density(w_state(n))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ghz_structure():
-    rho = ghz_state(2)
+    rho = density(ghz_state(2))
     assert np.allclose(np.diag(rho), [0.5, 0, 0, 0.5])
     assert rho[0, 3] == pytest.approx(0.5)
     assert rho[3, 0] == pytest.approx(0.5)
@@ -46,11 +47,11 @@ def test_ghz_structure():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_ghz_all_z_correlator_for_even_n(n):
-    assert pauli_correlator(ghz_state(n), "Z" * n) == pytest.approx(1.0)
+    assert pauli_correlator(density(ghz_state(n)), "Z" * n) == pytest.approx(1.0)
 
 
 def test_color_code_supports():
-    rho0 = color_code_state(0)
+    rho0 = density(color_code_state(0))
     diag = np.real(np.diag(rho0))
     support = set(np.flatnonzero(diag > 1e-12))
     assert support == {85, 99, 45, 27, 78, 54, 120, 0}
@@ -58,19 +59,19 @@ def test_color_code_supports():
 
 
 def test_color_code_logical_states_are_orthogonal():
-    rho0, rho1 = color_code_state(0), color_code_state(1)
+    rho0, rho1 = density(color_code_state(0)), density(color_code_state(1))
     assert abs(np.trace(rho0 @ rho1)) < 1e-12
 
 
 def test_random_filled_minimal_support_is_basis_state():
-    rho = random_filled_state(3, 1 / 8, seed=5)
+    rho = density(random_filled_state(3, 1 / 8, seed=5))
     diag = np.real(np.diag(rho))
     assert np.isclose(diag.max(), 1.0)
     assert purity(rho) == pytest.approx(1.0)
 
 
 def test_random_filled_full_support():
-    rho = random_filled_state(3, 1.0, seed=6)
+    rho = density(random_filled_state(3, 1.0, seed=6))
     assert (np.real(np.diag(rho)) > 0).all()
 
 
@@ -82,25 +83,26 @@ def test_random_filled_deterministic():
 
 def test_random_filled_support_size():
     for filling, expected in ((0.25, 4), (0.3, 5), (1.0, 16)):
-        rho = random_filled_state(4, filling, seed=1)
+        rho = density(random_filled_state(4, filling, seed=1))
         assert (np.real(np.diag(rho)) > 1e-12).sum() == expected
 
 
 def test_depolarizing_limits():
-    rho = w_state(2)
+    rho = density(w_state(2))
     assert np.array_equal(apply_depolarizing(rho, 0.0), rho)
     assert np.allclose(apply_depolarizing(rho, 1.0), np.eye(4) / 4)
 
 
 def test_depolarizing_purity_fixture():
-    rho = apply_depolarizing(ghz_state(2), 0.1)
+    rho = apply_depolarizing(density(ghz_state(2)), 0.1)
     assert purity(rho) == pytest.approx((0.9 + 0.1 / 4) ** 2 + 3 * (0.1 / 4) ** 2)
     assert purity(rho) == pytest.approx(0.8575)
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: w_state(3), lambda: ghz_state(4), lambda: color_code_state(1),
-             lambda: random_filled_state(3, 0.6, seed=2)]
+    "make", [lambda: density(w_state(3)), lambda: density(ghz_state(4)),
+             lambda: density(color_code_state(1)),
+             lambda: density(random_filled_state(3, 0.6, seed=2))]
 )
 def test_generators_emit_valid_densities(make):
     assert validate_density(make(), 1e-12).ok
@@ -116,12 +118,13 @@ def test_exact_diagonal_sampling():
 
 def test_exact_diagonal_sampling_preserves_total():
     # probabilities of 1/3 cannot round independently without losing shots
-    _, diag = sample_counts(w_state(3), diagonal_plan(3), 10**4, NoiseModel(sampling="exact"))
+    _, diag = sample_counts(density(w_state(3)), diagonal_plan(3), 10**4,
+                            NoiseModel(sampling="exact"))
     assert diag.counts.sum() == 10**4
 
 
 def test_exact_offdiagonal_rounding():
-    rho = w_state(3)
+    rho = density(w_state(3))
     plan = select_offdiagonal(
         DiagonalRecord(np.array([0, 3334, 3333, 0, 3333, 0, 0, 0]), 10**4), 0.1
     )
@@ -132,7 +135,8 @@ def test_exact_offdiagonal_rounding():
 
 def test_multinomial_seeded_fixture():
     plan = select_offdiagonal(DiagonalRecord(np.array([0, 500, 500, 0]), 1000), 0.1)
-    records, diag = sample_counts(w_state(2), plan, 1000, NoiseModel(0.0, "multinomial", 123))
+    records, diag = sample_counts(density(w_state(2)), plan, 1000,
+                                  NoiseModel(0.0, "multinomial", 123))
     assert diag.counts.tolist() == [0, 484, 516, 0]
     by_word = {r.projector: r.observed for r in records}
     assert by_word["RR"] == 507
@@ -142,14 +146,14 @@ def test_multinomial_seeded_fixture():
 
 def test_multinomial_deterministic_per_seed():
     plan = diagonal_plan(3)
-    a = sample_counts(w_state(3), plan, 5000, NoiseModel(0.1, "multinomial", 7))
-    b = sample_counts(w_state(3), plan, 5000, NoiseModel(0.1, "multinomial", 7))
+    a = sample_counts(density(w_state(3)), plan, 5000, NoiseModel(0.1, "multinomial", 7))
+    b = sample_counts(density(w_state(3)), plan, 5000, NoiseModel(0.1, "multinomial", 7))
     assert a[0] == b[0]
     assert np.array_equal(a[1].counts, b[1].counts)
 
 
 def test_sampled_frequencies_converge():
-    rho = random_filled_state(4, 0.5, seed=20)
+    rho = density(random_filled_state(4, 0.5, seed=20))
     shots = 10**6
     _, diag = sample_counts(rho, diagonal_plan(4), shots, NoiseModel(0, "multinomial", 21))
     plan = select_offdiagonal(diag, 0.02)
@@ -162,7 +166,7 @@ def test_sampled_frequencies_converge():
 
 def test_sample_counts_dimension_mismatch():
     with pytest.raises(ValueError):
-        sample_counts(w_state(2), diagonal_plan(3), 100)
+        sample_counts(density(w_state(2)), diagonal_plan(3), 100)
 
 
 def test_noise_model_validation():
@@ -175,12 +179,13 @@ def test_noise_model_validation():
 def test_diagonal_record_counts_match_records():
     # the embedded diagonal CountRecords come from the same multinomial draw
     plan = diagonal_plan(2)
-    records, diag = sample_counts(w_state(2), plan, 2000, NoiseModel(0.05, "multinomial", 3))
+    records, diag = sample_counts(density(w_state(2)), plan, 2000,
+                                  NoiseModel(0.05, "multinomial", 3))
     assert [r.observed for r in records] == diag.counts.tolist()
 
 
 def test_count_records_are_well_formed():
-    records, _ = sample_counts(ghz_state(2), diagonal_plan(2), 100, NoiseModel())
+    records, _ = sample_counts(density(ghz_state(2)), diagonal_plan(2), 100, NoiseModel())
     for rec in records:
         assert isinstance(rec, CountRecord)
         assert 0 <= rec.observed <= rec.shots
