@@ -14,6 +14,7 @@ from .core import (
     ValidityReport,
     expectation,
     load_density,
+    load_factor,
     product_ket,
     save_density,
     validate_density,

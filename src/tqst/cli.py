@@ -1,16 +1,17 @@
 """Command-line pipeline: plan, simulate, reconstruct, and compare states.
 
 Every subcommand does one thing and exchanges data through files (CSV for
-plans and counts, JSON for matrices), so pipelines can be decomposed and
-resumed.  All randomness flows from a single seed, settable per command or
-through the TQST_SEED environment variable.  Exit status is 0 on success,
-2 on invalid input, and 3 when the reconstruction did not converge; errors
-are emitted as JSON on standard error.
+plans and counts, JSON for factored density matrices), so pipelines can be
+decomposed and resumed.  All randomness flows from a single seed, settable
+per command or through the TQST_SEED environment variable.  Exit status is
+0 on success, 2 on invalid input, and 3 when the reconstruction did not
+converge; errors are emitted as JSON on standard error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,10 +69,17 @@ def _resolve_threshold(spec: str, ideal_diag, run_files, n: int) -> tuple[float,
     return est.threshold, info
 
 
-def _fidelity_report(rho: np.ndarray, target: np.ndarray, tolerance: float = 1e-6) -> dict:
-    # The target is the argument square-rooted: a pure target is its own
-    # square root, while square-rooting a rank-deficient rho turns each of
-    # its round-off eigenvalues (~1e-16) into a ~1e-8 error.
+def _fidelity_report(fit: np.ndarray, target: np.ndarray, tolerance: float = 1e-6) -> dict:
+    """Metrics of rho = fit^H fit against the target target^H target.
+
+    Every reported metric is unitarily invariant, so the report is computed
+    on the two states compressed onto their joint support, at most (rows of
+    fit + rows of target) square, and no 2**n x 2**n eigensolve runs for a
+    low-rank pair.  The target comes first and is the argument square-rooted:
+    for a pure target its compressed matrix is diag(1, 0, ...) up to
+    round-off, and the fidelity then equals <psi|rho|psi> to round-off.
+    """
+    target, rho = metrics.joint_support(target, fit)
     root = metrics.root_fidelity(target, rho, tolerance)
     return {
         "root_fidelity": root,
@@ -186,19 +194,15 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     result = mle.reconstruct(
         records, _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed)
     )
-    core.save_density(outdir / "rho.json", result.rho)
+    core.save_density(outdir / "rho.json", result.factor)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
 
-    # Every reported metric is unitarily invariant, so the report is computed
-    # on the (rank + 1)-dimensional joint support of the target and the fit.
-    # The target comes first, so the basis starts with the target ket and its
-    # compressed matrix is diag(1, 0, ...) up to round-off: the fidelity then
-    # equals <psi|rho|psi> to round-off, which it does not in the other order.
-    target_c, rho_c = metrics.joint_support(ket.conj()[None, :], result.factor)
-    report = _fidelity_report(rho_c, target_c)
-    report["fidelity_bound"] = metrics.fidelity_bound(
-        diag_record.probabilities(), t, report["rank_target"]
-    )
+    report = _fidelity_report(result.factor, ket.conj()[None, :])
+    p = diag_record.probabilities()
+    report["fidelity_bound"] = metrics.fidelity_bound(p, t, report["rank_target"])
+    # the bound select_offdiagonal compared with t, so it is >= t for every kept pair
+    pairs = plan.offdiagonal_pairs()
+    min_kept_bound = min((math.sqrt(p[i] * p[j]) for i, j in pairs), default=None)
     (outdir / "fidelity.json").write_text(json.dumps(report, indent=2))
 
     _emit({
@@ -207,6 +211,8 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
         "threshold": t,
         "threshold_estimate": estimate_info,
         "measurements": plan.size,
+        "pairs_kept": len(pairs),
+        "min_kept_bound": min_kept_bound,
         "settings": len(plan_settings),
         "converged": result.converged,
         "objective": result.final_objective,
@@ -306,7 +312,7 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
     result = mle.reconstruct(
         records, _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed)
     )
-    core.save_density(outdir / "rho.json", result.rho)
+    core.save_density(outdir / "rho.json", result.factor)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
     _emit({
         "records": len(records),
@@ -327,9 +333,7 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
               help="Validity tolerance for the input matrices.")
 def fidelity(rho_file, sigma_file, tolerance):
     """Fidelity, trace distance, purity, and rank of two density-matrix files."""
-    rho = core.load_density(rho_file)
-    sigma = core.load_density(sigma_file)
-    report = _fidelity_report(rho, sigma, tolerance)
+    report = _fidelity_report(core.load_factor(rho_file), core.load_factor(sigma_file), tolerance)
     report["purity_a"] = report.pop("purity_reconstructed")
     report["purity_b"] = report.pop("purity_target")
     report["rank_a"] = report.pop("rank_reconstructed")

@@ -201,38 +201,57 @@ def n_qubits_of(rho: np.ndarray) -> int:
     return n
 
 
-def save_density(path: str | Path, rho: np.ndarray) -> None:
-    """Write a density matrix as JSON: {"n_qubits", "re", "im"} (full precision)."""
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits_of(rho)
+def save_density(path: str | Path, factor: np.ndarray) -> None:
+    """Write the state rho = F^H F as its factor F, r x 2**n with r >= 1:
+    {"n_qubits", "factor_re", "factor_im"} at full precision."""
+    factor = np.asarray(factor, dtype=complex)
+    n = _factor_qubits(factor.shape)
+    if n is None:
+        raise ValueError(f"factor shape {factor.shape} is not r x 2**n with r >= 1, n >= 1")
     payload = {
         "n_qubits": n,
-        "re": rho.real.tolist(),
-        "im": rho.imag.tolist(),
+        "factor_re": factor.real.tolist(),
+        "factor_im": factor.imag.tolist(),
     }
     Path(path).write_text(json.dumps(payload, allow_nan=False))
 
 
-def load_density(path: str | Path) -> np.ndarray:
-    """Read a density matrix written by :func:`save_density`; non-finite
-    entries are rejected."""
+def load_factor(path: str | Path) -> np.ndarray:
+    """Read the factor F written by :func:`save_density`.  Both arrays must
+    be r x 2**n_qubits with r >= 1 and finite entries; a file without the
+    factor keys, such as a dense ``{"re", "im"}`` matrix, is rejected."""
     try:
         payload = json.loads(Path(path).read_text())
-        n = int(payload["n_qubits"])
-        re = np.array(payload["re"], dtype=float)
-        im = np.array(payload["im"], dtype=float)
+        n = payload["n_qubits"]
+        if type(n) is not int:  # neither 1.9 nor true is read as 1
+            raise TypeError(f"n_qubits {n!r} is not an integer")
+        re = np.array(payload["factor_re"], dtype=float)
+        im = np.array(payload["factor_im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not a density-matrix JSON file ({exc})") from exc
-    # the dimension comes from the arrays, so n_qubits is never exponentiated unchecked
-    dim = re.shape[0] if re.ndim == 2 else 0
-    if n != dim.bit_length() - 1 or re.shape != (dim, dim) or im.shape != (dim, dim) \
-            or dim != 2**n:
+        raise ValueError(f"{path}: not a factored density-matrix JSON file with keys "
+                         f"n_qubits, factor_re, factor_im ({exc!r})") from exc
+    # n comes from the arrays' shape, so n_qubits is never exponentiated unchecked
+    if re.shape != im.shape or _factor_qubits(re.shape) != n:
         raise ValueError(f"{path}: n_qubits={n} does not match arrays of shape "
-                         f"{re.shape}/{im.shape}, which must be 2**n_qubits square")
-    rho = re + 1j * im
-    if not np.isfinite(rho).all():
-        raise ValueError(f"{path}: matrix has non-finite entries")
-    return rho
+                         f"{re.shape}/{im.shape}, which must be r x 2**n_qubits with r >= 1")
+    factor = re + 1j * im
+    if not np.isfinite(factor).all():
+        raise ValueError(f"{path}: factor has non-finite entries")
+    return factor
+
+
+def load_density(path: str | Path) -> np.ndarray:
+    """The density matrix F^H F of the factor in a :func:`save_density` file."""
+    factor = load_factor(path)
+    return factor.conj().T @ factor
+
+
+def _factor_qubits(shape: tuple) -> int | None:
+    """n for a factor of shape r x 2**n with r >= 1 and n >= 1, else None."""
+    if len(shape) != 2 or shape[0] < 1:
+        return None
+    n = shape[1].bit_length() - 1
+    return n if n >= 1 and shape[1] == 2**n else None
 
 
 def write_table(path: str | Path, columns, rows, comment: dict | None = None) -> None:

@@ -18,10 +18,19 @@ def _check_pair(rho: np.ndarray, sigma: np.ndarray, tolerance: float) -> None:
             raise ValueError(f"{name} argument is not a valid density matrix: {report.as_dict()}")
 
 
+def _round_off_zeroed(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues with those at most size * eps * max(vals) set to zero.
+
+    Below that cutoff an eigenvalue of a rank-deficient matrix is round-off,
+    and its square root (~1e-8 for ~1e-16) would otherwise enter the result.
+    """
+    cutoff = vals.size * np.finfo(float).eps * max(vals.max(), 0.0)
+    return np.where(vals > cutoff, vals, 0.0)
+
+
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(_round_off_zeroed(vals))) @ vecs.conj().T
 
 
 def root_fidelity(rho: np.ndarray, sigma: np.ndarray, tolerance: float = 1e-6) -> float:
@@ -30,7 +39,7 @@ def root_fidelity(rho: np.ndarray, sigma: np.ndarray, tolerance: float = 1e-6) -
     s = _psd_sqrt(rho)
     inner = s @ sigma @ s
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    return float(np.sqrt(np.clip(vals, 0.0, None)).sum())
+    return float(np.sqrt(_round_off_zeroed(vals)).sum())
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray, tolerance: float = 1e-6) -> float:
@@ -68,6 +77,8 @@ def joint_support(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     and rank are unitarily invariant, so each takes the same value on the
     compressed pair as on (rho, sigma).
     """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: factors of {a.shape[1]} and {b.shape[1]} columns")
     q, _ = np.linalg.qr(np.hstack([a.conj().T, b.conj().T]))
     ca, cb = a @ q, b @ q
     return ca.conj().T @ ca, cb.conj().T @ cb

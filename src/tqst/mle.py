@@ -18,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +62,11 @@ class MleOptions:
 
 @dataclass
 class ReconstructionResult:
-    """The fitted state, as the density matrix ``rho`` and as its factor:
-    ``rho`` equals ``factor^H factor``, with ``factor`` the fitted F scaled to
-    unit Frobenius norm (r x 2**n for ``low_rank``, 2**n x 2**n for ``full``).
+    """The fitted state as its factor: ``factor`` is the fitted F scaled to
+    unit Frobenius norm (r x 2**n for ``low_rank``, 2**n x 2**n for ``full``),
+    and the density matrix ``rho`` is ``factor^H factor``, formed on first use.
     ``nfev``, ``status`` and ``message`` are scipy's for the minimization."""
 
-    rho: np.ndarray
     factor: np.ndarray
     final_objective: float
     iterations: int
@@ -77,6 +77,10 @@ class ReconstructionResult:
     parametrization: str
     converged: bool
     wall_time_s: float = 0.0
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.factor.conj().T @ self.factor
 
 
 class _Bundle:
@@ -232,12 +236,8 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
         },
     )
     f = _build_factor(res.x, bundle.dim, options)
-    rho = f.conj().T @ f
-    rho = rho / np.real(np.trace(rho))
-    rho = (rho + rho.conj().T) / 2.0
     gnorm = float(np.linalg.norm(res.jac))
     return ReconstructionResult(
-        rho=rho,
         factor=f / math.sqrt(np.real(np.vdot(f, f))),
         final_objective=float(res.fun),
         iterations=int(res.nit),

@@ -37,6 +37,8 @@ def test_run_writes_all_artifacts(w3_run):
                  "diagnostics.json", "settings.csv", "fidelity.json"):
         assert (out / name).exists(), name
     assert summary["measurements"] == 8 + 6
+    assert 2 * summary["pairs_kept"] == summary["measurements"] - 8
+    assert summary["min_kept_bound"] >= summary["threshold"]
     assert summary["converged"] is True
     assert summary["fidelity"] > 0.9
 
@@ -175,10 +177,14 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     pytest.param({"plan.csv": PLAN_N2 + "1,2,re,RR\n1,2,im,RR\n"},
                  ("settings", "--plan", "{tmp}/plan.csv"),
                  "plan.csv:8:", id="plan-word-mismatch"),
-    pytest.param({"rho.json": '{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, NaN]], '
-                              '"im": [[0.0, 0.0], [0.0, 0.0]]}'},
+    pytest.param({"rho.json": '{"n_qubits": 1, "factor_re": [[1.0, 0.0], [0.0, NaN]], '
+                              '"factor_im": [[0.0, 0.0], [0.0, 0.0]]}'},
                  ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
                  "rho.json", id="non-finite-density"),
+    pytest.param({"rho.json": '{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, 0.0]], '
+                              '"im": [[0.0, 0.0], [0.0, 0.0]]}'},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "{tmp}/rho.json: not a factored density-matrix", id="legacy-dense-density"),
 ])
 def test_invalid_input_exits_2_with_json_error(tmp_path, files, args, message):
     for name, text in files.items():

@@ -11,6 +11,7 @@ from tqst.core import (
     basis_word,
     expectation,
     load_density,
+    load_factor,
     n_qubits_of,
     product_ket,
     read_table,
@@ -139,28 +140,43 @@ def test_validate_density_rejects_non_square():
 
 def test_density_json_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    f = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    f /= np.linalg.norm(f)
     path = tmp_path / "rho.json"
-    save_density(path, rho)
-    assert np.array_equal(load_density(path), rho)  # bit-exact
+    save_density(path, f)
+    assert np.array_equal(load_factor(path), f)  # bit-exact
+    assert np.array_equal(load_density(path), f.conj().T @ f)
 
 
 def test_load_density_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"n_qubits": 2, "re": [[1.0]], "im": [[0.0]]}')
+    path.write_text('{"n_qubits": 2, "factor_re": [[1.0]], "factor_im": [[0.0]]}')
     with pytest.raises(ValueError):
         load_density(path)
     # the qubit count is checked against the arrays, never exponentiated first
-    path.write_text('{"n_qubits": 100000000, "re": [[1.0]], "im": [[0.0]]}')
+    path.write_text('{"n_qubits": 100000000, "factor_re": [[1.0]], "factor_im": [[0.0]]}')
     with pytest.raises(ValueError, match=r"bad.json: n_qubits=100000000 does not match"):
         load_density(path)
-    path.write_text('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, Infinity]], "im": [[0, 0], [0, 0]]}')
+    path.write_text('{"n_qubits": 1.9, "factor_re": [[1.0, 0.0]], "factor_im": [[0, 0]]}')
+    with pytest.raises(ValueError, match="bad.json: not a factored density-matrix"):
+        load_density(path)
+    path.write_text('{"n_qubits": 1, "factor_re": [[1.0, Infinity]], "factor_im": [[0, 0]]}')
     with pytest.raises(ValueError, match="non-finite"):
         load_density(path)
+    # a dense matrix of the old format would otherwise load as a factor, giving rho^2
+    path.write_text('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0, 0], [0, 0]]}')
+    with pytest.raises(ValueError, match="bad.json: not a factored density-matrix"):
+        load_factor(path)
+    path.write_text('{"n_qubits": 1, "factor_re": [[1.0, 0.0, 0.0]], "factor_im": [[0, 0, 0]]}')
+    with pytest.raises(ValueError, match="does not match"):
+        load_factor(path)
+    path.write_text('{"n_qubits": 1, "factor_re": [], "factor_im": []}')
+    with pytest.raises(ValueError, match="does not match"):
+        load_factor(path)
     with pytest.raises(ValueError):
         save_density(path, np.diag([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        save_density(path, np.zeros((0, 2)))
 
 
 def _read_two_columns(path):

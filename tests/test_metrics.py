@@ -159,6 +159,19 @@ def test_joint_support_fidelity_against_pure_target(n, rank, seed):
     assert root_fidelity(target_c, rho_c) == pytest.approx(exact, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_dense_fidelity_against_pure_target(n, rank, seed):
+    # round-off eigenvalues of the rank-deficient states must not enter the result
+    rng = np.random.default_rng(seed)
+    a = random_factor(rng, rank, 2**n)
+    psi = random_factor(rng, 1, 2**n)[0]
+    rho, target = a.conj().T @ a, np.outer(psi, psi.conj())
+    exact = np.real(psi.conj() @ rho @ psi)
+    assert fidelity(rho, target) == pytest.approx(exact, abs=1e-12)
+    assert fidelity(target, rho) == pytest.approx(exact, abs=1e-12)
+
+
 def test_fidelity_bound_trivial_threshold():
     assert fidelity_bound(np.array([0.5, 0.5]), 0.0, 1) == 1.0
 
@@ -214,5 +227,7 @@ def test_truncate_below_threshold():
 def test_metric_input_validation():
     with pytest.raises(ValueError):
         root_fidelity(np.eye(2) / 2, np.eye(4) / 4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        joint_support(np.eye(2) / 2, np.eye(4) / 4)
     with pytest.raises(ValueError):
         fidelity(np.diag([1.5, -0.5]).astype(complex), np.eye(2) / 2)

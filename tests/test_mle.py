@@ -161,7 +161,7 @@ def test_reconstruct_sampled_w3_regression():
     result = reconstruct(records, MleOptions(seed=1))
     f = fidelity(result.rho, rho)
     assert f >= 0.98
-    assert f == pytest.approx(0.9949842981347601, abs=1e-9)  # seeded regression
+    assert f == pytest.approx(0.9949842652977927, abs=1e-9)  # seeded regression: <psi|rho|psi>
 
 
 def test_reconstruct_deterministic_given_seed():
