@@ -11,7 +11,6 @@ converge; errors are emitted as JSON on standard error.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -46,10 +45,7 @@ def _check_threshold(spec: str, run_files) -> float | None:
         if len(run_files) < 2:
             raise ValueError("--threshold auto needs at least two --run-file replicas")
         return None
-    t = float(spec)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {t}")
-    return t
+    return threshold.check_threshold(float(spec))
 
 
 def _resolve_threshold(spec: str, ideal_diag, run_files, n: int) -> tuple[float, dict | None]:
@@ -123,7 +119,7 @@ lambda_option = click.option(
 exact_option = click.option(
     "--exact", is_flag=True, help="Rounded expectations instead of shot sampling."
 )
-shots_option = click.option("--shots", type=int, default=10_000, show_default=True)
+shots_option = click.option("--shots", type=click.IntRange(min=1), default=10_000, show_default=True)
 mle_options = [
     click.option(
         "--parametrization", type=click.Choice(["full", "low_rank"]),
@@ -168,12 +164,11 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     """Full pipeline: diagonal, threshold, plan, measurements, reconstruction."""
     _check_threshold(threshold_spec, run_files)
     ket, n = _target_ket(state, n, filling, seed)
+    noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
+    options = _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed)
     target = simulator.density(ket)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    noise = simulator.NoiseModel(
-        depolarizing=lam, sampling="exact" if exact else "multinomial", seed=seed
-    )
 
     _, diag_record = simulator.sample_counts(target, threshold.diagonal_plan(n), shots, noise)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)
@@ -191,18 +186,15 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     plan_settings = settings_mod.settings_for_plan(plan)
     settings_mod.write_settings_csv(outdir / "settings.csv", plan_settings)
 
-    result = mle.reconstruct(
-        records, _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed)
-    )
+    result = mle.reconstruct(records, options)
     core.save_density(outdir / "rho.json", result.factor)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
 
     report = _fidelity_report(result.factor, ket.conj()[None, :])
     p = diag_record.probabilities()
     report["fidelity_bound"] = metrics.fidelity_bound(p, t, report["rank_target"])
-    # the bound select_offdiagonal compared with t, so it is >= t for every kept pair
-    pairs = plan.offdiagonal_pairs()
-    min_kept_bound = min((math.sqrt(p[i] * p[j]) for i, j in pairs), default=None)
+    min_kept_bound = min((float(bound[keep].min()) for _, bound, keep
+                          in threshold.pair_rows(p, t) if keep.any()), default=None)
     (outdir / "fidelity.json").write_text(json.dumps(report, indent=2))
 
     _emit({
@@ -211,7 +203,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
         "threshold": t,
         "threshold_estimate": estimate_info,
         "measurements": plan.size,
-        "pairs_kept": len(pairs),
+        "pairs_kept": len(plan.offdiagonal_pairs()),
         "min_kept_bound": min_kept_bound,
         "settings": len(plan_settings),
         "converged": result.converged,
@@ -239,15 +231,12 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True)
 def simulate(state, n, filling, lam, shots, seed, exact, plan_file, out):
     """Sample synthetic counts for a target state; writes diagonal and counts CSVs."""
+    ket, n = _target_ket(state, n, filling, seed)
+    plan = threshold.read_plan_csv(plan_file) if plan_file else threshold.diagonal_plan(n)
+    noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
+    records, diag_record = simulator.sample_counts(simulator.density(ket), plan, shots, noise)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ket, n = _target_ket(state, n, filling, seed)
-    target = simulator.density(ket)
-    plan = threshold.read_plan_csv(plan_file) if plan_file else threshold.diagonal_plan(n)
-    noise = simulator.NoiseModel(
-        depolarizing=lam, sampling="exact" if exact else "multinomial", seed=seed
-    )
-    records, diag_record = simulator.sample_counts(target, plan, shots, noise)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)
     mle.write_counts_csv(outdir / "counts.csv", records)
     _emit({
@@ -295,8 +284,7 @@ def plan(diagonal_file, threshold_spec, ideal_file, run_files, out):
 def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
                 max_iterations, gradient_tolerance, out):
     """Maximum-likelihood reconstruction from measured counts."""
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    options = _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed)
     records = mle.read_counts_csv(counts_file)
     if diagonal_file is not None:
         present = {rec.projector for rec in records}
@@ -309,9 +297,9 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
             word = core.basis_word(k, diag_record.n)
             if word not in present:
                 records.append(mle.CountRecord(word, int(count), diag_record.shots))
-    result = mle.reconstruct(
-        records, _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed)
-    )
+    result = mle.reconstruct(records, options)
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
     core.save_density(outdir / "rho.json", result.factor)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
     _emit({

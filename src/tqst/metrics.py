@@ -7,6 +7,9 @@ import math
 import numpy as np
 
 from .core import validate_density
+from .threshold import pair_rows
+
+EIGEN_TOLERANCE = 1e-8
 
 
 def _check_pair(rho: np.ndarray, sigma: np.ndarray, tolerance: float) -> None:
@@ -56,10 +59,10 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.abs(vals).sum())
 
 
-def numerical_rank(rho: np.ndarray, eigen_tolerance: float = 1e-8) -> int:
-    """Number of eigenvalues above ``eigen_tolerance``."""
+def numerical_rank(rho: np.ndarray) -> int:
+    """Number of eigenvalues above ``EIGEN_TOLERANCE``."""
     vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    return int((vals > eigen_tolerance).sum())
+    return int((vals > EIGEN_TOLERANCE).sum())
 
 
 def purity(rho: np.ndarray) -> float:
@@ -88,10 +91,10 @@ def fidelity_bound(diag: np.ndarray, t: float, rank: int) -> float:
     """Worst-case fidelity of reconstructing with below-threshold elements zeroed.
 
     With S the sum of diag_i * diag_j over all ordered pairs (i, j), i != j,
-    whose geometric mean falls below ``t``, the bound is
+    that :func:`~tqst.threshold.pair_rows` does not keep, the bound is
     (1 - sqrt(rank * S))^2, clamped to [0, 1] before squaring: a negative
-    inner value carries no information.  At t = 0 no pair is zeroed and the
-    bound is exactly 1.
+    inner value carries no information.  At t = 0 only pairs of zero product
+    are dropped, and the bound is exactly 1.
     """
     diag = np.asarray(diag, dtype=float)
     if rank < 1:
@@ -101,23 +104,22 @@ def fidelity_bound(diag: np.ndarray, t: float, rank: int) -> float:
     if diag.sum() > 1.0 + 1e-9:
         raise ValueError(f"diagonal sums to {diag.sum()}, above 1")
     p = np.clip(diag, 0.0, None)
-    prod = np.outer(p, p)
-    geo = np.sqrt(prod)
-    below = geo < t
-    np.fill_diagonal(below, False)
-    s = float(prod[below].sum())  # both orientations of each pair
+    # each dropped pair counts in both orientations
+    s = 2.0 * sum(float((p[i] * p[i + 1 :][~keep]).sum()) for i, _, keep in pair_rows(p, t))
     inner = min(max(1.0 - math.sqrt(rank * s), 0.0), 1.0)
     return inner * inner
 
 
 def truncate_below_threshold(rho: np.ndarray, t: float) -> np.ndarray:
-    """Zero every off-diagonal pair whose diagonal geometric mean is below ``t``.
+    """Zero every off-diagonal pair that :func:`~tqst.threshold.pair_rows`
+    does not keep for the diagonal of ``rho``.
 
     This is the estimator a threshold-limited reconstruction targets; it is
     generally no longer positive semi-definite.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.array(rho, dtype=complex)
     p = np.clip(np.real(np.diag(rho)), 0.0, None)
-    keep = np.sqrt(np.outer(p, p)) >= t
-    np.fill_diagonal(keep, True)
-    return np.where(keep, rho, 0.0)
+    for i, _, keep in pair_rows(p, t):
+        drop = i + 1 + np.flatnonzero(~keep)
+        rho[i, drop] = rho[drop, i] = 0.0
+    return rho

@@ -26,6 +26,9 @@ from scipy.optimize import minimize
 
 from .core import basis_word, product_ket, read_table, validate_word, word_to_index, write_table
 
+EPSILON = 1e-9  # relative floor for model counts n_K
+JITTER = 1e-3  # scale of the random start off the measured diagonal
+
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -49,9 +52,7 @@ class MleOptions:
     rank: int = 1
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-6
-    epsilon: float = 1e-9  # relative floor for model counts n_K
     seed: int | None = None
-    jitter: float = 1e-3
 
     def __post_init__(self):
         if self.parametrization not in ("full", "low_rank"):
@@ -145,7 +146,7 @@ def _evaluate(params, bundle, options, want_gradient):
     w = bundle.kets @ f.T
     u = np.einsum("kr,kr->k", w, w.conj()).real
     model = bundle.shots * (u / tau)
-    floor = options.epsilon * bundle.shots
+    floor = EPSILON * bundle.shots
     floored = model < floor
     n_eff = np.where(floored, floor, model)
     value = float(np.sum((n_eff - bundle.observed) ** 2 / (4.0 * n_eff)))
@@ -189,18 +190,18 @@ def _initial_params(bundle: _Bundle, options: MleOptions) -> np.ndarray:
             f"records must include all {dim} diagonal projectors; "
             f"missing {basis_word(missing, n)!r}"
         )
-    amp = np.sqrt(np.maximum(probs, options.epsilon))
+    amp = np.sqrt(np.maximum(probs, EPSILON))
     rng = np.random.default_rng(options.seed)
     if options.parametrization == "full":
         f = np.zeros((dim, dim), dtype=complex)
         f[np.diag_indices(dim)] = amp
         params = _factor_params(f, dim, options)
-        params[dim:] = rng.normal(scale=options.jitter, size=params.size - dim)
+        params[dim:] = rng.normal(scale=JITTER, size=params.size - dim)
         return params
     v = np.zeros((options.rank, dim), dtype=complex)
     v[0] = amp
     params = _factor_params(v, dim, options)
-    return params + rng.normal(scale=options.jitter, size=params.size)
+    return params + rng.normal(scale=JITTER, size=params.size)
 
 
 def _diag_index(word: str, n: int) -> int | None:

@@ -36,6 +36,9 @@ from .core import (
 
 TABLE_CAP = 8
 GRAM_CAP = 6
+MIN_SINGULAR_VALUE = 1e-10  # completeness: smallest Gram singular value
+HERMITIAN_TOL = 1e-9  # psd_projection input checks
+TRACE_TOL = 1e-6
 
 
 def quadrant_walk(n: int, idx: ElementIndex) -> list[str]:
@@ -226,7 +229,7 @@ class CompletenessReport:
     invertible: bool
 
 
-def completeness_check(n: int, cap: int = GRAM_CAP, threshold: float = 1e-10) -> CompletenessReport:
+def completeness_check(n: int, cap: int = GRAM_CAP) -> CompletenessReport:
     """Invertibility of the full 4**n Gram matrix via its smallest singular value."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
@@ -239,7 +242,7 @@ def completeness_check(n: int, cap: int = GRAM_CAP, threshold: float = 1e-10) ->
     # symmetric matrix: singular values are the absolute eigenvalues
     smin = float(np.min(np.abs(np.linalg.eigvalsh(m))))
     return CompletenessReport(
-        n=n, order=len(words), min_singular_value=smin, invertible=smin > threshold
+        n=n, order=len(words), min_singular_value=smin, invertible=smin > MIN_SINGULAR_VALUE
     )
 
 
@@ -281,7 +284,7 @@ def linear_inversion(records) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
-def psd_projection(m: np.ndarray, hermitian_tol: float = 1e-9, trace_tol: float = 1e-6) -> np.ndarray:
+def psd_projection(m: np.ndarray) -> np.ndarray:
     """Closest unit-trace positive semi-definite matrix in Frobenius norm.
 
     Eigendecomposes the input and zeroes negative eigenvalues in ascending
@@ -291,11 +294,11 @@ def psd_projection(m: np.ndarray, hermitian_tol: float = 1e-9, trace_tol: float 
     """
     m = np.asarray(m, dtype=complex)
     herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > hermitian_tol:
+    if herm > HERMITIAN_TOL:
         raise ValueError(f"input is not Hermitian (violation {herm:.3g})")
     tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"input trace {tr:.9f} is not 1 within {trace_tol}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"input trace {tr:.9f} is not 1 within {TRACE_TOL}")
 
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     lam = vals.copy()

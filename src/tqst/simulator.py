@@ -125,21 +125,24 @@ def sample_counts(
 ) -> tuple[list[CountRecord], DiagonalRecord]:
     """Simulate the measurements of a plan on a (noise-injected) state.
 
-    The diagonal is sampled once as a multinomial over the computational
-    probabilities of the noisy state and reported both as a DiagonalRecord
-    and as one CountRecord per diagonal target.  Every off-diagonal target is
-    a binomial with its projector expectation as success probability.  Each
-    target draws from its own spawned random stream, so results are
-    reproducible per seed independent of evaluation order.
+    Depolarizing noise enters each probability as (1 - lam) <P> + lam / 2**n,
+    the expectation in :func:`apply_depolarizing` of ``rho``, so no dense
+    mixture is built.  The diagonal is sampled once as a multinomial over the
+    computational probabilities of the noisy state and reported both as a
+    DiagonalRecord and as one CountRecord per diagonal target.  Every
+    off-diagonal target is a binomial with its projector expectation as
+    success probability.  Each target draws from its own spawned random
+    stream, so results are reproducible per seed independent of evaluation
+    order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     n = n_qubits_of(rho)
     if n != plan.n:
         raise ValueError(f"plan is for {plan.n} qubits, state has {n}")
-    noisy = apply_depolarizing(rho, noise.depolarizing)
+    lam, dim = noise.depolarizing, rho.shape[0]
 
-    p_diag = np.clip(np.real(np.diag(noisy)), 0.0, None)
+    p_diag = np.clip((1.0 - lam) * np.real(np.diag(rho)) + lam / dim, 0.0, None)
     p_diag = p_diag / p_diag.sum()
     streams = np.random.SeedSequence(noise.seed).spawn(len(plan.targets) + 1)
     if noise.sampling == "exact":
@@ -152,7 +155,7 @@ def sample_counts(
         if idx.part == "diag":
             records.append(CountRecord(word, int(diag_counts[idx.i]), shots))
             continue
-        q = min(max(expectation(noisy, word), 0.0), 1.0)
+        q = min(max((1.0 - lam) * expectation(rho, word) + lam / dim, 0.0), 1.0)
         if noise.sampling == "exact":
             observed = int(round(q * shots))
         else:

@@ -4,7 +4,8 @@ Measuring the computational-basis (diagonal) distribution first bounds every
 off-diagonal element through |rho_ij| <= sqrt(rho_ii * rho_jj).  A plan then
 keeps only the off-diagonal elements whose bound reaches the threshold; at
 t = 0 every element with a nonvanishing bound is kept and the plan grows to
-the conventional 4**n measurements.
+the conventional 4**n measurements.  The rule is written once, in
+:func:`pair_rows`, for the plan, the fidelity bound and the truncation.
 """
 
 from __future__ import annotations
@@ -62,11 +63,7 @@ class MeasurementPlan:
         return len(self.targets)
 
     def offdiagonal_pairs(self) -> list[tuple[int, int]]:
-        seen = []
-        for idx, _ in self.targets:
-            if idx.part == "re":
-                seen.append((idx.i, idx.j))
-        return seen
+        return [(idx.i, idx.j) for idx, _ in self.targets if idx.part == "re"]
 
 
 def diagonal_plan(n: int) -> MeasurementPlan:
@@ -79,30 +76,41 @@ def diagonal_plan(n: int) -> MeasurementPlan:
     return MeasurementPlan(n=n, threshold=1.0, targets=targets)
 
 
-def select_offdiagonal(diag: DiagonalRecord, t: float) -> MeasurementPlan:
-    """Build the measurement plan for threshold ``t`` from diagonal counts.
-
-    A pair (i, j) is selected when sqrt(p_i * p_j) >= t and the product is
-    nonzero; a vanishing diagonal estimate pins the whole row and column to
-    zero, so those pairs are never measured even at t = 0.
-    """
+def check_threshold(t: float) -> float:
+    """``t`` as a float when it lies in [0, 1]; NaN or anything outside raises."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {t}")
+    return float(t)
+
+
+def pair_rows(p: np.ndarray, t: float):
+    """The threshold rule, one row at a time: for each i, yield
+    ``(i, bound, keep)`` with the positivity bounds sqrt(p_i * p_j) of the
+    pairs j > i and the mask of the pairs kept.
+
+    A pair is kept when its bound is nonzero and reaches ``t``: a vanishing
+    diagonal estimate pins its whole row and column to zero, so those pairs
+    are dropped even at t = 0.  ``t`` is checked before the first row.
+    """
+    t = check_threshold(t)
+    p = np.asarray(p, dtype=float)
+    for i in range(p.size - 1):
+        bound = np.sqrt(p[i] * p[i + 1 :])
+        yield i, bound, (bound > 0.0) & (bound >= t)
+
+
+def select_offdiagonal(diag: DiagonalRecord, t: float) -> MeasurementPlan:
+    """Build the measurement plan for threshold ``t`` from diagonal counts:
+    the diagonal targets, then the (re, im) targets of every pair that
+    :func:`pair_rows` keeps, in row-major order."""
     n = diag.n
-    p = diag.probabilities()
-    targets = []
-    for k in range(2**n):
-        targets.append((ElementIndex(k, k, "diag"), basis_word(k, n)))
-    for i in range(2**n):
-        if p[i] == 0.0:
-            continue
-        for j in range(i + 1, 2**n):
-            s = math.sqrt(p[i] * p[j])
-            if s > 0.0 and s >= t:
-                for part in ("re", "im"):
-                    idx = ElementIndex(i, j, part)
-                    targets.append((idx, projector_for(n, idx)))
-    return MeasurementPlan(n=n, threshold=float(t), targets=tuple(targets))
+    offdiagonal = tuple(
+        (idx, projector_for(n, idx))
+        for i, _, keep in pair_rows(diag.probabilities(), t)
+        for j in (i + 1 + np.flatnonzero(keep)).tolist()
+        for idx in (ElementIndex(i, j, "re"), ElementIndex(i, j, "im"))
+    )
+    return MeasurementPlan(n=n, threshold=float(t), targets=diagonal_plan(n).targets + offdiagonal)
 
 
 @dataclass(frozen=True)

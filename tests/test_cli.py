@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tqst as package
 from tqst.core import load_density
 from tqst.metrics import fidelity
 from tqst.mle import read_counts_csv
@@ -11,7 +14,13 @@ from tqst.settings import read_settings_csv
 from tqst.threshold import read_diagonal_csv, read_plan_csv
 
 
+# the child imports the package under test, installed or not
+SOURCE_DIR = str(Path(package.__file__).resolve().parents[1])
+
+
 def tqst(*args, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SOURCE_DIR, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "tqst.cli", *map(str, args)],
         capture_output=True,
@@ -151,15 +160,26 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
 @pytest.mark.parametrize("files, args, message", [
     pytest.param({}, ("run", "--state", "w", "--threshold", 0.5),
                  "--n is required", id="missing-n"),
-    pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 1.7, "--out", "{tmp}"),
+    pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 1.7, "--out", "{tmp}/o"),
                  "threshold must be in [0, 1]", id="threshold-out-of-range"),
     pytest.param({"diag.csv": DIAG_N3},
                  ("run", "--state", "w", "--n", 3, "--threshold", "auto",
-                  "--run-file", "{tmp}/diag.csv", "--out", "{tmp}"),
+                  "--run-file", "{tmp}/diag.csv", "--out", "{tmp}/o"),
                  "at least two --run-file replicas", id="auto-one-replica"),
+    pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--parametrization",
+                      "low_rank", "--rank", 0, "--out", "{tmp}/o"),
+                 "rank must be >= 1", id="rank-zero"),
+    pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--lambda", 1.5,
+                      "--out", "{tmp}/o"),
+                 "depolarizing strength must be in [0, 1]", id="lambda-out-of-range"),
+    pytest.param({}, ("simulate", "--state", "w", "--out", "{tmp}/o"),
+                 "--n is required", id="simulate-missing-n"),
+    pytest.param({"diag.csv": DIAG_N3},
+                 ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", "nan"),
+                 "threshold must be in [0, 1], got nan", id="bound-nan-threshold"),
     pytest.param({"diag.csv": DIAG_N3, "counts.csv": "projector_word,observed,shots\nHHHH,5,10\n"},
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--diag", "{tmp}/diag.csv",
-                  "--out", "{tmp}"),
+                  "--out", "{tmp}/o"),
                  "{tmp}/diag.csv is a 3-qubit diagonal, but {tmp}/counts.csv has 4-qubit",
                  id="diag-qubit-mismatch"),
     pytest.param({"diag.csv": "# n_s=10\nbasis_index,count\n0,4\n3,6\n"},
@@ -169,7 +189,7 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
                  ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
                  "diag.csv:5:", id="duplicated-diagonal"),
     pytest.param({"counts.csv": "projector_word,observed,shots\nHH,5,10\nHV,5\n"},
-                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}"),
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "counts.csv:3:", id="short-counts-row"),
     pytest.param({"plan.csv": PLAN_N2.replace(",HV\n", ",HVH\n")},
                  ("settings", "--plan", "{tmp}/plan.csv"),
@@ -192,7 +212,7 @@ def test_invalid_input_exits_2_with_json_error(tmp_path, files, args, message):
     r = tqst(*(str(a).format(tmp=tmp_path) for a in args))
     assert r.returncode == 2, r.stderr
     assert message.format(tmp=tmp_path) in json.loads(r.stderr)["error"]
-    # rejected before anything is sampled or written
+    # rejected before anything is sampled or written, or a directory is made
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
@@ -209,8 +229,6 @@ def test_nonconvergence_exits_3(w3_run, tmp_path):
 def test_seed_environment_variable(tmp_path):
     env_out = tmp_path / "env"
     flag_out = tmp_path / "flag"
-    import os
-
     env = dict(os.environ, TQST_SEED="77")
     r1 = tqst("simulate", "--state", "w", "--n", 2, "--shots", 1000,
               "--out", env_out, env=env)

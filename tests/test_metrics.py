@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from tqst.metrics import (
     truncate_below_threshold,
 )
 from tqst.projectors import psd_projection
+from tqst.threshold import DiagonalRecord, select_offdiagonal
 
 
 def pure(word):
@@ -194,6 +197,9 @@ def test_fidelity_bound_input_validation():
         fidelity_bound(np.array([0.5, 0.5]), 0.1, 0)
     with pytest.raises(ValueError):
         fidelity_bound(np.array([0.9, 0.3]), 0.1, 1)
+    for t in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValueError, match="threshold must be in"):
+            fidelity_bound(np.array([0.5, 0.5]), t, 1)
 
 
 def test_bound_is_a_lower_bound_on_truncated_reconstruction():
@@ -222,6 +228,45 @@ def test_truncate_below_threshold():
     assert out[0, 1] == 0.2  # sqrt(0.5*0.4) ~ 0.45 >= 0.3
     assert out[1, 2] == 0.0  # sqrt(0.4*0.1) = 0.2 < 0.3
     assert out[2, 2] == 0.1  # diagonal untouched
+    for t in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValueError, match="threshold must be in"):
+            truncate_below_threshold(rho, t)
+
+
+def dense_fidelity_bound(p, t, rank):
+    """The bound from the full outer products, the reference for the row-wise rule."""
+    prod = np.outer(p, p)
+    below = np.sqrt(prod) < t
+    np.fill_diagonal(below, False)
+    inner = min(max(1.0 - math.sqrt(rank * float(prod[below].sum())), 0.0), 1.0)
+    return inner * inner
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), zeros=st.floats(0.0, 0.9), rank=st.integers(1, 3),
+       pick=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+def test_threshold_rule_matches_dense_reference(n, zeros, rank, pick, seed):
+    # random diagonals with zeros, and t exactly one of the bounds (or 0)
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    counts = rng.integers(1, 1000, size=dim) * (rng.random(dim) >= zeros)
+    counts[rng.integers(dim)] += 1
+    record = DiagonalRecord(counts=counts, shots=int(counts.sum()))
+    p = record.probabilities()
+    geo = np.sqrt(np.outer(p, p))
+    upper = np.triu_indices(dim, 1)
+    t = float(np.append(geo[upper], 0.0)[pick % (upper[0].size + 1)])
+    kept = [(i, j) for i, j in zip(*upper) if geo[i, j] > 0.0 and geo[i, j] >= t]
+    assert select_offdiagonal(record, t).offdiagonal_pairs() == kept
+    assert fidelity_bound(p, t, rank) == pytest.approx(dense_fidelity_bound(p, t, rank), abs=1e-12)
+    assert fidelity_bound(p, 0.0, rank) == 1.0
+    # the truncation drops exactly the pairs the plan does not measure
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = rho + rho.conj().T
+    rho[np.diag_indices(dim)] = p
+    keep = (geo > 0.0) & (geo >= t)
+    np.fill_diagonal(keep, True)
+    assert np.array_equal(truncate_below_threshold(rho, t), np.where(keep, rho, 0.0))
 
 
 def test_metric_input_validation():

@@ -133,6 +133,18 @@ def test_exact_offdiagonal_rounding():
     assert by_word["HVH"] == round(10**4 / 3)
 
 
+def test_exact_depolarized_counts_match_dense_mixture():
+    # the per-probability noise must count like sampling the dense mixture
+    rho = density(random_filled_state(4, 0.5, seed=5))
+    plan = select_offdiagonal(DiagonalRecord(np.full(16, 100), 1600), 0.0)
+    shots = 10**5
+    records, diag = sample_counts(rho, plan, shots, NoiseModel(0.3, "exact"))
+    ref_records, ref_diag = sample_counts(apply_depolarizing(rho, 0.3), plan, shots,
+                                          NoiseModel(0.0, "exact"))
+    assert records == ref_records
+    assert np.array_equal(diag.counts, ref_diag.counts)
+
+
 def test_multinomial_seeded_fixture():
     plan = select_offdiagonal(DiagonalRecord(np.array([0, 500, 500, 0]), 1000), 0.1)
     records, diag = sample_counts(density(w_state(2)), plan, 1000,
