@@ -41,7 +41,7 @@ from .projectors import (
     psd_projection,
     quadrant_walk,
 )
-from .settings import pauli_correlator, sample_setting_counts, setting_of, settings_for_plan
+from .settings import setting_of, settings_for_plan
 from .simulator import (
     NoiseModel,
     apply_depolarizing,

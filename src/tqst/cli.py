@@ -65,7 +65,7 @@ def _resolve_threshold(spec: str, ideal_diag, run_files, n: int) -> tuple[float,
     return est.threshold, info
 
 
-def _fidelity_report(fit: np.ndarray, target: np.ndarray, tolerance: float = 1e-6) -> dict:
+def _fidelity_report(fit: np.ndarray, target: np.ndarray) -> dict:
     """Metrics of rho = fit^H fit against the target target^H target.
 
     Every reported metric is unitarily invariant, so the report is computed
@@ -76,7 +76,7 @@ def _fidelity_report(fit: np.ndarray, target: np.ndarray, tolerance: float = 1e-
     round-off, and the fidelity then equals <psi|rho|psi> to round-off.
     """
     target, rho = metrics.joint_support(target, fit)
-    root = metrics.root_fidelity(target, rho, tolerance)
+    root = metrics.root_fidelity(target, rho)
     return {
         "root_fidelity": root,
         "fidelity": root**2,
@@ -90,16 +90,6 @@ def _fidelity_report(fit: np.ndarray, target: np.ndarray, tolerance: float = 1e-
 
 def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
-
-
-def _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed) -> mle.MleOptions:
-    return mle.MleOptions(
-        parametrization=parametrization,
-        rank=rank,
-        max_iterations=max_iterations,
-        gradient_tolerance=gradient_tolerance,
-        seed=seed,
-    )
 
 
 state_option = click.option("--state", type=click.Choice(STATE_NAMES), required=True)
@@ -165,7 +155,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     _check_threshold(threshold_spec, run_files)
     ket, n = _target_ket(state, n, filling, seed)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
-    options = _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed)
+    options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
     target = simulator.density(ket)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -284,7 +274,7 @@ def plan(diagonal_file, threshold_spec, ideal_file, run_files, out):
 def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
                 max_iterations, gradient_tolerance, out):
     """Maximum-likelihood reconstruction from measured counts."""
-    options = _mle_options(parametrization, rank, max_iterations, gradient_tolerance, seed)
+    options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
     records = mle.read_counts_csv(counts_file)
     if diagonal_file is not None:
         present = {rec.projector for rec in records}
@@ -317,11 +307,9 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
 @cli.command()
 @click.argument("rho_file", type=click.Path(exists=True))
 @click.argument("sigma_file", type=click.Path(exists=True))
-@click.option("--tolerance", type=float, default=1e-6, show_default=True,
-              help="Validity tolerance for the input matrices.")
-def fidelity(rho_file, sigma_file, tolerance):
+def fidelity(rho_file, sigma_file):
     """Fidelity, trace distance, purity, and rank of two density-matrix files."""
-    report = _fidelity_report(core.load_factor(rho_file), core.load_factor(sigma_file), tolerance)
+    report = _fidelity_report(core.load_factor(rho_file), core.load_factor(sigma_file))
     report["purity_a"] = report.pop("purity_reconstructed")
     report["purity_b"] = report.pop("purity_target")
     report["rank_a"] = report.pop("rank_reconstructed")
@@ -357,10 +345,9 @@ def settings_cmd(plan_file, out):
 
 @cli.command()
 @click.option("--n", type=int, required=True)
-@click.option("--cap", type=int, default=projectors.GRAM_CAP, show_default=True)
-def completeness(n, cap):
+def completeness(n):
     """Invertibility check of the full projector set's Gram matrix."""
-    report = projectors.completeness_check(n, cap=cap)
+    report = projectors.completeness_check(n)
     _emit({
         "n_qubits": report.n,
         "order": report.order,

@@ -192,15 +192,6 @@ def validate_density(m: np.ndarray, tolerance: float = 1e-9) -> ValidityReport:
     )
 
 
-def n_qubits_of(rho: np.ndarray) -> int:
-    """Number of qubits for a 2**n x 2**n matrix (n >= 1)."""
-    dim = rho.shape[0] if rho.ndim == 2 else 0
-    n = max(int(round(np.log2(dim))), 1) if dim > 1 else 1
-    if rho.ndim != 2 or rho.shape != (dim, dim) or 2**n != dim:
-        raise ValueError(f"matrix shape {rho.shape} is not 2**n x 2**n")
-    return n
-
-
 def save_density(path: str | Path, factor: np.ndarray) -> None:
     """Write the state rho = F^H F as its factor F, r x 2**n with r >= 1:
     {"n_qubits", "factor_re", "factor_im"} at full precision."""
@@ -286,14 +277,3 @@ def read_table(path: str | Path, columns) -> tuple[dict, list]:
         if len(row) != len(columns):
             raise ValueError(f"{path}:{line}: expected {len(columns)} fields, got {len(row)}")
     return fields, rows[1:]
-
-
-def read_index_counts(path: str | Path, columns) -> tuple[dict, np.ndarray]:
-    """Read an ``index,count`` table whose indices run 0..N-1, each once and
-    in order; returns the comment fields and the non-negative counts."""
-    fields, rows = read_table(path, columns)
-    for k, (line, (index, count)) in enumerate(rows):
-        if index != str(k) or not count.isdecimal():
-            raise ValueError(f"{path}:{line}: expected '{k},<count >= 0>' (indices run "
-                             f"0..N-1, each once and in order), got '{index},{count}'")
-    return fields, np.array([int(count) for _, (_, count) in rows], dtype=np.int64)

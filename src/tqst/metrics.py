@@ -10,13 +10,14 @@ from .core import validate_density
 from .threshold import pair_rows
 
 EIGEN_TOLERANCE = 1e-8
+VALIDITY_TOLERANCE = 1e-6  # how far either input may stray from a density matrix
 
 
-def _check_pair(rho: np.ndarray, sigma: np.ndarray, tolerance: float) -> None:
+def _check_pair(rho: np.ndarray, sigma: np.ndarray) -> None:
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     for name, m in (("first", rho), ("second", sigma)):
-        report = validate_density(m, tolerance)
+        report = validate_density(m, VALIDITY_TOLERANCE)
         if not report.ok:
             raise ValueError(f"{name} argument is not a valid density matrix: {report.as_dict()}")
 
@@ -36,18 +37,18 @@ def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(_round_off_zeroed(vals))) @ vecs.conj().T
 
 
-def root_fidelity(rho: np.ndarray, sigma: np.ndarray, tolerance: float = 1e-6) -> float:
+def root_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr sqrt(sqrt(rho) sigma sqrt(rho)), symmetric in its arguments."""
-    _check_pair(rho, sigma, tolerance)
+    _check_pair(rho, sigma)
     s = _psd_sqrt(rho)
     inner = s @ sigma @ s
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
     return float(np.sqrt(_round_off_zeroed(vals)).sum())
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray, tolerance: float = 1e-6) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Squared root-fidelity; equals <psi|rho|psi> when sigma is the pure |psi>."""
-    return root_fidelity(rho, sigma, tolerance) ** 2
+    return root_fidelity(rho, sigma) ** 2
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -59,6 +59,10 @@ class MleOptions:
             raise ValueError("parametrization must be 'full' or 'low_rank'")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not 0.0 <= self.gradient_tolerance < math.inf:
+            raise ValueError(f"gradient_tolerance must be finite and >= 0, got {self.gradient_tolerance}")
 
 
 @dataclass

@@ -125,12 +125,6 @@ class ProjectorTable:
     diagonal: tuple[str, ...]
     offdiagonal: dict[tuple[int, int], tuple[str, str]] = field(repr=False)
 
-    def word(self, idx: ElementIndex) -> str:
-        if idx.part == "diag":
-            return self.diagonal[idx.i]
-        pair = self.offdiagonal[(idx.i, idx.j)]
-        return pair[0] if idx.part == "re" else pair[1]
-
     def elements(self) -> list[tuple[ElementIndex, str]]:
         """All (element, word) pairs in row-major upper-triangle order."""
         dim = 2**self.n
@@ -149,7 +143,7 @@ class ProjectorTable:
         return [w for _, w in self.elements()]
 
 
-def build_projector_table(n: int, cap: int = TABLE_CAP) -> ProjectorTable:
+def build_projector_table(n: int) -> ProjectorTable:
     """Materialize the full n-qubit projector table by the quadrant recursion.
 
     The 1-qubit table is H/V on the diagonal and the (D, R) pair at (0, 1).
@@ -161,9 +155,9 @@ def build_projector_table(n: int, cap: int = TABLE_CAP) -> ProjectorTable:
     """
     if n < 1:
         raise ValueError("qubit count must be >= 1")
-    if n > cap:
+    if n > TABLE_CAP:
         raise ResourceLimitError(
-            f"table for n={n} has 4**{n} projectors; raise cap={cap} to allow"
+            f"table for n={n} has 4**{n} projectors; the limit is n <= {TABLE_CAP}"
         )
     diag = ["H", "V"]
     off = {(0, 1): ("D", "R")}
@@ -229,13 +223,13 @@ class CompletenessReport:
     invertible: bool
 
 
-def completeness_check(n: int, cap: int = GRAM_CAP) -> CompletenessReport:
+def completeness_check(n: int) -> CompletenessReport:
     """Invertibility of the full 4**n Gram matrix via its smallest singular value."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
-    if n > cap:
+    if n > GRAM_CAP:
         raise ResourceLimitError(
-            f"Gram matrix for n={n} has order 4**{n}; raise cap={cap} to allow"
+            f"Gram matrix for n={n} has order 4**{n}; the limit is n <= {GRAM_CAP}"
         )
     words = build_projector_table(n).words()
     m = gram_matrix(words)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import expectation, n_qubits_of
+from .core import expectation
 from .threshold import DiagonalRecord, MeasurementPlan
 from .mle import CountRecord
 
@@ -137,9 +137,8 @@ def sample_counts(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    n = n_qubits_of(rho)
-    if n != plan.n:
-        raise ValueError(f"plan is for {plan.n} qubits, state has {n}")
+    if rho.shape != (2**plan.n, 2**plan.n):
+        raise ValueError(f"dimension mismatch: plan is for {plan.n} qubits, rho is {rho.shape}")
     lam, dim = noise.depolarizing, rho.shape[0]
 
     p_diag = np.clip((1.0 - lam) * np.real(np.diag(rho)) + lam / dim, 0.0, None)

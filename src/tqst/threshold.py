@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ElementIndex, basis_word, read_index_counts, read_table, write_table
+from .core import ElementIndex, basis_word, read_table, write_table
 from .projectors import projector_for
 
 EXPECTED_ZERO = 1e-12
@@ -132,7 +132,6 @@ def estimate_threshold(
     ideal_diag: np.ndarray,
     noisy_runs: list[DiagonalRecord],
     n: int,
-    noise_factor: float | None = None,
 ) -> ThresholdEstimate:
     """Estimate a circuit-specific threshold from replicated noisy diagonals.
 
@@ -141,7 +140,7 @@ def estimate_threshold(
     an expected-zero index and ``c1`` the smallest count seen at the weakest
     expected-nonzero index.  The noise level is c0 + f*sqrt(c0) and the
     signal level c1 - f*sqrt(c1); the threshold is their maximum divided by
-    the shots.  ``f`` defaults to the qubit count ``n``.
+    the shots, with ``f`` the qubit count ``n``.
     """
     ideal = np.asarray(ideal_diag, dtype=float)
     if abs(ideal.sum() - 1.0) > 1e-9:
@@ -154,7 +153,6 @@ def estimate_threshold(
             raise ValueError("noisy runs must share the same shot count")
         if run.counts.size != ideal.size:
             raise ValueError("noisy run length does not match the ideal diagonal")
-    factor = float(n if noise_factor is None else noise_factor)
 
     nonzero = np.flatnonzero(ideal >= EXPECTED_ZERO)
     if nonzero.size == 0:
@@ -166,8 +164,8 @@ def estimate_threshold(
     weakest = nonzero[np.argmin(ideal[nonzero])]
     c1 = float(counts[:, weakest].min())
 
-    noise_level = c0 + factor * math.sqrt(c0)
-    signal_level = c1 - factor * math.sqrt(c1)
+    noise_level = c0 + n * math.sqrt(c0)
+    signal_level = c1 - n * math.sqrt(c1)
     return ThresholdEstimate(
         noise_threshold=noise_level,
         signal_threshold=signal_level,
@@ -191,7 +189,14 @@ def write_diagonal_csv(path: str | Path, record: DiagonalRecord) -> None:
 
 
 def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
-    fields, counts = read_index_counts(path, DIAGONAL_COLUMNS)
+    """Read a diagonal CSV, requiring the basis indices to run 0..N-1, each
+    once and in order, with non-negative counts."""
+    fields, rows = read_table(path, DIAGONAL_COLUMNS)
+    for k, (line, (index, count)) in enumerate(rows):
+        if index != str(k) or not count.isdecimal():
+            raise ValueError(f"{path}:{line}: expected '{k},<count >= 0>' (indices run "
+                             f"0..N-1, each once and in order), got '{index},{count}'")
+    counts = np.array([int(count) for _, (_, count) in rows], dtype=np.int64)
     try:
         return DiagonalRecord(counts=counts, shots=int(fields["n_s"]))
     except (KeyError, ValueError) as exc:

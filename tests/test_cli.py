@@ -169,11 +169,23 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--parametrization",
                       "low_rank", "--rank", 0, "--out", "{tmp}/o"),
                  "rank must be >= 1", id="rank-zero"),
+    pytest.param({}, ("run", "--state", "w", "--n", 2, "--threshold", 0.1, "--seed", 1,
+                      "--gradient-tolerance", "nan", "--out", "{tmp}/o"),
+                 "gradient_tolerance must be finite and >= 0, got nan", id="gradient-tolerance-nan"),
+    pytest.param({}, ("run", "--state", "w", "--n", 2, "--threshold", 0.1, "--seed", 1,
+                      "--gradient-tolerance", -1, "--out", "{tmp}/o"),
+                 "gradient_tolerance must be finite and >= 0, got -1", id="gradient-tolerance-negative"),
+    pytest.param({}, ("run", "--state", "w", "--n", 2, "--threshold", 0.1, "--seed", 1,
+                      "--max-iterations", 0, "--out", "{tmp}/o"),
+                 "max_iterations must be >= 1", id="max-iterations-zero"),
     pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--lambda", 1.5,
                       "--out", "{tmp}/o"),
                  "depolarizing strength must be in [0, 1]", id="lambda-out-of-range"),
     pytest.param({}, ("simulate", "--state", "w", "--out", "{tmp}/o"),
                  "--n is required", id="simulate-missing-n"),
+    pytest.param({}, ("completeness", "--n", 7),
+                 "Gram matrix for n=7 has order 4**7; the limit is n <= 6",
+                 id="completeness-over-cap"),
     pytest.param({"diag.csv": DIAG_N3},
                  ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", "nan"),
                  "threshold must be in [0, 1], got nan", id="bound-nan-threshold"),

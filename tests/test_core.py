@@ -12,7 +12,6 @@ from tqst.core import (
     expectation,
     load_density,
     load_factor,
-    n_qubits_of,
     product_ket,
     read_table,
     save_density,
@@ -20,7 +19,6 @@ from tqst.core import (
     word_to_index,
 )
 from tqst.mle import read_counts_csv
-from tqst.settings import read_histogram_csv
 from tqst.simulator import density, w_state
 from tqst.threshold import read_diagonal_csv, read_plan_csv
 
@@ -184,7 +182,7 @@ def _read_two_columns(path):
 
 
 @pytest.mark.parametrize("reader, text, line", [
-    pytest.param(read_histogram_csv, "outcome_index,count\n0,5\n2,7\n", 3, id="gap"),
+    pytest.param(read_diagonal_csv, "# n_s=12\nbasis_index,count\n0,5\n2,7\n", 4, id="gap"),
     pytest.param(read_counts_csv, "projector_word,observed,shots\nHV,1,2\nHV,1,2\n", 3,
                  id="duplicate-word"),
     pytest.param(read_plan_csv, "# n_qubits=1 threshold=0.5\ni,j,part,projector_word\n"
@@ -215,9 +213,3 @@ def test_basis_word_and_index_roundtrip():
     assert word_to_index("VHV") == 5
     for k in range(16):
         assert word_to_index(basis_word(k, 4)) == k
-
-
-def test_n_qubits_of():
-    assert n_qubits_of(np.eye(8)) == 3
-    with pytest.raises(ValueError):
-        n_qubits_of(np.eye(3))

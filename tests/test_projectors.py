@@ -82,7 +82,7 @@ def test_table_has_4n_unique_words(n):
 
 
 def test_table_cap():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="the limit is n <= 8"):
         build_projector_table(9)
     with pytest.raises(ValueError):
         build_projector_table(0)
@@ -175,7 +175,7 @@ def test_completeness_regression_value():
 
 
 def test_completeness_cap():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="the limit is n <= 6"):
         completeness_check(7)
 
 

@@ -1,26 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tqst.projectors import build_projector_table
-from tqst.settings import (
-    outcome_probabilities,
-    pauli_correlator,
-    read_histogram_csv,
-    read_settings_csv,
-    sample_setting_counts,
-    setting_of,
-    settings_for_plan,
-    write_histogram_csv,
-    write_settings_csv,
-)
-from tqst.simulator import (
-    color_code_state,
-    density,
-    ghz_state,
-    random_filled_state,
-    w_state,
-)
+from tqst.settings import read_settings_csv, setting_of, settings_for_plan, write_settings_csv
+from tqst.simulator import color_code_state, density
 from tqst.threshold import DiagonalRecord, diagonal_plan, select_offdiagonal
 
 
@@ -91,85 +74,8 @@ def test_settings_for_plan_rejects_empty():
         settings_for_plan(MeasurementPlan(n=1, threshold=0.0, targets=()))
 
 
-def test_correlator_ground_state():
-    rho = np.zeros((8, 8), dtype=complex)
-    rho[0, 0] = 1.0
-    assert pauli_correlator(rho, "ZZZ") == pytest.approx(1.0)
-
-
-def test_correlator_maximally_mixed():
-    for setting in ("XY", "ZZ", "YX"):
-        assert pauli_correlator(np.eye(4) / 4, setting) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_correlator_ghz_zz():
-    assert pauli_correlator(density(ghz_state(2)), "ZZ") == pytest.approx(1.0)
-
-
-def test_correlator_dimension_mismatch():
-    with pytest.raises(ValueError):
-        pauli_correlator(np.eye(4) / 4, "ZZZ")
-
-
-def test_outcome_probabilities_sum_to_one():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        n = int(rng.integers(1, 4))
-        rho = density(random_filled_state(n, 0.7, seed=int(rng.integers(1000))))
-        setting = "".join(rng.choice(list("XYZ"), size=n))
-        probs = outcome_probabilities(rho, setting)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_sampling_ground_state_all_on_outcome_zero():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    counts = sample_setting_counts(rho, "ZZ", 1000, seed=0)
-    assert counts[0] == 1000
-
-
-def test_sampling_ghz_only_even_outcomes():
-    counts = sample_setting_counts(density(ghz_state(2)), "ZZ", 10**4, seed=1)
-    assert counts[1] == counts[2] == 0
-    assert counts.sum() == 10**4
-
-
-def test_sampling_deterministic():
-    a = sample_setting_counts(density(w_state(2)), "XY", 5000, seed=3)
-    b = sample_setting_counts(density(w_state(2)), "XY", 5000, seed=3)
-    assert np.array_equal(a, b)
-
-
-def test_histogram_frequencies_converge():
-    rho = density(w_state(3))
-    shots = 10**6
-    for setting in ("ZZZ", "XXY", "YXZ"):
-        probs = outcome_probabilities(rho, setting)
-        counts = sample_setting_counts(rho, setting, shots, seed=5)
-        se = np.sqrt(np.clip(probs * (1 - probs), 1e-12, None) / shots)
-        assert (np.abs(counts / shots - probs) <= 5 * se + 1e-9).all()
-
-
-def test_correlator_from_histogram_converges():
-    rho = density(w_state(2))
-    shots = 10**6
-    for setting in ("XX", "ZZ", "XY"):
-        counts = sample_setting_counts(rho, setting, shots, seed=6)
-        parity = np.array([(-1) ** bin(k).count("1") for k in range(counts.size)])
-        empirical = float(np.sum(parity * counts) / shots)
-        assert empirical == pytest.approx(pauli_correlator(rho, setting), abs=5 / np.sqrt(shots))
-
-
 def test_settings_csv_roundtrip(tmp_path):
     settings = ["ZZZ", "XYZ", "YYX"]
     path = tmp_path / "settings.csv"
     write_settings_csv(path, settings)
     assert read_settings_csv(path) == settings
-
-
-@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(counts=st.lists(st.integers(0, 10**9), min_size=1, max_size=64))
-def test_histogram_csv_roundtrip(tmp_path, counts):
-    path = tmp_path / "hist.csv"  # overwritten by every example
-    write_histogram_csv(path, np.array(counts))
-    assert np.array_equal(read_histogram_csv(path), counts)

@@ -4,7 +4,6 @@ import pytest
 from tqst.core import expectation, validate_density
 from tqst.metrics import purity
 from tqst.mle import CountRecord
-from tqst.settings import pauli_correlator
 from tqst.simulator import (
     NoiseModel,
     apply_depolarizing,
@@ -47,7 +46,10 @@ def test_ghz_structure():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_ghz_all_z_correlator_for_even_n(n):
-    assert pauli_correlator(density(ghz_state(n)), "Z" * n) == pytest.approx(1.0)
+    # <Z...Z> is the parity-weighted sum of the computational-basis probabilities
+    diag = np.real(np.diag(density(ghz_state(n))))
+    parity = np.array([(-1) ** bin(k).count("1") for k in range(2**n)])
+    assert parity @ diag == pytest.approx(1.0)
 
 
 def test_color_code_supports():
@@ -177,8 +179,11 @@ def test_sampled_frequencies_converge():
 
 
 def test_sample_counts_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         sample_counts(density(w_state(2)), diagonal_plan(3), 100)
+    for rho in (np.eye(3) / 3, np.eye(4)[:, :2] / 2):  # not 2**n x 2**n
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sample_counts(rho, diagonal_plan(2), 100)
 
 
 def test_noise_model_validation():

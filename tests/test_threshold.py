@@ -178,12 +178,3 @@ def test_estimate_threshold_input_validation():
         estimate_threshold(np.array([0.0, 0.0]), [run, run], n=1)
     with pytest.raises(ValueError):
         estimate_threshold(ideal, [run, DiagonalRecord(np.array([5, 0]), 5)], n=1)
-
-
-def test_noise_factor_override():
-    ideal = np.array([1.0, 0.0])
-    shots = 100
-    runs = [DiagonalRecord(counts=np.array([64, 36]), shots=shots) for _ in range(2)]
-    est = estimate_threshold(ideal, runs, n=1, noise_factor=0.0)
-    assert est.noise_threshold == 36.0
-    assert est.signal_threshold == 64.0
