@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -213,3 +214,13 @@ def test_basis_word_and_index_roundtrip():
     assert word_to_index("VHV") == 5
     for k in range(16):
         assert word_to_index(basis_word(k, 4)) == k
+
+
+def test_n_qubits_of(tmp_path):
+    # the qubit count is read off the matrix dimension: 8 -> 3, and a side
+    # that is not a power of two is rejected
+    path = tmp_path / "rho.json"
+    save_density(path, np.eye(8))
+    assert json.loads(path.read_text())["n_qubits"] == 3
+    with pytest.raises(ValueError):
+        save_density(path, np.eye(3))

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from tqst.core import expectation
+
 from tqst.projectors import build_projector_table
 from tqst.settings import read_settings_csv, setting_of, settings_for_plan, write_settings_csv
-from tqst.simulator import color_code_state, density
+from tqst.simulator import color_code_state, density, ghz_state
 from tqst.threshold import DiagonalRecord, diagonal_plan, select_offdiagonal
 
 
@@ -12,6 +16,15 @@ def test_setting_of_letter_mapping():
     assert setting_of("RDV") == "YXZ"
     assert setting_of("RRHD") == "YYZX"
     assert setting_of("AL") == "XY"
+
+
+def test_correlator_ghz_zz():
+    # <ZZ> is the parity-signed sum over the four projectors of setting ZZ
+    rho = density(ghz_state(2))
+    words = ["".join(w) for w in itertools.product("HV", repeat=2)]
+    assert all(setting_of(w) == "ZZ" for w in words)
+    correlator = sum((-1) ** w.count("V") * expectation(rho, w) for w in words)
+    assert correlator == pytest.approx(1.0)
 
 
 def test_settings_for_diagonal_plan():
