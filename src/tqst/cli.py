@@ -157,14 +157,16 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
     options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
     target = simulator.density(ket)
+    # the estimate needs only the ideal diagonal and the replicas, so
+    # unreadable or wrong-length replicas fail before --out is created
+    ideal = np.real(np.diag(target))
+    t, estimate_info = _resolve_threshold(threshold_spec, ideal, run_files, n)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     _, diag_record = simulator.sample_counts(target, threshold.diagonal_plan(n), shots, noise)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)
 
-    ideal = np.real(np.diag(target))
-    t, estimate_info = _resolve_threshold(threshold_spec, ideal, run_files, n)
     plan = threshold.select_offdiagonal(diag_record, t)
     threshold.write_plan_csv(outdir / "plan.csv", plan)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +96,11 @@ def product_ket(word: str) -> np.ndarray:
     Returns a unit-norm complex vector of dimension ``2**len(word)``.
     """
     validate_word(word)
-    return reduce(np.kron, (STATE_VECTORS[c] for c in word))
+    # the chain of outer products forms the same products as np.kron
+    ket = STATE_VECTORS[word[0]]
+    for c in word[1:]:
+        ket = np.multiply.outer(ket, STATE_VECTORS[c]).ravel()
+    return ket
 
 
 def expectation(rho: np.ndarray, word: str) -> float:

@@ -22,6 +22,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize
 
 from .core import basis_word, product_ket, read_table, validate_word, word_to_index, write_table
@@ -89,7 +90,10 @@ class ReconstructionResult:
 
 
 class _Bundle:
-    """Records unpacked to arrays: projector kets, observed counts, shots."""
+    """Records unpacked to arrays: observed counts, shots, and the projector
+    kets as the rows of a CSR matrix ``kets`` (m x 2**n) with its conjugate
+    transpose ``kets_h``.  A product ket has 2**(number of D/A/R/L letters)
+    nonzeros, and only those are stored."""
 
     def __init__(self, records: list[CountRecord]):
         if not records:
@@ -101,7 +105,18 @@ class _Bundle:
         self.n = n
         self.dim = 2**n
         self.words = [rec.projector for rec in records]
-        self.kets = np.array([product_ket(rec.projector) for rec in records])
+        columns, values = [], []
+        for rec in records:
+            ket = product_ket(rec.projector)
+            nonzero = np.flatnonzero(ket)
+            columns.append(nonzero)
+            values.append(ket[nonzero])
+        indptr = np.concatenate(([0], np.cumsum([c.size for c in columns])))
+        self.kets = sparse.csr_array(
+            (np.concatenate(values), np.concatenate(columns), indptr),
+            shape=(len(records), self.dim),
+        )
+        self.kets_h = self.kets.conj().T.tocsr()
         self.observed = np.array([rec.observed for rec in records], dtype=float)
         self.shots = np.array([rec.shots for rec in records], dtype=float)
 
@@ -146,7 +161,7 @@ def _evaluate(params, bundle, options, want_gradient):
     if tau <= 0.0 or not math.isfinite(tau):
         raise ValueError("all-zero parameters: trace normalization undefined")
 
-    # w_K = F psi_K for all records at once
+    # w_K = F psi_K for all records at once, over the kets' nonzeros only
     w = bundle.kets @ f.T
     u = np.einsum("kr,kr->k", w, w.conj()).real
     model = bundle.shots * (u / tau)
@@ -160,7 +175,7 @@ def _evaluate(params, bundle, options, want_gradient):
     dldn = 0.25 * (1.0 - (bundle.observed / n_eff) ** 2)
     dldn[floored] = 0.0  # flat region of the floor
     alpha = dldn * bundle.shots / tau
-    c = (w * alpha[:, None]).T @ bundle.kets.conj()
+    c = (bundle.kets_h @ (w * alpha[:, None])).T
     scale = float(np.sum(alpha * u) / tau)
     # packing the complex factor-space gradient reuses the parameter layout
     return value, _factor_params(2.0 * (c - scale * f), bundle.dim, options)

@@ -143,6 +143,9 @@ def estimate_threshold(
     the shots, with ``f`` the qubit count ``n``.
     """
     ideal = np.asarray(ideal_diag, dtype=float)
+    if ideal.size != 2**n:
+        raise ValueError(f"ideal diagonal has {ideal.size} entries, "
+                         f"a {n}-qubit diagonal has {2**n}")
     if abs(ideal.sum() - 1.0) > 1e-9:
         raise ValueError(f"ideal diagonal sums to {ideal.sum()}, expected 1")
     if len(noisy_runs) < 2:

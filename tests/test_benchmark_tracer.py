@@ -1,15 +1,27 @@
 """The benchmark's traced mode (perfbench/tracing.py) replaces tqst module
-attributes by name.  This test fails as soon as one of those names is renamed
-or deleted, instead of in the minutes-long perfbench/smoke.py."""
+attributes by name.  These tests fail as soon as one of those names is
+renamed or deleted, or a call pattern the benchmark's invariants count on
+changes, instead of in the minutes-long perfbench/smoke.py."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import tqst
+import tqst.cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = (tqst.core, tqst.metrics, tqst.mle, tqst.projectors, tqst.settings,
            tqst.simulator, tqst.threshold)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _changed(before):
@@ -18,10 +30,7 @@ def _changed(before):
                   for name, value in vars(module).items() if old.get(name) is not value)
 
 
-def test_tracer_patches_and_restores_tqst_attributes():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+def test_tracer_patches_and_restores_tqst_attributes(tracing):
     tracer = tracing.Tracer()
     before = [dict(vars(module)) for module in MODULES]
     try:
@@ -32,3 +41,24 @@ def test_tracer_patches_and_restores_tqst_attributes():
         tracer.uninstall()
     assert patched == saved and "tqst.simulator.apply_depolarizing" in patched
     assert _changed(before) == []
+
+
+def test_traced_run_keeps_the_smoke_invariants(tracing, tmp_path, capsys):
+    """perfbench/smoke.py's call-count invariants, on one small traced run."""
+    tracer = tracing.Tracer()
+    tracer.invocation = 0
+    tracer.install(tqst)
+    try:
+        root = tracer.open("cli.main")
+        tqst.cli.cli.main(["run", "--state", "w", "--n", "3", "--threshold", "0.1", "--exact",
+                           "--seed", "1", "--out", str(tmp_path)], standalone_mode=False)
+        tracer.close(root)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    m, _ = tracing.invocation_metrics(tracer.spans, root)
+    assert m["mle.records"] == 8 + 6
+    assert m["core.product_ket_calls"] == m["mle.records"]
+    assert m["threshold.pairs_kept"] == 3
+    kept = 2 * m["threshold.pairs_kept"]
+    assert m["core.expectation_calls"] == m["projectors.projector_for_calls"] == kept

@@ -152,6 +152,7 @@ def test_auto_threshold_pipeline(tmp_path):
 
 
 DIAG_N3 = "# n_s=10\nbasis_index,count\n" + "".join(f"{k},{5 * (k in (1, 2))}\n" for k in range(8))
+DIAG_GHZ2 = "# n_s=10\nbasis_index,count\n0,5\n1,0\n2,0\n3,5\n"
 PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     f"{k},{k},diag,{word}\n" for k, word in enumerate(("HH", "HV", "VH", "VV"))
 )
@@ -166,6 +167,20 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
                  ("run", "--state", "w", "--n", 3, "--threshold", "auto",
                   "--run-file", "{tmp}/diag.csv", "--out", "{tmp}/o"),
                  "at least two --run-file replicas", id="auto-one-replica"),
+    pytest.param({"ghz2.csv": DIAG_GHZ2},
+                 ("run", "--state", "w", "--n", 3, "--threshold", "auto", "--run-file",
+                  "{tmp}/ghz2.csv", "--run-file", "{tmp}/ghz2.csv", "--out", "{tmp}/o"),
+                 "noisy run length does not match the ideal diagonal", id="auto-replica-length"),
+    pytest.param({"gapped.csv": "# n_s=10\nbasis_index,count\n0,4\n3,6\n"},
+                 ("run", "--state", "w", "--n", 2, "--threshold", "auto", "--run-file",
+                  "{tmp}/gapped.csv", "--run-file", "{tmp}/gapped.csv", "--out", "{tmp}/o"),
+                 "gapped.csv:4:", id="auto-malformed-replica"),
+    pytest.param({"diag.csv": DIAG_N3, "ghz2.csv": DIAG_GHZ2},
+                 ("plan", "--diagonal", "{tmp}/diag.csv", "--threshold", "auto",
+                  "--ideal", "{tmp}/ghz2.csv", "--run-file", "{tmp}/ghz2.csv",
+                  "--run-file", "{tmp}/ghz2.csv", "--out", "{tmp}/plan.csv"),
+                 "ideal diagonal has 4 entries, a 3-qubit diagonal has 8",
+                 id="auto-plan-qubit-mismatch"),
     pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--parametrization",
                       "low_rank", "--rank", 0, "--out", "{tmp}/o"),
                  "rank must be >= 1", id="rank-zero"),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -57,6 +58,14 @@ def test_product_ket_matches_brute_force(word):
 @given(st.text(alphabet=STATE_LABELS, min_size=1, max_size=10))
 def test_product_ket_unit_norm(word):
     assert abs(np.linalg.norm(product_ket(word)) - 1.0) < 1e-12
+
+
+def test_product_ket_bit_identical_to_kronecker_chain():
+    for n in range(1, 5):
+        for letters in itertools.product(STATE_LABELS, repeat=n):
+            word = "".join(letters)
+            reference = functools.reduce(np.kron, (STATE_VECTORS[c] for c in word))
+            assert product_ket(word).tobytes() == reference.tobytes(), word
 
 
 def test_product_ket_rejects_empty_and_bad_letters():

@@ -3,11 +3,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import minimize
 
-from tqst.core import basis_word, expectation, validate_density
+from tqst.core import basis_word, expectation, product_ket, validate_density
 from tqst.metrics import fidelity
 from tqst.mle import (
+    EPSILON,
     CountRecord,
     MleOptions,
+    _Bundle,
+    _build_factor,
+    _evaluate,
+    _factor_params,
     _param_count,
     gradient,
     likelihood,
@@ -89,6 +94,52 @@ def test_gradient_matches_finite_differences(options):
             xm[i] -= h
             fd[i] = (likelihood(xp, records, options) - likelihood(xm, records, options)) / (2 * h)
         assert np.linalg.norm(analytic - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+def dense_evaluate(params, records, options):
+    """The likelihood and gradient on the dense stack of product kets."""
+    kets = np.array([product_ket(rec.projector) for rec in records])
+    observed = np.array([rec.observed for rec in records], dtype=float)
+    shots = np.array([rec.shots for rec in records], dtype=float)
+    dim = kets.shape[1]
+    f = _build_factor(params, dim, options)
+    tau = np.vdot(f, f).real
+    w = kets @ f.T
+    u = np.sum(np.abs(w) ** 2, axis=1)
+    model = shots * u / tau
+    floored = model < EPSILON * shots
+    n_eff = np.where(floored, EPSILON * shots, model)
+    value = np.sum((n_eff - observed) ** 2 / (4.0 * n_eff))
+    dldn = np.where(floored, 0.0, 0.25 * (1.0 - (observed / n_eff) ** 2))
+    alpha = dldn * shots / tau
+    c = (w * alpha[:, None]).T @ kets.conj()
+    grad = _factor_params(2.0 * (c - np.sum(alpha * u) / tau * f), dim, options)
+    return value, grad, kets, int(floored.sum())
+
+
+@pytest.mark.parametrize("options", [MleOptions(), MleOptions(parametrization="low_rank", rank=2)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_kernel_matches_dense_reference(n, options):
+    rng = np.random.default_rng(20 + n)
+    dim = 2**n
+    words = build_projector_table(n).words()
+    observed = rng.integers(0, 900, size=len(words))
+    observed[rng.random(len(words)) < 0.2] = 0
+    records = [CountRecord(w, int(k), 1000) for w, k in zip(words, observed)]
+    # a tiny column of F puts <P rho P> of basis state 1 under the floor
+    f = _build_factor(rng.normal(size=_param_count(dim, options)), dim, options)
+    f[:, 1] *= 1e-6
+    params = _factor_params(f, dim, options)
+
+    bundle = _Bundle(records)
+    value, grad = _evaluate(params, bundle, options, want_gradient=True)
+    ref_value, ref_grad, kets, floored = dense_evaluate(params, records, options)
+    assert floored > 0
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+    assert np.array_equal(bundle.kets.toarray(), kets)
+    superposed = np.array([sum(w.count(c) for c in "DARL") for w in words])
+    assert np.array_equal(np.diff(bundle.kets.indptr), 2**superposed)
 
 
 def test_gradient_vanishes_at_exact_fit():

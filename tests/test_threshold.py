@@ -142,11 +142,11 @@ def test_estimate_threshold_exact_two_level():
 def test_estimate_threshold_arithmetic_fixture():
     # c0=100 and c1=400 (weakest expected-nonzero entry is index 1) at n=4,
     # n_s=1e4 give levels 140 and 320
-    ideal = np.array([0.95, 0.05, 0.0, 0.0])
+    ideal = np.pad([0.95, 0.05], (0, 14))
     shots = 10**4
     runs = [
-        DiagonalRecord(counts=np.array([9500, 400, 100, 0]), shots=shots),
-        DiagonalRecord(counts=np.array([9400, 500, 50, 50]), shots=shots),
+        DiagonalRecord(counts=np.pad([9500, 400, 100], (0, 13)), shots=shots),
+        DiagonalRecord(counts=np.pad([9400, 500, 50, 50], (0, 12)), shots=shots),
     ]
     est = estimate_threshold(ideal, runs, n=4)
     assert est.noise_threshold == pytest.approx(140.0)
@@ -178,3 +178,5 @@ def test_estimate_threshold_input_validation():
         estimate_threshold(np.array([0.0, 0.0]), [run, run], n=1)
     with pytest.raises(ValueError):
         estimate_threshold(ideal, [run, DiagonalRecord(np.array([5, 0]), 5)], n=1)
+    with pytest.raises(ValueError, match="a 2-qubit diagonal has 4"):
+        estimate_threshold(ideal, [run, run], n=2)  # ideal and runs are 1-qubit
