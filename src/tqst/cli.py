@@ -156,15 +156,14 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     ket, n = _target_ket(state, n, filling, seed)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
     options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
-    target = simulator.density(ket)
     # the estimate needs only the ideal diagonal and the replicas, so
     # unreadable or wrong-length replicas fail before --out is created
-    ideal = np.real(np.diag(target))
+    ideal = simulator._populations(ket)
     t, estimate_info = _resolve_threshold(threshold_spec, ideal, run_files, n)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    _, diag_record = simulator.sample_counts(target, threshold.diagonal_plan(n), shots, noise)
+    _, diag_record = simulator.sample_counts(ket, threshold.diagonal_plan(n), shots, noise)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)
 
     plan = threshold.select_offdiagonal(diag_record, t)
@@ -172,7 +171,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
 
     # same seed: the diagonal stream is shared, so these records embed the
     # exact counts the plan was derived from
-    records, _ = simulator.sample_counts(target, plan, shots, noise)
+    records, _ = simulator.sample_counts(ket, plan, shots, noise)
     mle.write_counts_csv(outdir / "counts.csv", records)
 
     plan_settings = settings_mod.settings_for_plan(plan)
@@ -226,7 +225,7 @@ def simulate(state, n, filling, lam, shots, seed, exact, plan_file, out):
     ket, n = _target_ket(state, n, filling, seed)
     plan = threshold.read_plan_csv(plan_file) if plan_file else threshold.diagonal_plan(n)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
-    records, diag_record = simulator.sample_counts(simulator.density(ket), plan, shots, noise)
+    records, diag_record = simulator.sample_counts(ket, plan, shots, noise)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)

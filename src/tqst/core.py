@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 #: Amplitudes of the six single-qubit measurement states in the computational
-#: basis (H = |0>, V = |1>).
+#: basis (H = |0>, V = |1>).  Read-only: ``product_ket`` of a one-letter word
+#: returns the table entry itself.
 STATE_VECTORS = {
     "H": np.array([1.0, 0.0], dtype=complex),
     "V": np.array([0.0, 1.0], dtype=complex),
@@ -29,6 +30,8 @@ STATE_VECTORS = {
     "R": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
     "L": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
 }
+for _amplitudes in STATE_VECTORS.values():
+    _amplitudes.setflags(write=False)
 
 STATE_LABELS = "HVDARL"
 
@@ -103,18 +106,23 @@ def product_ket(word: str) -> np.ndarray:
     return ket
 
 
-def expectation(rho: np.ndarray, word: str) -> float:
-    """Expectation value <psi|rho|psi> of the projector described by ``word``.
+def expectation(state: np.ndarray, word: str) -> float:
+    """Expectation value of the projector |psi><psi| described by ``word``.
 
-    The tiny imaginary residue of the quadratic form (present for any Hermitian
-    ``rho`` only through round-off) is discarded.
+    ``state`` is a normalized ket of shape (2**n,), giving |<psi|state>|**2, or
+    a density matrix of shape (2**n, 2**n), giving <psi|rho|psi> with the tiny
+    imaginary residue of the quadratic form (present for any Hermitian ``rho``
+    only through round-off) discarded.
     """
     psi = product_ket(word)
-    if rho.shape != (psi.size, psi.size):
+    if state.shape not in ((psi.size,), (psi.size, psi.size)):
         raise ValueError(
-            f"dimension mismatch: rho is {rho.shape}, word {word!r} needs {psi.size}"
+            f"dimension mismatch: state is {state.shape}, word {word!r} needs {psi.size}"
         )
-    return float(np.real(psi.conj() @ rho @ psi))
+    if state.ndim == 1:
+        amplitude = psi.conj() @ state
+        return float(amplitude.real**2 + amplitude.imag**2)
+    return float(np.real(psi.conj() @ state @ psi))
 
 
 @dataclass(frozen=True)

@@ -117,31 +117,49 @@ def _exact_multinomial(p: np.ndarray, shots: int) -> np.ndarray:
     return base
 
 
+def _populations(state: np.ndarray) -> np.ndarray:
+    """Computational-basis probabilities of a ket, |amplitude|**2, or of a
+    density matrix, its real diagonal.
+
+    For a ket, ``state * state.conj()`` runs the complex product that forms
+    the diagonal of :func:`density`, so the result is bit-identical to it
+    (``real**2 + imag**2`` can differ in the last bit).
+    """
+    if state.ndim == 1:
+        return np.real(state * state.conj())
+    return np.real(np.diag(state))
+
+
 def sample_counts(
-    rho: np.ndarray,
+    state: np.ndarray,
     plan: MeasurementPlan,
     shots: int,
     noise: NoiseModel = NoiseModel(),
 ) -> tuple[list[CountRecord], DiagonalRecord]:
     """Simulate the measurements of a plan on a (noise-injected) state.
 
-    Depolarizing noise enters each probability as (1 - lam) <P> + lam / 2**n,
-    the expectation in :func:`apply_depolarizing` of ``rho``, so no dense
-    mixture is built.  The diagonal is sampled once as a multinomial over the
-    computational probabilities of the noisy state and reported both as a
-    DiagonalRecord and as one CountRecord per diagonal target.  Every
-    off-diagonal target is a binomial with its projector expectation as
-    success probability.  Each target draws from its own spawned random
-    stream, so results are reproducible per seed independent of evaluation
-    order.
+    ``state`` is a normalized ket of shape (2**n,) or a density matrix of
+    shape (2**n, 2**n); a pure target is best passed as its ket, which keeps
+    memory and time linear in 2**n.  Depolarizing noise enters each
+    probability as (1 - lam) <P> + lam / 2**n, the expectation in
+    :func:`apply_depolarizing` of the state, so no dense mixture is built.
+    The diagonal is sampled once as a multinomial over the computational
+    probabilities of the noisy state and reported both as a DiagonalRecord and
+    as one CountRecord per diagonal target.  Every off-diagonal target is a
+    binomial with its projector expectation as success probability.  Each
+    target draws from its own spawned random stream, so results are
+    reproducible per seed independent of evaluation order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if rho.shape != (2**plan.n, 2**plan.n):
-        raise ValueError(f"dimension mismatch: plan is for {plan.n} qubits, rho is {rho.shape}")
-    lam, dim = noise.depolarizing, rho.shape[0]
+    dim = 2**plan.n
+    if state.shape not in ((dim,), (dim, dim)):
+        raise ValueError(
+            f"dimension mismatch: plan is for {plan.n} qubits, state is {state.shape}"
+        )
+    lam = noise.depolarizing
 
-    p_diag = np.clip((1.0 - lam) * np.real(np.diag(rho)) + lam / dim, 0.0, None)
+    p_diag = np.clip((1.0 - lam) * _populations(state) + lam / dim, 0.0, None)
     p_diag = p_diag / p_diag.sum()
     streams = np.random.SeedSequence(noise.seed).spawn(len(plan.targets) + 1)
     if noise.sampling == "exact":
@@ -154,7 +172,7 @@ def sample_counts(
         if idx.part == "diag":
             records.append(CountRecord(word, int(diag_counts[idx.i]), shots))
             continue
-        q = min(max((1.0 - lam) * expectation(rho, word) + lam / dim, 0.0), 1.0)
+        q = min(max((1.0 - lam) * expectation(state, word) + lam / dim, 0.0), 1.0)
         if noise.sampling == "exact":
             observed = int(round(q * shots))
         else:

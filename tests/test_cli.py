@@ -198,6 +198,11 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
                  "depolarizing strength must be in [0, 1]", id="lambda-out-of-range"),
     pytest.param({}, ("simulate", "--state", "w", "--out", "{tmp}/o"),
                  "--n is required", id="simulate-missing-n"),
+    pytest.param({"plan.csv": PLAN_N2},
+                 ("simulate", "--state", "w", "--n", 3, "--plan", "{tmp}/plan.csv",
+                  "--out", "{tmp}/o"),
+                 "dimension mismatch: plan is for 2 qubits, state is (8,)",
+                 id="simulate-plan-qubit-mismatch"),
     pytest.param({}, ("completeness", "--n", 7),
                  "Gram matrix for n=7 has order 4**7; the limit is n <= 6",
                  id="completeness-over-cap"),

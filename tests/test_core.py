@@ -68,6 +68,14 @@ def test_product_ket_bit_identical_to_kronecker_chain():
             assert product_ket(word).tobytes() == reference.tobytes(), word
 
 
+def test_product_ket_table_is_read_only():
+    # a one-letter ket is the table entry itself; writing into it must not
+    # corrupt every later product
+    with pytest.raises(ValueError, match="read-only"):
+        product_ket("H")[0] = 5
+    assert product_ket("HH").tolist() == [1, 0, 0, 0]
+
+
 def test_product_ket_rejects_empty_and_bad_letters():
     with pytest.raises(ValueError):
         product_ket("")
@@ -91,6 +99,19 @@ def test_expectation_w3_excitation_component():
 def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError):
         expectation(np.eye(4) / 4, "H")
+    with pytest.raises(ValueError, match=r"dimension mismatch: state is \(8,\)"):
+        expectation(w_state(3), "HH")
+
+
+def test_expectation_of_ket_matches_density():
+    rng = np.random.default_rng(11)
+    for n in range(1, 4):
+        ket = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        ket /= np.linalg.norm(ket)
+        rho = density(ket)
+        for letters in itertools.product(STATE_LABELS, repeat=n):
+            word = "".join(letters)
+            assert abs(expectation(ket, word) - expectation(rho, word)) <= 1e-15, word
 
 
 def test_expectation_linear_in_rho():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,42 @@ def test_sample_counts_dimension_mismatch():
     for rho in (np.eye(3) / 3, np.eye(4)[:, :2] / 2):  # not 2**n x 2**n
         with pytest.raises(ValueError, match="dimension mismatch"):
             sample_counts(rho, diagonal_plan(2), 100)
+    with pytest.raises(ValueError, match=r"plan is for 3 qubits, state is \(4,\)"):
+        sample_counts(w_state(2), diagonal_plan(3), 100)
+
+
+@pytest.mark.parametrize("ket", [
+    w_state(4), ghz_state(3), color_code_state(0), random_filled_state(4, 0.75, seed=3),
+], ids=["w4", "ghz3", "color0", "random4"])
+@pytest.mark.parametrize("sampling", ["exact", "multinomial"])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_sample_counts_ket_equals_density(ket, sampling, lam):
+    n = int(np.log2(ket.size))
+    noise = NoiseModel(lam, sampling, seed=9)
+    _, diag = sample_counts(ket, diagonal_plan(n), 2000, noise)
+    plan = select_offdiagonal(diag, 0.01)
+    assert plan.offdiagonal_pairs()
+    from_ket, diag_ket = sample_counts(ket, plan, 2000, noise)
+    from_rho, diag_rho = sample_counts(density(ket), plan, 2000, noise)
+    assert from_ket == from_rho
+    assert np.array_equal(diag_ket.counts, diag_rho.counts)
+
+
+def test_sampling_from_ket_needs_no_dense_state():
+    # the dense rho of n = 12 alone is 256 MiB; sampling from the ket should
+    # stay linear in 2**n
+    ket = w_state(12)
+    noise = NoiseModel(0.05, "multinomial", seed=42)
+    tracemalloc.start()
+    try:
+        _, diag = sample_counts(ket, diagonal_plan(12), 10000, noise)
+        plan = select_offdiagonal(diag, 0.038)
+        records, _ = sample_counts(ket, plan, 10000, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == plan.size > 2**12
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_noise_model_validation():
