@@ -12,6 +12,7 @@ from .core import (
     ResourceLimitError,
     TomographyError,
     ValidityReport,
+    density,
     expectation,
     load_density,
     load_factor,
@@ -46,8 +47,8 @@ from .simulator import (
     NoiseModel,
     apply_depolarizing,
     color_code_state,
-    density,
     ghz_state,
+    populations,
     random_filled_state,
     sample_counts,
     w_state,

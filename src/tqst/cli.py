@@ -22,20 +22,16 @@ from . import core, metrics, mle, projectors, settings as settings_mod, simulato
 STATE_NAMES = ("w", "ghz", "colorcode0", "colorcode1", "random")
 
 
-def _target_ket(state: str, n: int | None, filling: float, seed: int | None) -> tuple[np.ndarray, int]:
+def _target_factor(state: str, n: int | None, filling: float, seed: int | None) -> tuple[np.ndarray, int]:
     if state in ("colorcode0", "colorcode1"):
         if n not in (None, 7):
             raise ValueError(f"{state} is a 7-qubit state, got --n {n}")
         return simulator.color_code_state(int(state[-1])), 7
     if n is None:
         raise ValueError(f"--n is required for state {state!r}")
-    if state == "w":
-        return simulator.w_state(n), n
-    if state == "ghz":
-        return simulator.ghz_state(n), n
     if state == "random":
         return simulator.random_filled_state(n, filling, seed), n
-    raise ValueError(f"unknown state {state!r}")
+    return {"w": simulator.w_state, "ghz": simulator.ghz_state}[state](n), n
 
 
 def _check_threshold(spec: str, run_files) -> float | None:
@@ -153,17 +149,17 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
         parametrization, rank, max_iterations, gradient_tolerance, out):
     """Full pipeline: diagonal, threshold, plan, measurements, reconstruction."""
     _check_threshold(threshold_spec, run_files)
-    ket, n = _target_ket(state, n, filling, seed)
+    target, n = _target_factor(state, n, filling, seed)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
     options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
     # the estimate needs only the ideal diagonal and the replicas, so
     # unreadable or wrong-length replicas fail before --out is created
-    ideal = simulator._populations(ket)
+    ideal = simulator.populations(target)
     t, estimate_info = _resolve_threshold(threshold_spec, ideal, run_files, n)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    _, diag_record = simulator.sample_counts(ket, threshold.diagonal_plan(n), shots, noise)
+    _, diag_record = simulator.sample_counts(target, threshold.diagonal_plan(n), shots, noise)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)
 
     plan = threshold.select_offdiagonal(diag_record, t)
@@ -171,7 +167,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
 
     # same seed: the diagonal stream is shared, so these records embed the
     # exact counts the plan was derived from
-    records, _ = simulator.sample_counts(ket, plan, shots, noise)
+    records, _ = simulator.sample_counts(target, plan, shots, noise)
     mle.write_counts_csv(outdir / "counts.csv", records)
 
     plan_settings = settings_mod.settings_for_plan(plan)
@@ -181,7 +177,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     core.save_density(outdir / "rho.json", result.factor)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
 
-    report = _fidelity_report(result.factor, ket.conj()[None, :])
+    report = _fidelity_report(result.factor, target)
     p = diag_record.probabilities()
     report["fidelity_bound"] = metrics.fidelity_bound(p, t, report["rank_target"])
     min_kept_bound = min((float(bound[keep].min()) for _, bound, keep
@@ -222,10 +218,10 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True)
 def simulate(state, n, filling, lam, shots, seed, exact, plan_file, out):
     """Sample synthetic counts for a target state; writes diagonal and counts CSVs."""
-    ket, n = _target_ket(state, n, filling, seed)
+    target, n = _target_factor(state, n, filling, seed)
     plan = threshold.read_plan_csv(plan_file) if plan_file else threshold.diagonal_plan(n)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
-    records, diag_record = simulator.sample_counts(ket, plan, shots, noise)
+    records, diag_record = simulator.sample_counts(target, plan, shots, noise)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)

@@ -106,23 +106,20 @@ def product_ket(word: str) -> np.ndarray:
     return ket
 
 
-def expectation(state: np.ndarray, word: str) -> float:
-    """Expectation value of the projector |psi><psi| described by ``word``.
-
-    ``state`` is a normalized ket of shape (2**n,), giving |<psi|state>|**2, or
-    a density matrix of shape (2**n, 2**n), giving <psi|rho|psi> with the tiny
-    imaginary residue of the quadratic form (present for any Hermitian ``rho``
-    only through round-off) discarded.
-    """
+def expectation(factor: np.ndarray, word: str) -> float:
+    """Expectation <psi|rho|psi> of the projector |psi><psi| described by
+    ``word`` in rho = F^H F, computed from the r x 2**n factor F as ||F psi||**2."""
     psi = product_ket(word)
-    if state.shape not in ((psi.size,), (psi.size, psi.size)):
-        raise ValueError(
-            f"dimension mismatch: state is {state.shape}, word {word!r} needs {psi.size}"
-        )
-    if state.ndim == 1:
-        amplitude = psi.conj() @ state
-        return float(amplitude.real**2 + amplitude.imag**2)
-    return float(np.real(psi.conj() @ state @ psi))
+    if factor.shape[1:] != psi.shape:
+        raise ValueError(f"dimension mismatch: factor is {factor.shape}, "
+                         f"word {word!r} needs r x {psi.size}")
+    a = factor @ psi
+    return float(np.vdot(a, a).real)
+
+
+def density(factor: np.ndarray) -> np.ndarray:
+    """The density matrix rho = F^H F of an r x 2**n factor F."""
+    return factor.conj().T @ factor
 
 
 @dataclass(frozen=True)
@@ -220,15 +217,14 @@ def save_density(path: str | Path, factor: np.ndarray) -> None:
 
 def load_factor(path: str | Path) -> np.ndarray:
     """Read the factor F written by :func:`save_density`.  Both arrays must
-    be r x 2**n_qubits with r >= 1 and finite entries; a file without the
-    factor keys, such as a dense ``{"re", "im"}`` matrix, is rejected."""
+    be r x 2**n_qubits with r >= 1 and finite numeric entries; a file without
+    the factor keys, such as a dense ``{"re", "im"}`` matrix, is rejected."""
     try:
         payload = json.loads(Path(path).read_text())
         n = payload["n_qubits"]
         if type(n) is not int:  # neither 1.9 nor true is read as 1
             raise TypeError(f"n_qubits {n!r} is not an integer")
-        re = np.array(payload["factor_re"], dtype=float)
-        im = np.array(payload["factor_im"], dtype=float)
+        re, im = _json_numbers(payload["factor_re"]), _json_numbers(payload["factor_im"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a factored density-matrix JSON file with keys "
                          f"n_qubits, factor_re, factor_im ({exc!r})") from exc
@@ -244,8 +240,15 @@ def load_factor(path: str | Path) -> np.ndarray:
 
 def load_density(path: str | Path) -> np.ndarray:
     """The density matrix F^H F of the factor in a :func:`save_density` file."""
-    factor = load_factor(path)
-    return factor.conj().T @ factor
+    return density(load_factor(path))
+
+
+def _json_numbers(value) -> np.ndarray:
+    """Nested JSON lists as floats; ``null`` becomes NaN, a string or a boolean raises."""
+    entries = np.array(value, dtype=object)
+    if any(isinstance(x, (str, bool)) for x in entries.flat):
+        raise TypeError("factor entries must be numbers, not strings or booleans")
+    return entries.astype(float)
 
 
 def _factor_qubits(shape: tuple) -> int | None:

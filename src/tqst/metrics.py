@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import validate_density
+from .core import density, validate_density
 from .threshold import pair_rows
 
 EIGEN_TOLERANCE = 1e-8
@@ -84,8 +84,7 @@ def joint_support(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: factors of {a.shape[1]} and {b.shape[1]} columns")
     q, _ = np.linalg.qr(np.hstack([a.conj().T, b.conj().T]))
-    ca, cb = a @ q, b @ q
-    return ca.conj().T @ ca, cb.conj().T @ cb
+    return density(a @ q), density(b @ q)
 
 
 def fidelity_bound(diag: np.ndarray, t: float, rank: int) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize
 
-from .core import basis_word, product_ket, read_table, validate_word, word_to_index, write_table
+from .core import basis_word, density, product_ket, read_table, validate_word, word_to_index, write_table
 
 EPSILON = 1e-9  # relative floor for model counts n_K
 JITTER = 1e-3  # scale of the random start off the measured diagonal
@@ -60,6 +60,8 @@ class MleOptions:
             raise ValueError("parametrization must be 'full' or 'low_rank'")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.parametrization == "full" and self.rank != 1:
+            raise ValueError(f"rank {self.rank} needs parametrization 'low_rank', not 'full'")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 <= self.gradient_tolerance < math.inf:
@@ -86,7 +88,7 @@ class ReconstructionResult:
 
     @cached_property
     def rho(self) -> np.ndarray:
-        return self.factor.conj().T @ self.factor
+        return density(self.factor)
 
 
 class _Bundle:

@@ -1,4 +1,4 @@
-"""Target states, noise injection, and synthetic measurement counts."""
+"""Target states as factors F (rho = F^H F), noise injection, and synthetic counts."""
 
 from __future__ import annotations
 
@@ -39,43 +39,46 @@ class NoiseModel:
             raise ValueError("sampling must be 'exact' or 'multinomial'")
 
 
-def density(ket: np.ndarray) -> np.ndarray:
-    """The pure-state density matrix |ket><ket| of a normalized ket."""
-    return np.outer(ket, ket.conj())
+TRACE_TOLERANCE = 1e-9  # how far the trace ||F||_F**2 of a sampled factor may stray from 1
+
+
+def _pure_factor(ket: np.ndarray) -> np.ndarray:
+    """The 1 x 2**n factor psi^H of the pure state |psi> = ket / ||ket||."""
+    return (ket / np.linalg.norm(ket)).conj()[None, :]
 
 
 def w_state(n: int) -> np.ndarray:
-    """Normalized ket: equal superposition of the n single-excitation basis states."""
+    """Factor of the W state, the equal superposition of the n one-excitation states."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     ket = np.zeros(2**n, dtype=complex)
     for k in range(n):
         ket[1 << k] = 1.0
-    return ket / np.linalg.norm(ket)
+    return _pure_factor(ket)
 
 
 def ghz_state(n: int) -> np.ndarray:
-    """Normalized ket (|0...0> + |1...1>)/sqrt(2)."""
+    """Factor of the GHZ state (|0...0> + |1...1>)/sqrt(2)."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     ket = np.zeros(2**n, dtype=complex)
     ket[0] = ket[-1] = 1.0
-    return ket / np.linalg.norm(ket)
+    return _pure_factor(ket)
 
 
 def color_code_state(logical: int) -> np.ndarray:
-    """Normalized ket of the 7-qubit color-code logical codeword (logical 0 or 1),
+    """Factor of the 7-qubit color-code logical codeword (logical 0 or 1),
     eight equal components."""
     if logical not in (0, 1):
         raise ValueError("logical must be 0 or 1")
     ket = np.zeros(2**7, dtype=complex)
     for bits in _COLOR_CODE_BITS[logical]:
         ket[int(bits, 2)] = 1.0
-    return ket / np.linalg.norm(ket)
+    return _pure_factor(ket)
 
 
 def random_filled_state(n: int, filling: float, seed: int | None = None) -> np.ndarray:
-    """Normalized random ket supported on ceil(filling * 2**n) basis indices.
+    """Factor of a random pure state supported on ceil(filling * 2**n) basis states.
 
     Support indices are drawn uniformly without replacement and amplitudes
     from a complex Gaussian, so the same seed always gives the same state.
@@ -90,7 +93,7 @@ def random_filled_state(n: int, filling: float, seed: int | None = None) -> np.n
     idx = rng.choice(dim, size=support, replace=False)
     ket = np.zeros(dim, dtype=complex)
     ket[idx] = rng.normal(size=support) + 1j * rng.normal(size=support)
-    return ket / np.linalg.norm(ket)
+    return _pure_factor(ket)
 
 
 def apply_depolarizing(rho: np.ndarray, lam: float) -> np.ndarray:
@@ -117,30 +120,22 @@ def _exact_multinomial(p: np.ndarray, shots: int) -> np.ndarray:
     return base
 
 
-def _populations(state: np.ndarray) -> np.ndarray:
-    """Computational-basis probabilities of a ket, |amplitude|**2, or of a
-    density matrix, its real diagonal.
-
-    For a ket, ``state * state.conj()`` runs the complex product that forms
-    the diagonal of :func:`density`, so the result is bit-identical to it
-    (``real**2 + imag**2`` can differ in the last bit).
-    """
-    if state.ndim == 1:
-        return np.real(state * state.conj())
-    return np.real(np.diag(state))
+def populations(factor: np.ndarray) -> np.ndarray:
+    """Computational-basis probabilities of rho = F^H F: the column sums of |F|**2."""
+    return np.real(factor * factor.conj()).sum(axis=0)
 
 
 def sample_counts(
-    state: np.ndarray,
+    factor: np.ndarray,
     plan: MeasurementPlan,
     shots: int,
     noise: NoiseModel = NoiseModel(),
 ) -> tuple[list[CountRecord], DiagonalRecord]:
     """Simulate the measurements of a plan on a (noise-injected) state.
 
-    ``state`` is a normalized ket of shape (2**n,) or a density matrix of
-    shape (2**n, 2**n); a pure target is best passed as its ket, which keeps
-    memory and time linear in 2**n.  Depolarizing noise enters each
+    ``factor`` is the r x 2**n factor F of the state rho = F^H F, so memory
+    and time stay linear in 2**n for a low-rank state; its trace ||F||_F**2
+    must be 1 within ``TRACE_TOLERANCE``.  Depolarizing noise enters each
     probability as (1 - lam) <P> + lam / 2**n, the expectation in
     :func:`apply_depolarizing` of the state, so no dense mixture is built.
     The diagonal is sampled once as a multinomial over the computational
@@ -153,13 +148,15 @@ def sample_counts(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     dim = 2**plan.n
-    if state.shape not in ((dim,), (dim, dim)):
-        raise ValueError(
-            f"dimension mismatch: plan is for {plan.n} qubits, state is {state.shape}"
-        )
+    if factor.shape[1:] != (dim,):
+        raise ValueError(f"dimension mismatch: plan is for {plan.n} qubits, "
+                         f"factor is {factor.shape}")
+    p_state = populations(factor)
+    if abs(p_state.sum() - 1.0) > TRACE_TOLERANCE:
+        raise ValueError(f"factor has trace ||F||_F**2 = {float(p_state.sum())}, not 1")
     lam = noise.depolarizing
 
-    p_diag = np.clip((1.0 - lam) * _populations(state) + lam / dim, 0.0, None)
+    p_diag = np.clip((1.0 - lam) * p_state + lam / dim, 0.0, None)
     p_diag = p_diag / p_diag.sum()
     streams = np.random.SeedSequence(noise.seed).spawn(len(plan.targets) + 1)
     if noise.sampling == "exact":
@@ -172,7 +169,7 @@ def sample_counts(
         if idx.part == "diag":
             records.append(CountRecord(word, int(diag_counts[idx.i]), shots))
             continue
-        q = min(max((1.0 - lam) * expectation(state, word) + lam / dim, 0.0), 1.0)
+        q = min(max((1.0 - lam) * expectation(factor, word) + lam / dim, 0.0), 1.0)
         if noise.sampling == "exact":
             observed = int(round(q * shots))
         else:

@@ -215,7 +215,8 @@ def write_plan_csv(path: str | Path, plan: MeasurementPlan) -> None:
 
 def read_plan_csv(path: str | Path) -> MeasurementPlan:
     """Read a plan, requiring the 2**n diagonal targets first and in order, no
-    duplicate targets, and every word equal to ``projector_for`` its element."""
+    duplicate targets, both parts of every off-diagonal pair, and every word
+    equal to ``projector_for`` its element."""
     fields, rows = read_table(path, PLAN_COLUMNS)
     try:
         n, t = int(fields["n_qubits"]), float(fields["threshold"])
@@ -224,7 +225,7 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
     # 1 <= n and 2**n <= len(rows), without computing 2**n for a huge n
     if not (1 <= n < len(rows).bit_length() and 0.0 <= t <= 1.0):
         raise ValueError(f"{path}:1: n_qubits={n} threshold={t} out of range for {len(rows)} rows")
-    targets = {}
+    targets, lines = {}, {}
     try:
         for line, (i, j, part, word) in rows:
             idx = ElementIndex(int(i), int(j), part)
@@ -235,7 +236,11 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
             expected = projector_for(n, idx)
             if word != expected:
                 raise ValueError(f"word {word!r} does not measure {idx}, {expected!r} does")
-            targets[idx] = word
+            targets[idx], lines[idx] = word, line
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None
+    for idx, line in lines.items():
+        other = {"re": "im", "im": "re"}.get(idx.part)
+        if other and ElementIndex(idx.i, idx.j, other) not in targets:
+            raise ValueError(f"{path}:{line}: {idx} has no {other!r} row; a pair needs both")
     return MeasurementPlan(n=n, threshold=t, targets=tuple(targets.items()))

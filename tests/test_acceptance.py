@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from tqst.core import ElementIndex, STATE_LABELS, expectation, product_ket
+from tqst.core import ElementIndex, STATE_LABELS, density, expectation, product_ket
 from tqst.metrics import (
     fidelity,
     fidelity_bound,
@@ -28,7 +28,7 @@ from tqst.projectors import (
     psd_projection,
 )
 from tqst.settings import settings_for_plan
-from tqst.simulator import NoiseModel, color_code_state, density, sample_counts, w_state
+from tqst.simulator import NoiseModel, color_code_state, populations, sample_counts, w_state
 from tqst.threshold import (
     DiagonalRecord,
     diagonal_plan,
@@ -47,10 +47,16 @@ def random_density(rng, dim, rank=None):
     return rho / np.trace(rho).real
 
 
+def random_factor(rng, dim):
+    """Factor F = g^H / ||g||_F of the random_density g g^H / tr(g g^H)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return g.conj().T / np.linalg.norm(g)
+
+
 def random_pure(rng, n):
     ket = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     ket /= np.linalg.norm(ket)
-    return np.outer(ket, ket.conj())
+    return ket.conj()[None, :]
 
 
 def test_criterion_1_projector_fixtures():
@@ -109,13 +115,13 @@ def test_criterion_4_noiseless_w_state_replication():
     exact = NoiseModel(sampling="exact")
     results = []
     for n, t in ((4, 0.1), (5, 0.01), (6, 0.001), (7, 0.0001)):
-        rho = density(w_state(n))
-        _, diag = sample_counts(rho, diagonal_plan(n), shots, exact)
+        psi = w_state(n)
+        _, diag = sample_counts(psi, diagonal_plan(n), shots, exact)
         plan = select_offdiagonal(diag, t)
         assert plan.size == 2**n + n * (n - 1), (n, plan.size)
-        records, _ = sample_counts(rho, plan, shots, exact)
+        records, _ = sample_counts(psi, plan, shots, exact)
         result = reconstruct(records, MleOptions(seed=n))
-        f = fidelity(result.rho, rho)
+        f = fidelity(result.rho, density(psi))
         assert f >= 0.99, (n, f)
         results.append((n, plan.size, f))
     elapsed = time.perf_counter() - start
@@ -130,27 +136,27 @@ def test_criterion_5_noisy_w_state_trend():
     lam = 0.05
     results = []
     for n in (8, 9, 10):
-        rho = density(w_state(n))
-        ideal = np.real(np.diag(rho))
+        psi = w_state(n)
+        ideal = populations(psi)
         runs = [
-            sample_counts(rho, diagonal_plan(n), shots,
+            sample_counts(psi, diagonal_plan(n), shots,
                           NoiseModel(lam, "multinomial", 1000 + r))[1]
             for r in range(20)
         ]
         estimate = estimate_threshold(ideal, runs, n)
         assert estimate.favorable
         noise = NoiseModel(lam, "multinomial", 42)
-        _, diag = sample_counts(rho, diagonal_plan(n), shots, noise)
+        _, diag = sample_counts(psi, diagonal_plan(n), shots, noise)
         plan = select_offdiagonal(diag, estimate.threshold)
         formula = 2**n + n * n - n
         assert abs(plan.size - formula) <= 0.01 * formula, (n, plan.size, formula)
-        records, _ = sample_counts(rho, plan, shots, noise)
+        records, _ = sample_counts(psi, plan, shots, noise)
         result = reconstruct(
             records,
             MleOptions(parametrization="low_rank", rank=2, seed=7,
                        gradient_tolerance=0.05),
         )
-        f = fidelity(result.rho, rho)
+        f = fidelity(result.rho, density(psi))
         assert 0.85 <= f <= 0.97, (n, f)
         results.append((n, estimate.threshold, plan.size, f))
     elapsed = time.perf_counter() - start
@@ -179,8 +185,7 @@ def test_criterion_6_fidelity_bound_validity():
 
 def test_criterion_7_color_code_counts():
     start = time.perf_counter()
-    rho = density(color_code_state(0))
-    _, diag = sample_counts(rho, diagonal_plan(7), 10**4, NoiseModel(sampling="exact"))
+    _, diag = sample_counts(color_code_state(0), diagonal_plan(7), 10**4, NoiseModel(sampling="exact"))
     plan = select_offdiagonal(diag, 0.01)
     assert plan.size == 184
     settings = settings_for_plan(plan)
@@ -219,15 +224,15 @@ def test_criterion_8_mle_numerics():
     fidelities = []
     shots = 10**8
     for n in (1, 2, 3):
-        rho = random_pure(rng, n)
+        psi = random_pure(rng, n)
         words = build_projector_table(n).words()
         records = [
-            CountRecord(w, int(round(expectation(rho, w) * shots)), shots) for w in words
+            CountRecord(w, int(round(expectation(psi, w) * shots)), shots) for w in words
         ]
         result = reconstruct(
             records, MleOptions(seed=n, gradient_tolerance=1e-9, max_iterations=20000)
         )
-        f = fidelity(result.rho, rho)
+        f = fidelity(result.rho, density(psi))
         assert f >= 1 - 1e-6, (n, f)
         fidelities.append(f)
     report(8, f"gradient max rel err {worst:.2e}; exact-data fidelities "
@@ -239,10 +244,11 @@ def test_criterion_9_linear_inversion_and_psd():
     shots = 2**40
     worst = 0.0
     for n in (1, 2, 3):
-        rho = random_density(rng, 2**n)
+        factor = random_factor(rng, 2**n)
+        rho = density(factor)
         words = build_projector_table(n).words()
         records = [
-            CountRecord(w, int(round(expectation(rho, w) * shots)), shots) for w in words
+            CountRecord(w, int(round(expectation(factor, w) * shots)), shots) for w in words
         ]
         out = linear_inversion(records)
         err = float(np.max(np.abs(out - rho)))

@@ -193,6 +193,9 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     pytest.param({}, ("run", "--state", "w", "--n", 2, "--threshold", 0.1, "--seed", 1,
                       "--max-iterations", 0, "--out", "{tmp}/o"),
                  "max_iterations must be >= 1", id="max-iterations-zero"),
+    pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--exact",
+                      "--seed", 1, "--parametrization", "full", "--rank", 5, "--out", "{tmp}/o"),
+                 "rank 5 needs parametrization 'low_rank'", id="rank-under-full"),
     pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--lambda", 1.5,
                       "--out", "{tmp}/o"),
                  "depolarizing strength must be in [0, 1]", id="lambda-out-of-range"),
@@ -201,7 +204,7 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     pytest.param({"plan.csv": PLAN_N2},
                  ("simulate", "--state", "w", "--n", 3, "--plan", "{tmp}/plan.csv",
                   "--out", "{tmp}/o"),
-                 "dimension mismatch: plan is for 2 qubits, state is (8,)",
+                 "dimension mismatch: plan is for 2 qubits, factor is (1, 8)",
                  id="simulate-plan-qubit-mismatch"),
     pytest.param({}, ("completeness", "--n", 7),
                  "Gram matrix for n=7 has order 4**7; the limit is n <= 6",
@@ -229,6 +232,15 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     pytest.param({"plan.csv": PLAN_N2 + "1,2,re,RR\n1,2,im,RR\n"},
                  ("settings", "--plan", "{tmp}/plan.csv"),
                  "plan.csv:8:", id="plan-word-mismatch"),
+    pytest.param({"plan.csv": PLAN_N2 + "1,2,re,RR\n"},
+                 ("simulate", "--state", "w", "--n", 2, "--plan", "{tmp}/plan.csv",
+                  "--out", "{tmp}/o"),
+                 "plan.csv:7: ElementIndex(i=1, j=2, part='re') has no 'im' row",
+                 id="plan-lone-re"),
+    pytest.param({"plan.csv": PLAN_N2 + "1,2,im,RD\n"},
+                 ("settings", "--plan", "{tmp}/plan.csv", "--out", "{tmp}/settings.csv"),
+                 "plan.csv:7: ElementIndex(i=1, j=2, part='im') has no 're' row",
+                 id="plan-lone-im"),
     pytest.param({"rho.json": '{"n_qubits": 1, "factor_re": [[1.0, 0.0], [0.0, NaN]], '
                               '"factor_im": [[0.0, 0.0], [0.0, 0.0]]}'},
                  ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),

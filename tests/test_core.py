@@ -11,6 +11,7 @@ from tqst.core import (
     STATE_LABELS,
     STATE_VECTORS,
     basis_word,
+    density,
     expectation,
     load_density,
     load_factor,
@@ -21,7 +22,7 @@ from tqst.core import (
     word_to_index,
 )
 from tqst.mle import read_counts_csv
-from tqst.simulator import density, w_state
+from tqst.simulator import w_state
 from tqst.threshold import read_diagonal_csv, read_plan_csv
 
 
@@ -84,23 +85,24 @@ def test_product_ket_rejects_empty_and_bad_letters():
 
 
 def test_expectation_maximally_mixed():
-    assert expectation(np.eye(2) / 2, "R") == pytest.approx(0.5)
+    assert expectation(np.eye(2) / np.sqrt(2), "R") == pytest.approx(0.5)
 
 
 def test_expectation_projector_onto_itself():
-    rho = np.outer(product_ket("H"), product_ket("H").conj())
-    assert expectation(rho, "H") == pytest.approx(1.0)
+    assert expectation(product_ket("H").conj()[None, :], "H") == pytest.approx(1.0)
 
 
 def test_expectation_w3_excitation_component():
-    assert expectation(density(w_state(3)), "HVH") == pytest.approx(1 / 3)
+    assert expectation(w_state(3), "HVH") == pytest.approx(1 / 3)
 
 
 def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError):
-        expectation(np.eye(4) / 4, "H")
-    with pytest.raises(ValueError, match=r"dimension mismatch: state is \(8,\)"):
+        expectation(np.eye(4) / 2, "H")
+    with pytest.raises(ValueError, match=r"dimension mismatch: factor is \(1, 8\)"):
         expectation(w_state(3), "HH")
+    with pytest.raises(ValueError, match=r"dimension mismatch: factor is \(2,\)"):
+        expectation(product_ket("H"), "H")  # a ket is not a factor
 
 
 def test_expectation_of_ket_matches_density():
@@ -108,10 +110,13 @@ def test_expectation_of_ket_matches_density():
     for n in range(1, 4):
         ket = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         ket /= np.linalg.norm(ket)
-        rho = density(ket)
+        factor = ket.conj()[None, :]
+        rho = density(factor)
         for letters in itertools.product(STATE_LABELS, repeat=n):
             word = "".join(letters)
-            assert abs(expectation(ket, word) - expectation(rho, word)) <= 1e-15, word
+            phi = product_ket(word)
+            dense = np.real(phi.conj() @ rho @ phi)
+            assert abs(expectation(factor, word) - dense) <= 1e-15, word
 
 
 def test_expectation_linear_in_rho():
@@ -119,15 +124,13 @@ def test_expectation_linear_in_rho():
     for _ in range(20):
         g1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         g2 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        r1 = g1 @ g1.conj().T
-        r2 = g2 @ g2.conj().T
-        r1 /= np.trace(r1).real
-        r2 /= np.trace(r2).real
+        f1 = g1.conj().T / np.linalg.norm(g1)  # rho_k = g_k g_k^H / tr(g_k g_k^H)
+        f2 = g2.conj().T / np.linalg.norm(g2)
         a = rng.uniform()
         word = "".join(rng.choice(list(STATE_LABELS), size=2))
-        mixed = a * r1 + (1 - a) * r2
+        mixed = np.vstack([np.sqrt(a) * f1, np.sqrt(1 - a) * f2])
         assert expectation(mixed, word) == pytest.approx(
-            a * expectation(r1, word) + (1 - a) * expectation(r2, word), abs=1e-10
+            a * expectation(f1, word) + (1 - a) * expectation(f2, word), abs=1e-10
         )
 
 
@@ -192,6 +195,11 @@ def test_load_density_rejects_malformed(tmp_path):
     path.write_text('{"n_qubits": 1, "factor_re": [[1.0, Infinity]], "factor_im": [[0, 0]]}')
     with pytest.raises(ValueError, match="non-finite"):
         load_density(path)
+    # neither a string nor a boolean is read as a number
+    for entries in ('[["1", "0"]]', "[[true, false]]"):
+        path.write_text(f'{{"n_qubits": 1, "factor_re": {entries}, "factor_im": [[0, 0]]}}')
+        with pytest.raises(ValueError, match="bad.json: .*not strings or booleans"):
+            load_density(path)
     # a dense matrix of the old format would otherwise load as a factor, giving rho^2
     path.write_text('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0, 0], [0, 0]]}')
     with pytest.raises(ValueError, match="bad.json: not a factored density-matrix"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import minimize
 
-from tqst.core import basis_word, expectation, product_ket, validate_density
+from tqst.core import basis_word, density, expectation, product_ket, validate_density
 from tqst.metrics import fidelity
 from tqst.mle import (
     EPSILON,
@@ -21,20 +21,21 @@ from tqst.mle import (
     write_counts_csv,
 )
 from tqst.projectors import build_projector_table
-from tqst.simulator import NoiseModel, density, sample_counts, w_state
+from tqst.simulator import NoiseModel, sample_counts, w_state
 from tqst.threshold import diagonal_plan, select_offdiagonal
 
 
-def exact_records(rho, n, shots=10**8):
+def exact_records(factor, n, shots=10**8):
     words = build_projector_table(n).words()
-    return [CountRecord(w, int(round(expectation(rho, w) * shots)), shots) for w in words]
+    return [CountRecord(w, int(round(expectation(factor, w) * shots)), shots) for w in words]
 
 
 def random_pure(rng, n):
+    """The 1 x 2**n factor of a random pure state."""
     dim = 2**n
     ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     ket /= np.linalg.norm(ket)
-    return np.outer(ket, ket.conj())
+    return ket.conj()[None, :]
 
 
 def identity_params(dim):
@@ -181,14 +182,14 @@ def test_objective_never_increases_along_descent():
 
 
 def test_reconstruct_w4_threshold_plan():
-    rho = density(w_state(4))
+    psi = w_state(4)
     exact = NoiseModel(sampling="exact")
-    _, diag = sample_counts(rho, diagonal_plan(4), 10**6, exact)
+    _, diag = sample_counts(psi, diagonal_plan(4), 10**6, exact)
     plan = select_offdiagonal(diag, 0.1)
-    records, _ = sample_counts(rho, plan, 10**6, exact)
+    records, _ = sample_counts(psi, plan, 10**6, exact)
     result = reconstruct(records, MleOptions(seed=1))
     assert result.converged
-    assert fidelity(result.rho, rho) >= 0.99
+    assert fidelity(result.rho, density(psi)) >= 0.99
 
 
 def test_reconstruct_basis_state_from_diagonal_only():
@@ -204,20 +205,19 @@ def test_reconstruct_basis_state_from_diagonal_only():
 
 
 def test_reconstruct_sampled_w3_regression():
-    rho = density(w_state(3))
+    psi = w_state(3)
     noise = NoiseModel(sampling="multinomial", seed=1)
-    _, diag = sample_counts(rho, diagonal_plan(3), 10**4, noise)
+    _, diag = sample_counts(psi, diagonal_plan(3), 10**4, noise)
     plan = select_offdiagonal(diag, 0.05)
-    records, _ = sample_counts(rho, plan, 10**4, noise)
+    records, _ = sample_counts(psi, plan, 10**4, noise)
     result = reconstruct(records, MleOptions(seed=1))
-    f = fidelity(result.rho, rho)
+    f = fidelity(result.rho, density(psi))
     assert f >= 0.98
     assert f == pytest.approx(0.9949842652977927, abs=1e-9)  # seeded regression: <psi|rho|psi>
 
 
 def test_reconstruct_deterministic_given_seed():
-    rho = density(w_state(2))
-    records = exact_records(rho, 2, shots=10**4)
+    records = exact_records(w_state(2), 2, shots=10**4)
     a = reconstruct(records, MleOptions(seed=42))
     b = reconstruct(records, MleOptions(seed=42))
     assert np.array_equal(a.rho, b.rho)
@@ -227,10 +227,10 @@ def test_reconstruct_deterministic_given_seed():
     ("full", 1, (8, 8)), ("low_rank", 2, (2, 8)),
 ])
 def test_result_factor_reproduces_rho(parametrization, rank, shape):
-    rho = density(w_state(3))
+    psi = w_state(3)
     noise = NoiseModel(0.05, "multinomial", seed=2)
-    _, diag = sample_counts(rho, diagonal_plan(3), 10**4, noise)
-    records, _ = sample_counts(rho, select_offdiagonal(diag, 0.05), 10**4, noise)
+    _, diag = sample_counts(psi, diagonal_plan(3), 10**4, noise)
+    records, _ = sample_counts(psi, select_offdiagonal(diag, 0.05), 10**4, noise)
     result = reconstruct(records, MleOptions(parametrization, rank, seed=2))
     f = result.factor
     assert f.shape == shape
@@ -250,18 +250,17 @@ def test_output_is_always_physical():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exact_data_consistency(n):
     rng = np.random.default_rng(30 + n)
-    rho = random_pure(rng, n)
-    records = exact_records(rho, n)
+    psi = random_pure(rng, n)
+    records = exact_records(psi, n)
     result = reconstruct(
         records, MleOptions(seed=n, gradient_tolerance=1e-9, max_iterations=20000)
     )
-    assert fidelity(result.rho, rho) >= 1 - 1e-6
+    assert fidelity(result.rho, density(psi)) >= 1 - 1e-6
 
 
 def test_full_and_low_rank_agree_on_pure_data():
     rng = np.random.default_rng(44)
-    rho = random_pure(rng, 2)
-    records = exact_records(rho, 2)
+    records = exact_records(random_pure(rng, 2), 2)
     full = reconstruct(records, MleOptions(seed=7, gradient_tolerance=1e-9, max_iterations=20000))
     low = reconstruct(
         records,
@@ -272,7 +271,7 @@ def test_full_and_low_rank_agree_on_pure_data():
 
 
 def test_reconstruct_requires_all_diagonal_projectors():
-    records = exact_records(density(w_state(2)), 2)
+    records = exact_records(w_state(2), 2)
     trimmed = [r for r in records if r.projector != "HV"]
     with pytest.raises(ValueError):
         reconstruct(trimmed)
@@ -284,8 +283,7 @@ def test_reconstruct_rejects_mixed_qubit_counts():
 
 
 def test_nonconvergence_is_flagged_not_raised():
-    rho = density(w_state(3))
-    records = exact_records(rho, 3, shots=10**4)
+    records = exact_records(w_state(3), 3, shots=10**4)
     result = reconstruct(records, MleOptions(seed=0, max_iterations=2))
     assert not result.converged
     assert validate_density(result.rho, 1e-6).ok

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tqst.core import ElementIndex, ResourceLimitError, STATE_LABELS, product_ket
+from tqst.core import ElementIndex, ResourceLimitError, STATE_LABELS, density, product_ket
 from tqst.mle import CountRecord
 from tqst.projectors import (
     build_projector_table,
@@ -14,7 +14,7 @@ from tqst.projectors import (
     psd_projection,
     quadrant_walk,
 )
-from tqst.simulator import density, w_state
+from tqst.simulator import w_state
 
 
 def test_two_qubit_offdiagonal_pair():
@@ -179,17 +179,17 @@ def test_completeness_cap():
         completeness_check(7)
 
 
-def exact_records(rho, n, shots=2**40):
+def exact_records(factor, n, shots=2**40):
     from tqst.core import expectation
 
     words = build_projector_table(n).words()
-    return [CountRecord(w, int(round(expectation(rho, w) * shots)), shots) for w in words]
+    return [CountRecord(w, int(round(expectation(factor, w) * shots)), shots) for w in words]
 
 
 def test_linear_inversion_recovers_basis_state():
-    rho = np.zeros((2, 2), dtype=complex)
-    rho[0, 0] = 1.0
-    out = linear_inversion(exact_records(rho, 1))
+    factor = np.array([[1.0, 0.0]], dtype=complex)
+    rho = density(factor)
+    out = linear_inversion(exact_records(factor, 1))
     assert np.max(np.abs(out - rho)) < 1e-10
 
 
@@ -198,7 +198,7 @@ def test_linear_inversion_recovers_w2():
     expected = np.zeros((4, 4))
     expected[np.ix_([1, 2], [1, 2])] = 0.5
     assert np.max(np.abs(rho - expected)) < 1e-12
-    out = linear_inversion(exact_records(rho, 2))
+    out = linear_inversion(exact_records(w_state(2), 2))
     assert np.max(np.abs(out - rho)) < 1e-10
 
 
@@ -207,21 +207,22 @@ def test_linear_inversion_identity_on_random_states(n):
     rng = np.random.default_rng(10 + n)
     for _ in range(3):
         g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        out = linear_inversion(exact_records(rho, n))
+        factor = g.conj().T / np.linalg.norm(g)  # rho = g g^H / tr(g g^H)
+        rho = density(factor)
+        out = linear_inversion(exact_records(factor, n))
         assert np.max(np.abs(out - rho)) < 1e-9
 
 
 def test_linear_inversion_sampled_maximally_mixed():
     rng = np.random.default_rng(99)
     shots = 10**4
-    rho = np.eye(2) / 2
+    factor = np.eye(2) / np.sqrt(2)
+    rho = density(factor)
     words = build_projector_table(1).words()
     from tqst.core import expectation
 
     records = [
-        CountRecord(w, int(rng.binomial(shots, expectation(rho, w))), shots) for w in words
+        CountRecord(w, int(rng.binomial(shots, expectation(factor, w))), shots) for w in words
     ]
     out = linear_inversion(records)
     # entrywise within 5 standard errors of a binomial proportion at p=1/2
@@ -230,7 +231,7 @@ def test_linear_inversion_sampled_maximally_mixed():
 
 
 def test_linear_inversion_requires_full_set():
-    records = exact_records(np.eye(2) / 2, 1)[:-1]
+    records = exact_records(np.eye(2) / np.sqrt(2), 1)[:-1]
     with pytest.raises(ValueError):
         linear_inversion(records)
 

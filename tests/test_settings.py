@@ -7,7 +7,7 @@ from tqst.core import expectation
 
 from tqst.projectors import build_projector_table
 from tqst.settings import read_settings_csv, setting_of, settings_for_plan, write_settings_csv
-from tqst.simulator import color_code_state, density, ghz_state
+from tqst.simulator import color_code_state, ghz_state, populations
 from tqst.threshold import DiagonalRecord, diagonal_plan, select_offdiagonal
 
 
@@ -20,10 +20,10 @@ def test_setting_of_letter_mapping():
 
 def test_correlator_ghz_zz():
     # <ZZ> is the parity-signed sum over the four projectors of setting ZZ
-    rho = density(ghz_state(2))
+    psi = ghz_state(2)
     words = ["".join(w) for w in itertools.product("HV", repeat=2)]
     assert all(setting_of(w) == "ZZ" for w in words)
-    correlator = sum((-1) ** w.count("V") * expectation(rho, w) for w in words)
+    correlator = sum((-1) ** w.count("V") * expectation(psi, w) for w in words)
     assert correlator == pytest.approx(1.0)
 
 
@@ -48,7 +48,7 @@ def test_color_code_settings_count():
 
 def test_color_code_settings_same_for_both_logical_states():
     def plan_for(logical):
-        diag = np.real(np.diag(density(color_code_state(logical))))
+        diag = populations(color_code_state(logical))
         counts = np.round(diag * 8).astype(np.int64) * 1250
         record = DiagonalRecord(counts=counts, shots=10**4)
         return select_offdiagonal(record, 0.01)

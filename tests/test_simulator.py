@@ -2,16 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tqst.core import expectation, validate_density
+from tqst import simulator
+from tqst.core import STATE_LABELS, density, expectation, product_ket, validate_density
 from tqst.metrics import purity
 from tqst.mle import CountRecord
 from tqst.simulator import (
     NoiseModel,
     apply_depolarizing,
     color_code_state,
-    density,
     ghz_state,
+    populations,
     random_filled_state,
     sample_counts,
     w_state,
@@ -114,7 +116,7 @@ def test_generators_emit_valid_densities(make):
 
 def test_exact_diagonal_sampling():
     records, diag = sample_counts(
-        np.eye(2) / 2, diagonal_plan(1), 10**4, NoiseModel(sampling="exact")
+        np.eye(2) / np.sqrt(2), diagonal_plan(1), 10**4, NoiseModel(sampling="exact")
     )
     assert diag.counts.tolist() == [5000, 5000]
     assert [r.observed for r in records] == [5000, 5000]
@@ -122,36 +124,37 @@ def test_exact_diagonal_sampling():
 
 def test_exact_diagonal_sampling_preserves_total():
     # probabilities of 1/3 cannot round independently without losing shots
-    _, diag = sample_counts(density(w_state(3)), diagonal_plan(3), 10**4,
+    _, diag = sample_counts(w_state(3), diagonal_plan(3), 10**4,
                             NoiseModel(sampling="exact"))
     assert diag.counts.sum() == 10**4
 
 
 def test_exact_offdiagonal_rounding():
-    rho = density(w_state(3))
     plan = select_offdiagonal(
         DiagonalRecord(np.array([0, 3334, 3333, 0, 3333, 0, 0, 0]), 10**4), 0.1
     )
-    records, _ = sample_counts(rho, plan, 10**4, NoiseModel(sampling="exact"))
+    records, _ = sample_counts(w_state(3), plan, 10**4, NoiseModel(sampling="exact"))
     by_word = {r.projector: r.observed for r in records}
     assert by_word["HVH"] == round(10**4 / 3)
 
 
 def test_exact_depolarized_counts_match_dense_mixture():
-    # the per-probability noise must count like sampling the dense mixture
-    rho = density(random_filled_state(4, 0.5, seed=5))
+    # the per-probability noise must count like sampling the mixture itself,
+    # given as the factor [sqrt(1 - lam) psi^H; sqrt(lam / d) I]
+    psi = random_filled_state(4, 0.5, seed=5)
+    mixture = np.vstack([np.sqrt(0.7) * psi, np.sqrt(0.3 / 16) * np.eye(16)])
+    assert np.allclose(density(mixture), apply_depolarizing(density(psi), 0.3), atol=1e-15)
     plan = select_offdiagonal(DiagonalRecord(np.full(16, 100), 1600), 0.0)
     shots = 10**5
-    records, diag = sample_counts(rho, plan, shots, NoiseModel(0.3, "exact"))
-    ref_records, ref_diag = sample_counts(apply_depolarizing(rho, 0.3), plan, shots,
-                                          NoiseModel(0.0, "exact"))
+    records, diag = sample_counts(psi, plan, shots, NoiseModel(0.3, "exact"))
+    ref_records, ref_diag = sample_counts(mixture, plan, shots, NoiseModel(0.0, "exact"))
     assert records == ref_records
     assert np.array_equal(diag.counts, ref_diag.counts)
 
 
 def test_multinomial_seeded_fixture():
     plan = select_offdiagonal(DiagonalRecord(np.array([0, 500, 500, 0]), 1000), 0.1)
-    records, diag = sample_counts(density(w_state(2)), plan, 1000,
+    records, diag = sample_counts(w_state(2), plan, 1000,
                                   NoiseModel(0.0, "multinomial", 123))
     assert diag.counts.tolist() == [0, 484, 516, 0]
     by_word = {r.projector: r.observed for r in records}
@@ -162,61 +165,114 @@ def test_multinomial_seeded_fixture():
 
 def test_multinomial_deterministic_per_seed():
     plan = diagonal_plan(3)
-    a = sample_counts(density(w_state(3)), plan, 5000, NoiseModel(0.1, "multinomial", 7))
-    b = sample_counts(density(w_state(3)), plan, 5000, NoiseModel(0.1, "multinomial", 7))
+    a = sample_counts(w_state(3), plan, 5000, NoiseModel(0.1, "multinomial", 7))
+    b = sample_counts(w_state(3), plan, 5000, NoiseModel(0.1, "multinomial", 7))
     assert a[0] == b[0]
     assert np.array_equal(a[1].counts, b[1].counts)
 
 
 def test_sampled_frequencies_converge():
-    rho = density(random_filled_state(4, 0.5, seed=20))
+    psi = random_filled_state(4, 0.5, seed=20)
     shots = 10**6
-    _, diag = sample_counts(rho, diagonal_plan(4), shots, NoiseModel(0, "multinomial", 21))
+    _, diag = sample_counts(psi, diagonal_plan(4), shots, NoiseModel(0, "multinomial", 21))
     plan = select_offdiagonal(diag, 0.02)
-    records, _ = sample_counts(rho, plan, shots, NoiseModel(0, "multinomial", 21))
+    records, _ = sample_counts(psi, plan, shots, NoiseModel(0, "multinomial", 21))
     for rec in records:
-        p = expectation(rho, rec.projector)
+        p = expectation(psi, rec.projector)
         se = np.sqrt(max(p * (1 - p), 1e-12) / shots)
         assert abs(rec.observed / shots - p) <= 5 * se + 1e-9
 
 
 def test_sample_counts_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        sample_counts(density(w_state(2)), diagonal_plan(3), 100)
-    for rho in (np.eye(3) / 3, np.eye(4)[:, :2] / 2):  # not 2**n x 2**n
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            sample_counts(rho, diagonal_plan(2), 100)
-    with pytest.raises(ValueError, match=r"plan is for 3 qubits, state is \(4,\)"):
         sample_counts(w_state(2), diagonal_plan(3), 100)
+    for factor in (np.eye(3) / np.sqrt(3), np.eye(4)[:, :2] / np.sqrt(2)):  # not r x 2**n
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sample_counts(factor, diagonal_plan(2), 100)
+    with pytest.raises(ValueError, match=r"plan is for 3 qubits, factor is \(1, 4\)"):
+        sample_counts(w_state(2), diagonal_plan(3), 100)
+    with pytest.raises(ValueError, match=r"plan is for 2 qubits, factor is \(4,\)"):
+        sample_counts(w_state(2)[0], diagonal_plan(2), 100)  # a ket is not a factor
 
 
-@pytest.mark.parametrize("ket", [
+@pytest.mark.parametrize("scale", [2.0, 3.0])
+def test_sample_counts_rejects_non_unit_trace(scale):
+    # the diagonal would be renormalized, the off-diagonal probabilities not
+    plan = select_offdiagonal(
+        DiagonalRecord(np.array([0, 3334, 3333, 0, 3333, 0, 0, 0]), 10**4), 0.1
+    )
+    with pytest.raises(ValueError, match=r"trace \|\|F\|\|_F\*\*2 = (4|9)\.0"):
+        sample_counts(scale * w_state(3), plan, 10**4, NoiseModel(sampling="exact"))
+
+
+def test_sample_counts_rejects_mixed_density_as_factor():
+    # a dense rho passed as a factor samples rho^2, whose trace is the purity
+    mixed = apply_depolarizing(density(w_state(3)), 0.3)
+    with pytest.raises(ValueError, match="trace"):
+        sample_counts(mixed, diagonal_plan(3), 100)
+    # a pure rho has rho^H rho = rho, so it samples the state itself
+    plan = select_offdiagonal(
+        DiagonalRecord(np.array([0, 3334, 3333, 0, 3333, 0, 0, 0]), 10**4), 0.1
+    )
+    pure = sample_counts(density(w_state(3)), plan, 10**4, NoiseModel(sampling="exact"))
+    assert pure[0] == sample_counts(w_state(3), plan, 10**4, NoiseModel(sampling="exact"))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       words=st.data())
+def test_factor_probabilities_match_dense_reference(n, r, seed, words):
+    rng = np.random.default_rng(seed)
+    factor = rng.normal(size=(r, 2**n)) + 1j * rng.normal(size=(r, 2**n))
+    factor /= np.linalg.norm(factor)
+    rho = density(factor)
+    assert np.max(np.abs(populations(factor) - np.real(np.diag(rho)))) <= 1e-14
+    for word in words.draw(st.lists(st.text(STATE_LABELS, min_size=n, max_size=n),
+                                    min_size=1, max_size=20)):
+        phi = product_ket(word)
+        assert abs(expectation(factor, word) - np.real(phi.conj() @ rho @ phi)) <= 1e-14
+
+
+def dense_reference(monkeypatch, rho):
+    """Make sample_counts read its probabilities off the dense ``rho``:
+    the diagonal, and the quadratic forms phi^H rho phi."""
+    monkeypatch.setattr(simulator, "populations", lambda factor: np.real(np.diag(rho)))
+
+    def quadratic_form(factor, word):
+        phi = product_ket(word)
+        return float(np.real(phi.conj() @ rho @ phi))
+
+    monkeypatch.setattr(simulator, "expectation", quadratic_form)
+
+
+@pytest.mark.parametrize("factor", [
     w_state(4), ghz_state(3), color_code_state(0), random_filled_state(4, 0.75, seed=3),
 ], ids=["w4", "ghz3", "color0", "random4"])
 @pytest.mark.parametrize("sampling", ["exact", "multinomial"])
 @pytest.mark.parametrize("lam", [0.0, 0.05])
-def test_sample_counts_ket_equals_density(ket, sampling, lam):
-    n = int(np.log2(ket.size))
+def test_sample_counts_ket_equals_density(monkeypatch, factor, sampling, lam):
+    n = factor.shape[1].bit_length() - 1
     noise = NoiseModel(lam, sampling, seed=9)
-    _, diag = sample_counts(ket, diagonal_plan(n), 2000, noise)
+    _, diag = sample_counts(factor, diagonal_plan(n), 2000, noise)
     plan = select_offdiagonal(diag, 0.01)
     assert plan.offdiagonal_pairs()
-    from_ket, diag_ket = sample_counts(ket, plan, 2000, noise)
-    from_rho, diag_rho = sample_counts(density(ket), plan, 2000, noise)
-    assert from_ket == from_rho
-    assert np.array_equal(diag_ket.counts, diag_rho.counts)
+    from_factor, diag_factor = sample_counts(factor, plan, 2000, noise)
+    dense_reference(monkeypatch, density(factor))
+    from_rho, diag_rho = sample_counts(factor, plan, 2000, noise)
+    assert from_factor == from_rho
+    assert np.array_equal(diag_factor.counts, diag_rho.counts)
 
 
 def test_sampling_from_ket_needs_no_dense_state():
-    # the dense rho of n = 12 alone is 256 MiB; sampling from the ket should
-    # stay linear in 2**n
-    ket = w_state(12)
+    # the dense rho of n = 12 alone is 256 MiB; sampling from the 1 x 2**n
+    # factor should stay linear in 2**n
+    factor = w_state(12)
     noise = NoiseModel(0.05, "multinomial", seed=42)
     tracemalloc.start()
     try:
-        _, diag = sample_counts(ket, diagonal_plan(12), 10000, noise)
+        _, diag = sample_counts(factor, diagonal_plan(12), 10000, noise)
         plan = select_offdiagonal(diag, 0.038)
-        records, _ = sample_counts(ket, plan, 10000, noise)
+        records, _ = sample_counts(factor, plan, 10000, noise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -234,13 +290,13 @@ def test_noise_model_validation():
 def test_diagonal_record_counts_match_records():
     # the embedded diagonal CountRecords come from the same multinomial draw
     plan = diagonal_plan(2)
-    records, diag = sample_counts(density(w_state(2)), plan, 2000,
+    records, diag = sample_counts(w_state(2), plan, 2000,
                                   NoiseModel(0.05, "multinomial", 3))
     assert [r.observed for r in records] == diag.counts.tolist()
 
 
 def test_count_records_are_well_formed():
-    records, _ = sample_counts(density(ghz_state(2)), diagonal_plan(2), 100, NoiseModel())
+    records, _ = sample_counts(ghz_state(2), diagonal_plan(2), 100, NoiseModel())
     for rec in records:
         assert isinstance(rec, CountRecord)
         assert 0 <= rec.observed <= rec.shots

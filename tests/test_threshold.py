@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tqst.core import validate_word
-from tqst.simulator import NoiseModel, density, sample_counts, w_state
+from tqst.simulator import NoiseModel, populations, sample_counts, w_state
 from tqst.threshold import (
     DiagonalRecord,
     diagonal_plan,
@@ -156,10 +156,10 @@ def test_estimate_threshold_arithmetic_fixture():
 
 
 def test_estimate_threshold_w4_synthetic_runs():
-    rho = density(w_state(4))
-    ideal = np.real(np.diag(rho))
+    psi = w_state(4)
+    ideal = populations(psi)
     runs = [
-        sample_counts(rho, diagonal_plan(4), 10**4, NoiseModel(0.02, "multinomial", 500 + r))[1]
+        sample_counts(psi, diagonal_plan(4), 10**4, NoiseModel(0.02, "multinomial", 500 + r))[1]
         for r in range(100)
     ]
     est = estimate_threshold(ideal, runs, 4)
