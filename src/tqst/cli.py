@@ -34,18 +34,21 @@ def _target_factor(state: str, n: int | None, filling: float, seed: int | None) 
     return {"w": simulator.w_state, "ghz": simulator.ghz_state}[state](n), n
 
 
-def _check_threshold(spec: str, run_files) -> float | None:
+def _check_threshold(spec: str, run_files, ideal_file=None) -> float | None:
     """The numeric threshold in [0, 1], or None for 'auto' with at least two
-    replicas; anything else raises before a command samples or writes."""
+    replicas; anything else, or replicas or an ideal diagonal that a numeric
+    threshold would ignore, raises before a command samples or writes."""
     if spec == "auto":
         if len(run_files) < 2:
             raise ValueError("--threshold auto needs at least two --run-file replicas")
         return None
+    if run_files or ideal_file is not None:
+        raise ValueError("--run-file and --ideal are read only with --threshold auto")
     return threshold.check_threshold(float(spec))
 
 
-def _resolve_threshold(spec: str, ideal_diag, run_files, n: int) -> tuple[float, dict | None]:
-    t = _check_threshold(spec, run_files)
+def _resolve_threshold(t: float | None, ideal_diag, run_files, n: int) -> tuple[float, dict | None]:
+    """A checked numeric threshold as it is, or the estimate for 'auto' (None)."""
     if t is not None:
         return t, None
     if ideal_diag is None:
@@ -95,7 +98,7 @@ filling_option = click.option(
     help="Diagonal filling fraction for --state random.",
 )
 seed_option = click.option(
-    "--seed", type=int, default=None, envvar="TQST_SEED",
+    "--seed", type=click.IntRange(min=0), default=None, envvar="TQST_SEED",
     help="Seed for all randomness (default: TQST_SEED).",
 )
 lambda_option = click.option(
@@ -148,14 +151,16 @@ def cli():
 def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
         parametrization, rank, max_iterations, gradient_tolerance, out):
     """Full pipeline: diagonal, threshold, plan, measurements, reconstruction."""
-    _check_threshold(threshold_spec, run_files)
+    t = _check_threshold(threshold_spec, run_files)
+    # drawn once: both sampling calls share it, and the summary reports it
+    seed = np.random.SeedSequence(seed).entropy
     target, n = _target_factor(state, n, filling, seed)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
     options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
     # the estimate needs only the ideal diagonal and the replicas, so
     # unreadable or wrong-length replicas fail before --out is created
     ideal = simulator.populations(target)
-    t, estimate_info = _resolve_threshold(threshold_spec, ideal, run_files, n)
+    t, estimate_info = _resolve_threshold(t, ideal, run_files, n)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -180,8 +185,8 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     report = _fidelity_report(result.factor, target)
     p = diag_record.probabilities()
     report["fidelity_bound"] = metrics.fidelity_bound(p, t, report["rank_target"])
-    min_kept_bound = min((float(bound[keep].min()) for _, bound, keep
-                          in threshold.pair_rows(p, t) if keep.any()), default=None)
+    min_kept_bound = min((float(np.sqrt(p[i] * p[j])) for i, j in plan.offdiagonal_pairs()),
+                         default=None)
     (outdir / "fidelity.json").write_text(json.dumps(report, indent=2))
 
     _emit({
@@ -245,11 +250,12 @@ def simulate(state, n, filling, lam, shots, seed, exact, plan_file, out):
 @click.option("--out", type=click.Path(dir_okay=False), default="plan.csv", show_default=True)
 def plan(diagonal_file, threshold_spec, ideal_file, run_files, out):
     """Select off-diagonal measurements from a measured diagonal."""
+    t = _check_threshold(threshold_spec, run_files, ideal_file)
     diag_record = threshold.read_diagonal_csv(diagonal_file)
     ideal = None
     if ideal_file is not None:
         ideal = threshold.read_diagonal_csv(ideal_file).probabilities()
-    t, estimate_info = _resolve_threshold(threshold_spec, ideal, run_files, diag_record.n)
+    t, estimate_info = _resolve_threshold(t, ideal, run_files, diag_record.n)
     selected = threshold.select_offdiagonal(diag_record, t)
     threshold.write_plan_csv(out, selected)
     _emit({

@@ -86,13 +86,6 @@ def basis_word(index: int, n: int) -> str:
     return "".join("HV"[int(b)] for b in format(index, f"0{n}b"))
 
 
-def word_to_index(word: str) -> int:
-    """Inverse of :func:`basis_word`; only valid for words over H and V."""
-    if set(word) - {"H", "V"}:
-        raise ValueError(f"{word!r} is not a computational-basis word")
-    return int("".join("01"[c == "V"] for c in word), 2)
-
-
 def product_ket(word: str) -> np.ndarray:
     """Tensor product of single-qubit amplitudes, first letter most significant.
 

@@ -20,12 +20,13 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize
 
-from .core import basis_word, density, product_ket, read_table, validate_word, word_to_index, write_table
+from .core import basis_word, density, product_ket, read_table, validate_word, write_table
 
 EPSILON = 1e-9  # relative floor for model counts n_K
 JITTER = 1e-3  # scale of the random start off the measured diagonal
@@ -106,7 +107,6 @@ class _Bundle:
                 raise ValueError("records mix qubit counts")
         self.n = n
         self.dim = 2**n
-        self.words = [rec.projector for rec in records]
         columns, values = [], []
         for rec in records:
             ket = product_ket(rec.projector)
@@ -123,42 +123,44 @@ class _Bundle:
         self.shots = np.array([rec.shots for rec in records], dtype=float)
 
 
-def _param_count(dim: int, options: MleOptions) -> int:
-    if options.parametrization == "full":
-        return dim * dim
-    return 2 * options.rank * dim
+class _Layout(NamedTuple):
+    """How F is packed into real parameters: its entries at the flat positions
+    ``real`` first, then those at ``complex`` as (re, im) pairs; the rest are zero."""
+
+    shape: tuple[int, int]
+    real: np.ndarray
+    complex: np.ndarray | slice
+    size: int
 
 
-def _build_factor(params: np.ndarray, dim: int, options: MleOptions) -> np.ndarray:
-    if params.size != _param_count(dim, options):
-        raise ValueError(
-            f"expected {_param_count(dim, options)} parameters, got {params.size}"
-        )
+def _layout(dim: int, options: MleOptions) -> _Layout:
+    """``full``: the real diagonal, then the strict upper triangle in
+    row-major order.  ``low_rank``: every entry of the r x dim factor."""
     if options.parametrization == "full":
-        f = np.zeros((dim, dim), dtype=complex)
-        f[np.diag_indices(dim)] = params[:dim]
         rows, cols = np.triu_indices(dim, 1)
-        f[rows, cols] = params[dim::2] + 1j * params[dim + 1 :: 2]
-        return f
-    v = params[0::2] + 1j * params[1::2]
-    return v.reshape(options.rank, dim)
+        return _Layout((dim, dim), np.arange(dim) * (dim + 1), rows * dim + cols, dim * dim)
+    return _Layout((options.rank, dim), np.arange(0), slice(None), 2 * options.rank * dim)
 
 
-def _factor_params(f: np.ndarray, dim: int, options: MleOptions) -> np.ndarray:
-    out = np.empty(_param_count(dim, options))
-    if options.parametrization == "full":
-        out[:dim] = f[np.diag_indices(dim)].real
-        rows, cols = np.triu_indices(dim, 1)
-        out[dim::2] = f[rows, cols].real
-        out[dim + 1 :: 2] = f[rows, cols].imag
-    else:
-        out[0::2] = f.real.ravel()
-        out[1::2] = f.imag.ravel()
-    return out
+def _build_factor(params: np.ndarray, layout: _Layout) -> np.ndarray:
+    if params.size != layout.size:
+        raise ValueError(f"expected {layout.size} parameters, got {params.size}")
+    k = layout.real.size
+    f = np.zeros(layout.shape[0] * layout.shape[1], dtype=complex)
+    f[layout.real] = params[:k]
+    # a complex128 array is its (re, im) float64 pairs in memory
+    f[layout.complex] = params[k:].view(complex)
+    return f.reshape(layout.shape)
 
 
-def _evaluate(params, bundle, options, want_gradient):
-    f = _build_factor(np.asarray(params, dtype=float), bundle.dim, options)
+def _factor_params(f: np.ndarray, layout: _Layout) -> np.ndarray:
+    flat = np.ascontiguousarray(f).reshape(-1)
+    return np.concatenate((flat[layout.real].real, flat[layout.complex].view(float)))
+
+
+def _evaluate(params, bundle, layout):
+    """The likelihood and its gradient with respect to the parameters."""
+    f = _build_factor(np.ascontiguousarray(params, dtype=float), layout)
     tau = float(np.real(np.vdot(f, f)))
     if tau <= 0.0 or not math.isfinite(tau):
         raise ValueError("all-zero parameters: trace normalization undefined")
@@ -171,8 +173,6 @@ def _evaluate(params, bundle, options, want_gradient):
     floored = model < floor
     n_eff = np.where(floored, floor, model)
     value = float(np.sum((n_eff - bundle.observed) ** 2 / (4.0 * n_eff)))
-    if not want_gradient:
-        return value, None
 
     dldn = 0.25 * (1.0 - (bundle.observed / n_eff) ** 2)
     dldn[floored] = 0.0  # flat region of the floor
@@ -180,55 +180,47 @@ def _evaluate(params, bundle, options, want_gradient):
     c = (bundle.kets_h @ (w * alpha[:, None])).T
     scale = float(np.sum(alpha * u) / tau)
     # packing the complex factor-space gradient reuses the parameter layout
-    return value, _factor_params(2.0 * (c - scale * f), bundle.dim, options)
+    return value, _factor_params(2.0 * (c - scale * f), layout)
 
 
 def likelihood(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions()) -> float:
     """Gaussian negative log-likelihood of the parametrized state."""
-    value, _ = _evaluate(params, _Bundle(records), options, want_gradient=False)
-    return value
+    bundle = _Bundle(records)
+    return _evaluate(params, bundle, _layout(bundle.dim, options))[0]
 
 
 def gradient(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions()) -> np.ndarray:
     """Analytic gradient of :func:`likelihood` with respect to the parameters."""
-    _, grad = _evaluate(params, _Bundle(records), options, want_gradient=True)
-    return grad
+    bundle = _Bundle(records)
+    return _evaluate(params, bundle, _layout(bundle.dim, options))[1]
 
 
-def _initial_params(bundle: _Bundle, options: MleOptions) -> np.ndarray:
+def _initial_params(bundle: _Bundle, layout: _Layout, options: MleOptions) -> np.ndarray:
     """Start from the measured diagonal, with jitter to break the saddle at
-    exactly-diagonal points."""
-    dim = bundle.dim
-    n = bundle.n
-    probs = np.full(dim, -1.0)
-    for k, word in enumerate(bundle.words):
-        idx = _diag_index(word, n)
-        if idx is not None:
-            probs[idx] = bundle.observed[k] / bundle.shots[k]
+    exactly-diagonal points.  The diagonal records are the kets with one nonzero:
+    an H/V word is a basis state, and each D/A/R/L letter doubles the support."""
+    kets = bundle.kets
+    basis = np.flatnonzero(np.diff(kets.indptr) == 1)
+    probs = np.full(bundle.dim, -1.0)
+    probs[kets.indices[kets.indptr[basis]]] = bundle.observed[basis] / bundle.shots[basis]
     if (probs < 0).any():
         missing = int(np.flatnonzero(probs < 0)[0])
         raise ValueError(
-            f"records must include all {dim} diagonal projectors; "
-            f"missing {basis_word(missing, n)!r}"
+            f"records must include all {bundle.dim} diagonal projectors; "
+            f"missing {basis_word(missing, bundle.n)!r}"
         )
     amp = np.sqrt(np.maximum(probs, EPSILON))
-    rng = np.random.default_rng(options.seed)
+    f = np.zeros(layout.shape, dtype=complex)
     if options.parametrization == "full":
-        f = np.zeros((dim, dim), dtype=complex)
-        f[np.diag_indices(dim)] = amp
-        params = _factor_params(f, dim, options)
-        params[dim:] = rng.normal(scale=JITTER, size=params.size - dim)
-        return params
-    v = np.zeros((options.rank, dim), dtype=complex)
-    v[0] = amp
-    params = _factor_params(v, dim, options)
-    return params + rng.normal(scale=JITTER, size=params.size)
-
-
-def _diag_index(word: str, n: int) -> int | None:
-    if set(word) <= {"H", "V"} and len(word) == n:
-        return word_to_index(word)
-    return None
+        np.fill_diagonal(f, amp)
+        jittered = slice(layout.real.size, None)  # the off-diagonal parameters
+    else:
+        f[0] = amp
+        jittered = slice(None)
+    params = _factor_params(f, layout)
+    rng = np.random.default_rng(options.seed)
+    params[jittered] += rng.normal(scale=JITTER, size=params[jittered].size)
+    return params
 
 
 def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) -> ReconstructionResult:
@@ -240,14 +232,12 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
     """
     start = time.perf_counter()
     bundle = _Bundle(records)
-    x0 = _initial_params(bundle, options)
-
-    def fun(x):
-        return _evaluate(x, bundle, options, want_gradient=True)
-
+    layout = _layout(bundle.dim, options)
+    x0 = _initial_params(bundle, layout, options)
     res = minimize(
-        fun,
+        _evaluate,
         x0,
+        args=(bundle, layout),
         jac=True,
         method="L-BFGS-B",
         options={
@@ -257,7 +247,7 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
             "ftol": 1e-16,
         },
     )
-    f = _build_factor(res.x, bundle.dim, options)
+    f = _build_factor(res.x, layout)
     gnorm = float(np.linalg.norm(res.jac))
     return ReconstructionResult(
         factor=f / math.sqrt(np.real(np.vdot(f, f))),

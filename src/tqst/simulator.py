@@ -142,8 +142,9 @@ def sample_counts(
     probabilities of the noisy state and reported both as a DiagonalRecord and
     as one CountRecord per diagonal target.  Every off-diagonal target is a
     binomial with its projector expectation as success probability.  Each
-    target draws from its own spawned random stream, so results are
-    reproducible per seed independent of evaluation order.
+    target draws from its own random stream, the child of the seed that
+    ``SeedSequence.spawn`` would give it, so results are reproducible per
+    seed independent of evaluation order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -158,11 +159,15 @@ def sample_counts(
 
     p_diag = np.clip((1.0 - lam) * p_state + lam / dim, 0.0, None)
     p_diag = p_diag / p_diag.sum()
-    streams = np.random.SeedSequence(noise.seed).spawn(len(plan.targets) + 1)
+    entropy = np.random.SeedSequence(noise.seed).entropy
+
+    def stream(k: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
+
     if noise.sampling == "exact":
         diag_counts = _exact_multinomial(p_diag, shots)
     else:
-        diag_counts = np.random.default_rng(streams[0]).multinomial(shots, p_diag)
+        diag_counts = stream(0).multinomial(shots, p_diag)
 
     records = []
     for t, (idx, word) in enumerate(plan.targets):
@@ -173,6 +178,6 @@ def sample_counts(
         if noise.sampling == "exact":
             observed = int(round(q * shots))
         else:
-            observed = int(np.random.default_rng(streams[t + 1]).binomial(shots, q))
+            observed = int(stream(t + 1).binomial(shots, q))
         records.append(CountRecord(word, observed, shots))
     return records, DiagonalRecord(counts=diag_counts, shots=shots)

@@ -19,7 +19,7 @@ from tqst.metrics import (
     numerical_rank,
     truncate_below_threshold,
 )
-from tqst.mle import CountRecord, MleOptions, gradient, likelihood, reconstruct, _param_count
+from tqst.mle import CountRecord, MleOptions, gradient, likelihood, reconstruct, _layout
 from tqst.projectors import (
     build_projector_table,
     completeness_check,
@@ -207,7 +207,7 @@ def test_criterion_8_mle_numerics():
         words = build_projector_table(n).words()
         records = [CountRecord(w, int(rng.integers(50, 950)), 1000) for w in words]
         options = MleOptions()
-        x = rng.normal(size=_param_count(dim, options))
+        x = rng.normal(size=_layout(dim, options).size)
         analytic = gradient(x, records, options)
         fd = np.empty_like(analytic)
         for i in range(x.size):

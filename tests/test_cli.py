@@ -181,6 +181,20 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
                   "--run-file", "{tmp}/ghz2.csv", "--out", "{tmp}/plan.csv"),
                  "ideal diagonal has 4 entries, a 3-qubit diagonal has 8",
                  id="auto-plan-qubit-mismatch"),
+    pytest.param({"diag.csv": DIAG_N3},
+                 ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--exact", "--seed", 1,
+                  "--run-file", "{tmp}/diag.csv", "--out", "{tmp}/o"),
+                 "--run-file and --ideal are read only with --threshold auto",
+                 id="numeric-threshold-replica"),
+    pytest.param({"diag.csv": DIAG_N3},
+                 ("plan", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1,
+                  "--ideal", "{tmp}/diag.csv", "--run-file", "{tmp}/diag.csv",
+                  "--out", "{tmp}/plan.csv"),
+                 "--run-file and --ideal are read only with --threshold auto",
+                 id="numeric-threshold-plan-ideal"),
+    pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--seed", -1,
+                      "--out", "{tmp}/o"),
+                 "-1 is not in the range x>=0", id="negative-seed"),
     pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--parametrization",
                       "low_rank", "--rank", 0, "--out", "{tmp}/o"),
                  "rank must be >= 1", id="rank-zero"),
@@ -280,6 +294,25 @@ def test_seed_environment_variable(tmp_path):
               "--seed", 77, "--out", flag_out)
     assert r1.returncode == r2.returncode == 0
     assert (env_out / "counts.csv").read_text() == (flag_out / "counts.csv").read_text()
+
+
+def test_unseeded_run_reports_a_replayable_seed(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "TQST_SEED"}
+    args = ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--lambda", 0.05)
+    first = tqst(*args, "--out", tmp_path / "a", env=env)
+    assert first.returncode == 0, first.stderr
+    seed = json.loads(first.stdout)["seed"]
+    assert isinstance(seed, int) and seed >= 0
+    # the plan was made from the same diagonal that the fit sees
+    diag = read_diagonal_csv(tmp_path / "a" / "diagonal.csv")
+    records = read_counts_csv(tmp_path / "a" / "counts.csv")
+    assert [rec.observed for rec in records[:8]] == diag.counts.tolist()
+    replay = tqst(*args, "--seed", seed, "--out", tmp_path / "b", env=env)
+    assert replay.returncode == 0, replay.stderr
+    assert json.loads(replay.stdout)["seed"] == seed
+    for name in ("diagonal.csv", "plan.csv", "counts.csv", "settings.csv", "rho.json",
+                 "fidelity.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_colorcode_run_summary(tmp_path):

@@ -13,7 +13,8 @@ from tqst.mle import (
     _build_factor,
     _evaluate,
     _factor_params,
-    _param_count,
+    _initial_params,
+    _layout,
     gradient,
     likelihood,
     read_counts_csv,
@@ -83,7 +84,7 @@ def test_gradient_matches_finite_differences(options):
     rng = np.random.default_rng(12)
     words = build_projector_table(2).words()
     records = [CountRecord(w, int(rng.integers(100, 900)), 1000) for w in words]
-    size = _param_count(4, options)
+    size = _layout(4, options).size
     for _ in range(5):
         x = rng.normal(size=size)
         analytic = gradient(x, records, options)
@@ -103,7 +104,8 @@ def dense_evaluate(params, records, options):
     observed = np.array([rec.observed for rec in records], dtype=float)
     shots = np.array([rec.shots for rec in records], dtype=float)
     dim = kets.shape[1]
-    f = _build_factor(params, dim, options)
+    layout = _layout(dim, options)
+    f = _build_factor(params, layout)
     tau = np.vdot(f, f).real
     w = kets @ f.T
     u = np.sum(np.abs(w) ** 2, axis=1)
@@ -114,7 +116,7 @@ def dense_evaluate(params, records, options):
     dldn = np.where(floored, 0.0, 0.25 * (1.0 - (observed / n_eff) ** 2))
     alpha = dldn * shots / tau
     c = (w * alpha[:, None]).T @ kets.conj()
-    grad = _factor_params(2.0 * (c - np.sum(alpha * u) / tau * f), dim, options)
+    grad = _factor_params(2.0 * (c - np.sum(alpha * u) / tau * f), layout)
     return value, grad, kets, int(floored.sum())
 
 
@@ -128,12 +130,13 @@ def test_sparse_kernel_matches_dense_reference(n, options):
     observed[rng.random(len(words)) < 0.2] = 0
     records = [CountRecord(w, int(k), 1000) for w, k in zip(words, observed)]
     # a tiny column of F puts <P rho P> of basis state 1 under the floor
-    f = _build_factor(rng.normal(size=_param_count(dim, options)), dim, options)
+    layout = _layout(dim, options)
+    f = _build_factor(rng.normal(size=layout.size), layout)
     f[:, 1] *= 1e-6
-    params = _factor_params(f, dim, options)
+    params = _factor_params(f, layout)
 
     bundle = _Bundle(records)
-    value, grad = _evaluate(params, bundle, options, want_gradient=True)
+    value, grad = _evaluate(params, bundle, layout)
     ref_value, ref_grad, kets, floored = dense_evaluate(params, records, options)
     assert floored > 0
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
@@ -141,6 +144,38 @@ def test_sparse_kernel_matches_dense_reference(n, options):
     assert np.array_equal(bundle.kets.toarray(), kets)
     superposed = np.array([sum(w.count(c) for c in "DARL") for w in words])
     assert np.array_equal(np.diff(bundle.kets.indptr), 2**superposed)
+
+
+@pytest.mark.parametrize("options", [MleOptions()] + [
+    MleOptions(parametrization="low_rank", rank=r) for r in (1, 2, 3)
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_layout_roundtrip(n, options):
+    rng = np.random.default_rng(50 + n)
+    dim = 2**n
+    layout = _layout(dim, options)
+    x = rng.normal(size=layout.size)
+    f = _build_factor(x, layout)
+    assert f.shape == ((dim, dim) if options.parametrization == "full" else (options.rank, dim))
+    assert np.array_equal(_factor_params(f, layout), x)
+    if options.parametrization == "full":
+        assert np.array_equal(np.diag(f).imag, np.zeros(dim))
+        assert np.array_equal(np.tril(f, -1), np.zeros((dim, dim)))
+
+
+@pytest.mark.parametrize("options", [MleOptions(seed=4),
+                                     MleOptions(parametrization="low_rank", rank=2, seed=4)])
+def test_start_reads_diagonal_from_any_record_order(options):
+    rng = np.random.default_rng(16)
+    words = build_projector_table(3).words()
+    records = [CountRecord(w, int(rng.integers(0, 1001)), 1000) for w in sorted(words)]
+    shuffled = [records[k] for k in rng.permutation(len(records))]
+    layout = _layout(8, options)
+    start = _initial_params(_Bundle(records), layout, options)
+    assert np.array_equal(_initial_params(_Bundle(shuffled), layout, options), start)
+    trimmed = [r for r in shuffled if r.projector != "VHV"]
+    with pytest.raises(ValueError, match="missing 'VHV'"):
+        _initial_params(_Bundle(trimmed), layout, options)
 
 
 def test_gradient_vanishes_at_exact_fit():
