@@ -79,11 +79,14 @@ def validate_word(word: str) -> str:
     return word
 
 
+_BITS_TO_HV = str.maketrans("01", "HV")
+
+
 def basis_word(index: int, n: int) -> str:
     """Computational-basis word for ``index``: bit 0 -> H, bit 1 -> V."""
     if not 0 <= index < 2**n:
         raise ValueError(f"index {index} out of range for {n} qubits")
-    return "".join("HV"[int(b)] for b in format(index, f"0{n}b"))
+    return format(index, f"0{n}b").translate(_BITS_TO_HV)
 
 
 def product_ket(word: str) -> np.ndarray:

@@ -23,8 +23,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import minimize
 
 from .core import basis_word, density, product_ket, read_table, validate_word, write_table
 
@@ -105,6 +103,8 @@ class _Bundle:
         for rec in records:
             if len(rec.projector) != n:
                 raise ValueError("records mix qubit counts")
+        from scipy import sparse  # loaded at the first fit, not at import
+
         self.n = n
         self.dim = 2**n
         columns, values = [], []
@@ -221,6 +221,15 @@ def _initial_params(bundle: _Bundle, layout: _Layout, options: MleOptions) -> np
     rng = np.random.default_rng(options.seed)
     params[jittered] += rng.normal(scale=JITTER, size=params[jittered].size)
     return params
+
+
+def minimize(fun, x0, *args, **kwargs):
+    """scipy's ``minimize``, imported on the first call so that importing tqst
+    does not load scipy.  :func:`reconstruct` calls it through this module's
+    global, the hook a tracer can replace."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, *args, **kwargs)
 
 
 def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) -> ReconstructionResult:

@@ -18,15 +18,19 @@ from tqst.threshold import read_diagonal_csv, read_plan_csv
 SOURCE_DIR = str(Path(package.__file__).resolve().parents[1])
 
 
-def tqst(*args, env=None):
+def python(*args, env=None):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SOURCE_DIR, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "tqst.cli", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def tqst(*args, env=None):
+    return python("-m", "tqst.cli", *args, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +317,75 @@ def test_unseeded_run_reports_a_replayable_seed(tmp_path):
     for name in ("diagonal.csv", "plan.csv", "counts.csv", "settings.csv", "rho.json",
                  "fidelity.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_unseeded_simulate_and_reconstruct_report_a_replayable_seed(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "TQST_SEED"}
+    args = ("simulate", "--state", "w", "--n", 2, "--lambda", 0.1, "--shots", 1000)
+    first = tqst(*args, "--out", tmp_path / "a", env=env)
+    assert first.returncode == 0, first.stderr
+    seed = json.loads(first.stdout)["seed"]
+    assert isinstance(seed, int) and seed >= 0
+    replay = tqst(*args, "--seed", seed, "--out", tmp_path / "b", env=env)
+    assert replay.returncode == 0, replay.stderr
+    assert json.loads(replay.stdout)["seed"] == seed
+    for name in ("diagonal.csv", "counts.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    counts = tmp_path / "a" / "counts.csv"
+    first = tqst("reconstruct", "--counts", counts, "--out", tmp_path / "c", env=env)
+    assert first.returncode == 0, first.stderr
+    seed = json.loads(first.stdout)["seed"]
+    assert isinstance(seed, int) and seed >= 0
+    replay = tqst("reconstruct", "--counts", counts, "--seed", seed, "--out", tmp_path / "d",
+                  env=env)
+    assert replay.returncode == 0, replay.stderr
+    assert json.loads(replay.stdout)["seed"] == seed
+    assert (tmp_path / "c" / "rho.json").read_bytes() == (tmp_path / "d" / "rho.json").read_bytes()
+
+
+# Runs in a fresh interpreter: this test module's own imports may load scipy.
+SCIPY_GUARD = """
+import json, sys
+from pathlib import Path
+
+import tqst, tqst.cli
+from tqst import core, simulator
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+def tqst_cli(*args):
+    tqst.cli.cli.main([str(a) for a in args], standalone_mode=False)
+
+out = Path(sys.argv[1])
+seen = {"import": scipy_loaded()}
+tqst_cli("simulate", "--state", "w", "--n", 3, "--exact", "--seed", 1, "--out", out / "ideal")
+for k in range(2):
+    tqst_cli("simulate", "--state", "w", "--n", 3, "--lambda", 0.05, "--seed", 10 + k,
+             "--out", out / f"replica{k}")
+tqst_cli("plan", "--diagonal", out / "replica0" / "diagonal.csv", "--threshold", "auto",
+         "--ideal", out / "ideal" / "diagonal.csv", "--run-file", out / "replica0" / "diagonal.csv",
+         "--run-file", out / "replica1" / "diagonal.csv", "--out", out / "plan.csv")
+tqst_cli("simulate", "--state", "w", "--n", 3, "--seed", 1, "--plan", out / "plan.csv",
+         "--out", out / "measured")
+tqst_cli("bound", "--diagonal", out / "ideal" / "diagonal.csv", "--threshold", 0.1)
+tqst_cli("settings", "--plan", out / "plan.csv", "--out", out / "settings.csv")
+core.save_density(out / "w3.json", simulator.w_state(3))
+tqst_cli("fidelity", out / "w3.json", out / "w3.json")
+tqst_cli("completeness", "--n", 2)
+seen["commands"] = scipy_loaded()
+tqst_cli("reconstruct", "--counts", out / "measured" / "counts.csv", "--seed", 1, "--out", out)
+seen["reconstruct"] = scipy_loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_fit_loads_scipy(tmp_path):
+    r = python("-c", SCIPY_GUARD, tmp_path)
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout.splitlines()[-1])
+    assert seen == {"import": False, "commands": False, "reconstruct": True}
 
 
 def test_colorcode_run_summary(tmp_path):

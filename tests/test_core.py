@@ -252,6 +252,15 @@ def test_basis_word_and_index_roundtrip():
         assert np.array_equal(np.flatnonzero(product_ket(basis_word(k, 4))), [k])
 
 
+def test_basis_word_matches_per_bit_formula():
+    for n in range(1, 11):
+        for k in range(2**n):
+            assert basis_word(k, n) == "".join("HV"[int(b)] for b in format(k, f"0{n}b"))
+    for k in (-1, 2**3):
+        with pytest.raises(ValueError, match="out of range"):
+            basis_word(k, 3)
+
+
 def test_n_qubits_of(tmp_path):
     # the qubit count is read off the matrix dimension: 8 -> 3, and a side
     # that is not a power of two is rejected

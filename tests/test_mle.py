@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import minimize
 
+from tqst import mle
 from tqst.core import basis_word, density, expectation, product_ket, validate_density
 from tqst.metrics import fidelity
 from tqst.mle import (
@@ -249,6 +250,21 @@ def test_reconstruct_sampled_w3_regression():
     f = fidelity(result.rho, density(psi))
     assert f >= 0.98
     assert f == pytest.approx(0.9949842652977927, abs=1e-9)  # seeded regression: <psi|rho|psi>
+
+
+def test_reconstruct_fits_through_module_minimize(monkeypatch):
+    # the hook a tracer patches: reconstruct looks up mle.minimize at each call
+    calls = []
+    original = mle.minimize
+
+    def spy(fun, x0, *args, **kwargs):
+        calls.append(x0.size)
+        return original(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(mle, "minimize", spy)
+    result = reconstruct(exact_records(w_state(2), 2, shots=10**4), MleOptions(seed=42))
+    assert calls == [16]
+    assert result.converged
 
 
 def test_reconstruct_deterministic_given_seed():
