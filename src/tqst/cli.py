@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -61,13 +62,7 @@ def _resolve_threshold(t: float | None, ideal_diag, run_files, n: int) -> tuple[
         raise ValueError("--threshold auto needs an ideal diagonal")
     runs = [threshold.read_diagonal_csv(f) for f in run_files]
     est = threshold.estimate_threshold(ideal_diag, runs, n)
-    info = {
-        "noise_threshold": est.noise_threshold,
-        "signal_threshold": est.signal_threshold,
-        "threshold": est.threshold,
-        "favorable": est.favorable,
-    }
-    return est.threshold, info
+    return est.threshold, asdict(est)
 
 
 def _fidelity_report(fit: np.ndarray, target: np.ndarray) -> dict:

@@ -105,7 +105,7 @@ def fidelity_bound(diag: np.ndarray, t: float, rank: int) -> float:
         raise ValueError(f"diagonal sums to {diag.sum()}, above 1")
     p = np.clip(diag, 0.0, None)
     # each dropped pair counts in both orientations
-    s = 2.0 * sum(float((p[i] * p[i + 1 :][~keep]).sum()) for i, _, keep in pair_rows(p, t))
+    s = 2.0 * sum(float((p[i] * p[i + 1 :][~keep]).sum()) for i, keep in pair_rows(p, t))
     inner = min(max(1.0 - math.sqrt(rank * s), 0.0), 1.0)
     return inner * inner
 
@@ -119,7 +119,7 @@ def truncate_below_threshold(rho: np.ndarray, t: float) -> np.ndarray:
     """
     rho = np.array(rho, dtype=complex)
     p = np.clip(np.real(np.diag(rho)), 0.0, None)
-    for i, _, keep in pair_rows(p, t):
+    for i, keep in pair_rows(p, t):
         drop = i + 1 + np.flatnonzero(~keep)
         rho[i, drop] = rho[drop, i] = 0.0
     return rho

@@ -285,13 +285,17 @@ def write_counts_csv(path: str | Path, records: list[CountRecord]) -> None:
 
 
 def read_counts_csv(path: str | Path) -> list[CountRecord]:
-    """Read counts, rejecting duplicate projector words."""
+    """Read counts, rejecting duplicate projector words and words whose
+    length differs from the first row's."""
     _, rows = read_table(path, COUNTS_COLUMNS)
+    n = len(rows[0][1][0])  # letters of the first row's word
     records = {}
     try:
         for line, (word, observed, shots) in rows:
             if word in records:
                 raise ValueError(f"duplicate projector word {word!r}")
+            if len(word) != n:
+                raise ValueError(f"{len(word)}-qubit word {word!r} after {n}-qubit words")
             records[word] = CountRecord(word, int(observed), int(shots))
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None

@@ -26,6 +26,9 @@ class NoiseModel:
 
     ``sampling="exact"`` returns rounded expectation values instead of random
     draws; with ``depolarizing=0`` that reproduces the ideal expectations.
+    ``seed`` is resolved once, at construction, to ``SeedSequence(seed).entropy``:
+    an integer seed stays itself and None becomes fresh entropy, so every
+    :func:`sample_counts` call with one model draws from the same streams.
     """
 
     depolarizing: float = 0.0
@@ -37,6 +40,7 @@ class NoiseModel:
             raise ValueError("depolarizing strength must be in [0, 1]")
         if self.sampling not in ("exact", "multinomial"):
             raise ValueError("sampling must be 'exact' or 'multinomial'")
+        object.__setattr__(self, "seed", np.random.SeedSequence(self.seed).entropy)
 
 
 TRACE_TOLERANCE = 1e-9  # how far the trace ||F||_F**2 of a sampled factor may stray from 1
@@ -129,7 +133,7 @@ def sample_counts(
     factor: np.ndarray,
     plan: MeasurementPlan,
     shots: int,
-    noise: NoiseModel = NoiseModel(),
+    noise: NoiseModel | None = None,
 ) -> tuple[list[CountRecord], DiagonalRecord]:
     """Simulate the measurements of a plan on a (noise-injected) state.
 
@@ -144,7 +148,8 @@ def sample_counts(
     binomial with its projector expectation as success probability.  Each
     target draws from its own random stream, the child of the seed that
     ``SeedSequence.spawn`` would give it, so results are reproducible per
-    seed independent of evaluation order.
+    seed independent of evaluation order.  Without ``noise``, each call
+    samples noiselessly from a fresh, unseeded :class:`NoiseModel`.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -155,14 +160,14 @@ def sample_counts(
     p_state = populations(factor)
     if abs(p_state.sum() - 1.0) > TRACE_TOLERANCE:
         raise ValueError(f"factor has trace ||F||_F**2 = {float(p_state.sum())}, not 1")
+    noise = NoiseModel() if noise is None else noise
     lam = noise.depolarizing
 
     p_diag = np.clip((1.0 - lam) * p_state + lam / dim, 0.0, None)
     p_diag = p_diag / p_diag.sum()
-    entropy = np.random.SeedSequence(noise.seed).entropy
 
     def stream(k: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
+        return np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(k,)))
 
     if noise.sampling == "exact":
         diag_counts = _exact_multinomial(p_diag, shots)

@@ -84,19 +84,19 @@ def check_threshold(t: float) -> float:
 
 
 def pair_rows(p: np.ndarray, t: float):
-    """The threshold rule, one row at a time: for each i, yield
-    ``(i, bound, keep)`` with the positivity bounds sqrt(p_i * p_j) of the
-    pairs j > i and the mask of the pairs kept.
+    """The threshold rule, one row at a time: for each i, yield ``(i, keep)``
+    with the mask of the pairs j > i kept.
 
-    A pair is kept when its bound is nonzero and reaches ``t``: a vanishing
-    diagonal estimate pins its whole row and column to zero, so those pairs
-    are dropped even at t = 0.  ``t`` is checked before the first row.
+    A pair is kept when its positivity bound sqrt(p_i * p_j) is nonzero and
+    reaches ``t``: a vanishing diagonal estimate pins its whole row and
+    column to zero, so those pairs are dropped even at t = 0.  ``t`` is
+    checked before the first row.
     """
     t = check_threshold(t)
     p = np.asarray(p, dtype=float)
     for i in range(p.size - 1):
         bound = np.sqrt(p[i] * p[i + 1 :])
-        yield i, bound, (bound > 0.0) & (bound >= t)
+        yield i, (bound > 0.0) & (bound >= t)
 
 
 def select_offdiagonal(diag: DiagonalRecord, t: float) -> MeasurementPlan:
@@ -106,7 +106,7 @@ def select_offdiagonal(diag: DiagonalRecord, t: float) -> MeasurementPlan:
     n = diag.n
     offdiagonal = tuple(
         (idx, projector_for(n, idx))
-        for i, _, keep in pair_rows(diag.probabilities(), t)
+        for i, keep in pair_rows(diag.probabilities(), t)
         for j in (i + 1 + np.flatnonzero(keep)).tolist()
         for idx in (ElementIndex(i, j, "re"), ElementIndex(i, j, "im"))
     )

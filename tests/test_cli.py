@@ -244,6 +244,10 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     pytest.param({"counts.csv": "projector_word,observed,shots\nHH,5,10\nHV,5\n"},
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "counts.csv:3:", id="short-counts-row"),
+    pytest.param({"counts.csv": "projector_word,observed,shots\nHH,5,10\nHV,5,10\nVHH,5,10\n"},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 "{tmp}/counts.csv:4: 3-qubit word 'VHH' after 2-qubit words",
+                 id="counts-mixed-word-lengths"),
     pytest.param({"plan.csv": PLAN_N2.replace(",HV\n", ",HVH\n")},
                  ("settings", "--plan", "{tmp}/plan.csv"),
                  "plan.csv:4:", id="plan-word-length"),

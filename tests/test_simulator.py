@@ -285,6 +285,23 @@ def test_noise_model_validation():
         NoiseModel(depolarizing=1.5)
     with pytest.raises(ValueError):
         NoiseModel(sampling="poisson")
+    with pytest.raises(ValueError):
+        NoiseModel(seed=-1)
+
+
+def test_one_unseeded_model_draws_one_set_of_streams():
+    # the seed is resolved once per model; an integer seed stays itself
+    assert NoiseModel(seed=7).seed == 7
+    noise = NoiseModel(0.05, "multinomial")
+    assert isinstance(noise.seed, int) and noise.seed >= 0
+    # diagonal, plan from it, then the plan: both phases see one diagonal
+    _, diag = sample_counts(w_state(3), diagonal_plan(3), 1000, noise)
+    plan = select_offdiagonal(diag, 0.05)
+    _, again = sample_counts(w_state(3), plan, 1000, noise)
+    assert np.array_equal(diag.counts, again.counts)
+    # without a model, each call draws fresh entropy (equal with probability ~1e-6)
+    first, second = (sample_counts(w_state(3), diagonal_plan(3), 10**6)[1] for _ in range(2))
+    assert not np.array_equal(first.counts, second.counts)
 
 
 def test_diagonal_record_counts_match_records():
