@@ -4,8 +4,8 @@ Every subcommand does one thing and exchanges data through files (CSV for
 plans and counts, JSON for factored density matrices), so pipelines can be
 decomposed and resumed.  All randomness flows from a single seed, settable
 per command or through the TQST_SEED environment variable.  Exit status is
-0 on success, 2 on invalid input, and 3 when the reconstruction did not
-converge; errors are emitted as JSON on standard error.
+0 on success, 2 on invalid input or a failed allocation, and 3 when the
+reconstruction did not converge; errors are emitted as JSON on standard error.
 """
 
 from __future__ import annotations
@@ -288,10 +288,11 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
         if diag_record.n != n:
             raise ValueError(f"{diagonal_file} is a {diag_record.n}-qubit diagonal, "
                              f"but {counts_file} has {n}-qubit projector words")
-        for k, count in enumerate(diag_record.counts):
-            word = core.basis_word(k, diag_record.n)
-            if word not in present:
-                records.append(mle.CountRecord(word, int(count), diag_record.shots))
+        # the missing basis records go first, in basis order, as in every plan,
+        # so the fit sees the records in the order `tqst run` gives them
+        basis = (mle.CountRecord(core.basis_word(k, n), int(count), diag_record.shots)
+                 for k, count in enumerate(diag_record.counts))
+        records = [rec for rec in basis if rec.projector not in present] + records
     result = mle.reconstruct(records, options)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -374,7 +375,7 @@ def main():
         sys.exit(130)
     except click.ClickException as exc:
         _fail({"error": exc.format_message(), "type": exc.__class__.__name__}, 2)
-    except (ValueError, core.TomographyError, OSError) as exc:
+    except (ValueError, core.TomographyError, OSError, MemoryError) as exc:
         _fail({"error": str(exc), "type": exc.__class__.__name__}, 2)
 
 

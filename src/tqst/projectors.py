@@ -6,8 +6,8 @@ basis word, and each off-diagonal element (i, j) with j > i gets one word for
 its real part and one for its imaginary part.  Two equivalent constructions
 are provided:
 
-* :func:`build_projector_table` materializes the full table of all 4**n words
-  by a quadrant recursion, and
+* :func:`build_projector_table` materializes all 4**n words as one
+  2**n x 2**n word grid by a quadrant recursion, and
 * :func:`projector_for` computes a single word on demand by walking the
   nested 2x2 quadrant subdivision of the matrix, one qubit per level.
 
@@ -114,29 +114,24 @@ def _check_index(n: int, idx: ElementIndex) -> None:
 
 @dataclass(frozen=True)
 class ProjectorTable:
-    """All projector words of an n-qubit set, indexed by matrix element.
+    """All projector words of an n-qubit set as one 2**n x 2**n word grid.
 
-    ``diagonal[k]`` is the word for element (k, k); ``offdiagonal[(i, j)]``
-    holds the (re, im) word pair for j > i.  The lower triangle carries no
-    entries of its own: element (j, i) is determined by Hermiticity.
+    ``grid[k][k]`` is the word for diagonal element k.  For i < j,
+    ``grid[i][j]`` measures the real part of element (i, j) and
+    ``grid[j][i]`` its imaginary part.
     """
 
     n: int
-    diagonal: tuple[str, ...]
-    offdiagonal: dict[tuple[int, int], tuple[str, str]] = field(repr=False)
+    grid: tuple[tuple[str, ...], ...] = field(repr=False)
 
     def elements(self) -> list[tuple[ElementIndex, str]]:
         """All (element, word) pairs in row-major upper-triangle order."""
-        dim = 2**self.n
+        g = self.grid
         out = []
-        for i in range(dim):
-            for j in range(i, dim):
-                if i == j:
-                    out.append((ElementIndex(i, i, "diag"), self.diagonal[i]))
-                else:
-                    re, im = self.offdiagonal[(i, j)]
-                    out.append((ElementIndex(i, j, "re"), re))
-                    out.append((ElementIndex(i, j, "im"), im))
+        for i in range(len(g)):
+            out.append((ElementIndex(i, i, "diag"), g[i][i]))
+            for j in range(i + 1, len(g)):
+                out += [(ElementIndex(i, j, "re"), g[i][j]), (ElementIndex(i, j, "im"), g[j][i])]
         return out
 
     def words(self) -> list[str]:
@@ -146,12 +141,10 @@ class ProjectorTable:
 def build_projector_table(n: int) -> ProjectorTable:
     """Materialize the full n-qubit projector table by the quadrant recursion.
 
-    The 1-qubit table is H/V on the diagonal and the (D, R) pair at (0, 1).
-    Doubling from k-1 to k qubits prefixes H (upper-left quadrant) and V
-    (lower-right) onto the previous table, while the upper-right quadrant is
-    assembled from the previous table and its mirror: cells above the local
-    diagonal take D-prefixed pairs, cells on it take (D*word, R*word), and
-    cells below it take the mirrored pair with re/im swapped and an R prefix.
+    The 1-qubit grid is [[H, D], [R, V]].  Doubling from k-1 to k qubits
+    prefixes the previous grid G with H in the upper-left quadrant and V in
+    the lower-right one.  The upper-right quadrant prefixes D on and above
+    G's diagonal and R below it; the lower-left quadrant does the opposite.
     """
     if n < 1:
         raise ValueError("qubit count must be >= 1")
@@ -159,29 +152,18 @@ def build_projector_table(n: int) -> ProjectorTable:
         raise ResourceLimitError(
             f"table for n={n} has 4**{n} projectors; the limit is n <= {TABLE_CAP}"
         )
-    diag = ["H", "V"]
-    off = {(0, 1): ("D", "R")}
+    grid = [["H", "D"], ["R", "V"]]
     for _ in range(n - 1):
-        half = len(diag)
-        new_diag = ["H" + w for w in diag] + ["V" + w for w in diag]
-        new_off: dict[tuple[int, int], tuple[str, str]] = {}
-        for (a, b), (re, im) in off.items():
-            new_off[(a, b)] = ("H" + re, "H" + im)
-            new_off[(a + half, b + half)] = ("V" + re, "V" + im)
-        for a in range(half):
-            for b in range(half):
-                if a < b:
-                    re, im = off[(a, b)]
-                    new_off[(a, b + half)] = ("D" + re, "D" + im)
-                elif a == b:
-                    w = diag[a]
-                    new_off[(a, a + half)] = ("D" + w, "R" + w)
-                else:
-                    re, im = off[(b, a)]
-                    new_off[(a, b + half)] = ("R" + im, "R" + re)
-        diag = new_diag
-        off = new_off
-    return ProjectorTable(n=n, diagonal=tuple(diag), offdiagonal=off)
+        upper = [
+            ["H" + w for w in row] + [("D" if a <= b else "R") + w for b, w in enumerate(row)]
+            for a, row in enumerate(grid)
+        ]
+        lower = [
+            [("R" if a <= b else "D") + w for b, w in enumerate(row)] + ["V" + w for w in row]
+            for a, row in enumerate(grid)
+        ]
+        grid = upper + lower
+    return ProjectorTable(n=n, grid=tuple(map(tuple, grid)))
 
 
 def _letter_overlap_sq() -> np.ndarray:

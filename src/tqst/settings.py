@@ -32,21 +32,7 @@ def settings_for_plan(plan: MeasurementPlan) -> list[str]:
     return list(seen)
 
 
-def _validate_setting(setting: str) -> None:
-    if not setting or set(setting) - {"X", "Y", "Z"}:
-        raise ValueError(f"setting must be a word over X/Y/Z, got {setting!r}")
-
-
 def write_settings_csv(path: str | Path, settings: list[str]) -> None:
     """One setting word per line."""
     Path(path).write_text("".join(s + "\n" for s in settings))
 
-
-def read_settings_csv(path: str | Path) -> list[str]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            _validate_setting(line)
-            out.append(line)
-    return out

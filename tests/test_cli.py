@@ -10,7 +10,7 @@ import tqst as package
 from tqst.core import load_density
 from tqst.metrics import fidelity
 from tqst.mle import read_counts_csv
-from tqst.settings import read_settings_csv
+from tqst.settings import settings_for_plan
 from tqst.threshold import read_diagonal_csv, read_plan_csv
 
 
@@ -18,7 +18,7 @@ from tqst.threshold import read_diagonal_csv, read_plan_csv
 SOURCE_DIR = str(Path(package.__file__).resolve().parents[1])
 
 
-def python(*args, env=None):
+def python(*args, env=None, preexec_fn=None):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SOURCE_DIR, env.get("PYTHONPATH"))))
     return subprocess.run(
@@ -26,11 +26,12 @@ def python(*args, env=None):
         capture_output=True,
         text=True,
         env=env,
+        preexec_fn=preexec_fn,
     )
 
 
-def tqst(*args, env=None):
-    return python("-m", "tqst.cli", *args, env=env)
+def tqst(*args, env=None, preexec_fn=None):
+    return python("-m", "tqst.cli", *args, env=env, preexec_fn=preexec_fn)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,8 @@ def test_run_artifacts_parse_through_module_readers(w3_run):
     assert len(records) == plan.size
     rho = load_density(out / "rho.json")
     assert rho.shape == (8, 8)
-    settings = read_settings_csv(out / "settings.csv")
+    settings = (out / "settings.csv").read_text().splitlines()
+    assert settings == settings_for_plan(plan)
     assert len(settings) == summary["settings"]
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert diagnostics["converged"] is True
@@ -102,6 +104,20 @@ def test_pipeline_decomposes_into_simulate_plan_reconstruct(w3_run, tmp_path):
     assert (sim / "rho.json").read_text() == (out / "rho.json").read_text()
 
 
+def test_reconstruct_with_diag_reproduces_run(w3_run, tmp_path):
+    # the two-phase experiment: the counts file holds only the off-diagonal
+    # rows, and the basis counts come from the diagonal file
+    out, _ = w3_run
+    header, *rows = (out / "counts.csv").read_text().splitlines(keepends=True)
+    assert all(set(row.split(",")[0]) <= set("HV") for row in rows[:8])
+    (tmp_path / "counts.csv").write_text(header + "".join(rows[8:]))
+    r = tqst("reconstruct", "--counts", tmp_path / "counts.csv",
+             "--diag", out / "diagonal.csv", "--seed", 11, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["records"] == len(rows)
+    assert (tmp_path / "rho.json").read_bytes() == (out / "rho.json").read_bytes()
+
+
 def test_fidelity_command(w3_run, tmp_path):
     out, _ = w3_run
     r = tqst("fidelity", out / "rho.json", out / "rho.json")
@@ -124,7 +140,7 @@ def test_settings_command(w3_run, tmp_path):
     dest = tmp_path / "settings.csv"
     r = tqst("settings", "--plan", out / "plan.csv", "--out", dest)
     assert r.returncode == 0
-    assert read_settings_csv(dest) == read_settings_csv(out / "settings.csv")
+    assert dest.read_text().splitlines() == (out / "settings.csv").read_text().splitlines()
 
 
 def test_completeness_command():
@@ -280,6 +296,28 @@ def test_invalid_input_exits_2_with_json_error(tmp_path, files, args, message):
     assert message.format(tmp=tmp_path) in json.loads(r.stderr)["error"]
     # rejected before anything is sampled or written, or a directory is made
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def limit_address_space():
+    """Cap the child's address space at 4 GiB, so that a 2**n state vector of
+    16 GiB or more fails to allocate at once instead of filling the host."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+# never run these commands without limit_address_space
+@pytest.mark.parametrize("args, size", [
+    (("run", "--state", "w", "--n", 30, "--threshold", 0.1, "--seed", 1), "16.0 GiB"),
+    (("simulate", "--state", "ghz", "--n", 31, "--seed", 1), "32.0 GiB"),
+], ids=["run-w30", "simulate-ghz31"])
+def test_out_of_memory_exits_2_with_json_error(tmp_path, args, size):
+    # one BLAS thread: OpenBLAS reserves address space per thread at import
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    r = tqst(*args, "--out", tmp_path / "o", env=env, preexec_fn=limit_address_space)
+    assert r.returncode == 2, r.stderr
+    assert f"Unable to allocate {size}" in json.loads(r.stderr)["error"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_nonconvergence_exits_3(w3_run, tmp_path):

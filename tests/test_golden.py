@@ -1,0 +1,83 @@
+"""Golden outputs of three reference `tqst run` invocations.
+
+The CSV files must match the pinned SHA-256 digests byte for byte.  The
+fitted factor in ``rho.json`` and the values in ``fidelity.json`` must match
+the checked-in copies under ``tests/golden/`` to TOLERANCE, which leaves room
+for last-bit differences between BLAS builds and thread counts but not for a
+changed fit.  The references were taken at commit 447576e, where all six
+files of each run were byte-identical at one and two BLAS threads.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tqst.cli
+from tqst.core import load_factor
+
+GOLDEN = Path(__file__).parent / "golden"
+TOLERANCE = 1e-9  # absolute, on every factor entry and fidelity.json value
+
+NOISY = ("--lambda", 0.05, "--shots", 10000, "--seed", 42, "--parametrization", "low_rank",
+         "--rank", 2, "--gradient-tolerance", 0.05)
+
+RUNS = {
+    "w4_exact": ("--state", "w", "--n", 4, "--threshold", 0.1, "--exact", "--seed", 1),
+    # the benchmark's two workloads, w10 with replicas from simulate seeds 1000-1019
+    "w6_conventional": ("--state", "w", "--n", 6, "--threshold", 0.0001, *NOISY),
+    "w10_noisy_lowrank": ("--state", "w", "--n", 10, "--threshold", "auto", *NOISY),
+}
+REPLICA_SEEDS = {"w10_noisy_lowrank": range(1000, 1020)}
+
+DIGESTS = {
+    "w4_exact": {
+        "diagonal.csv": "3a1f2939523554b80786daf71637ecfa094b6dae445cfa33b9872c9bb968d350",
+        "plan.csv": "e94815c2e66e52866987e9562a9a5d7597ac2bfa5be6b31cbfd7287df746efb8",
+        "counts.csv": "fd1ac32523729ee4f406e5f9ae9ef02a5b1c50abfa37082fca5e97e9231919ac",
+        "settings.csv": "3f6d92682d2956f3379af6080cb964af9da6563f0326801c349a647ba41d3e4c",
+    },
+    "w6_conventional": {
+        "diagonal.csv": "3332ef6042683455c69d20e7724ac6d6b322fc4eab500f5dc8579b38745ad54f",
+        "plan.csv": "c9d172dd0e494fd8b939d516b1179ef378a228f977eac6e1a9e93c3164c7c5fd",
+        "counts.csv": "ddebb8ed51cfc95b4053863de7ab66561c2f8b0a21123d185994befcb95d2c54",
+        "settings.csv": "ccaaa46b5f68ddf2092d7c3c97521b74cd00417b0422670f4ee955719a671b62",
+    },
+    "w10_noisy_lowrank": {
+        "diagonal.csv": "e2c965e4a748341c431d9bfa693e2fda18fd7e4cc499eb89a64f0368daec534a",
+        "plan.csv": "140bb4e224b813491944e7b451009fe39a429938e121737bb51583bc033f33fa",
+        "counts.csv": "18f00b685d92bdf768f89485d634e3244f0fc0f731ad3050817e6b8fdd0786f1",
+        "settings.csv": "b617f73879a42f4698dcd64c0c2ebd63b5159cef194224b555fc30d033306ecb",
+    },
+}
+
+
+def tqst_cli(*args):
+    tqst.cli.cli.main([str(a) for a in args], standalone_mode=False)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_golden_outputs(name, tmp_path):
+    run_files = []
+    for seed in REPLICA_SEEDS.get(name, ()):
+        tqst_cli("simulate", "--state", "w", "--n", 10, "--lambda", 0.05, "--shots", 10000,
+                 "--seed", seed, "--out", tmp_path / f"replica{seed}")
+        run_files += ["--run-file", tmp_path / f"replica{seed}" / "diagonal.csv"]
+    out = tmp_path / name
+    tqst_cli("run", *RUNS[name], *run_files, "--out", out)
+
+    for file, digest in DIGESTS[name].items():
+        assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
+
+    expected = load_factor(GOLDEN / name / "rho.json")
+    factor = load_factor(out / "rho.json")
+    assert factor.shape == expected.shape
+    np.testing.assert_allclose(factor, expected, rtol=0, atol=TOLERANCE)
+
+    expected = json.loads((GOLDEN / name / "fidelity.json").read_text())
+    report = json.loads((out / "fidelity.json").read_text())
+    assert report.keys() == expected.keys()
+    for key, value in expected.items():
+        assert report[key] == pytest.approx(value, rel=0, abs=TOLERANCE), key

@@ -49,24 +49,22 @@ def test_projector_for_rejects_bad_indices():
 
 def test_single_qubit_table():
     table = build_projector_table(1)
-    assert table.diagonal == ("H", "V")
-    assert table.offdiagonal == {(0, 1): ("D", "R")}
+    assert table.grid == (("H", "D"), ("R", "V"))
 
 
 def test_two_qubit_table_layout():
+    # diagonal words on the diagonal, the real-part word of (i, j) above it
+    # and the imaginary-part word at (j, i)
     table = build_projector_table(2)
-    assert table.diagonal == ("HH", "HV", "VH", "VV")
-    assert table.offdiagonal == {
-        (0, 1): ("HD", "HR"),
-        (0, 2): ("DH", "RH"),
-        (0, 3): ("DD", "DR"),
-        (1, 2): ("RR", "RD"),
-        (1, 3): ("DV", "RV"),
-        (2, 3): ("VD", "VR"),
-    }
+    assert table.grid == (
+        ("HH", "HD", "DH", "DD"),
+        ("HR", "HV", "RR", "DV"),
+        ("RH", "RD", "VH", "VD"),
+        ("DR", "RV", "VR", "VV"),
+    )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_walk_equals_table(n):
     table = build_projector_table(n)
     for idx, word in table.elements():

@@ -6,7 +6,7 @@ import pytest
 from tqst.core import expectation
 
 from tqst.projectors import build_projector_table
-from tqst.settings import read_settings_csv, setting_of, settings_for_plan, write_settings_csv
+from tqst.settings import setting_of, settings_for_plan, write_settings_csv
 from tqst.simulator import color_code_state, ghz_state, populations
 from tqst.threshold import DiagonalRecord, diagonal_plan, select_offdiagonal
 
@@ -91,4 +91,4 @@ def test_settings_csv_roundtrip(tmp_path):
     settings = ["ZZZ", "XYZ", "YYX"]
     path = tmp_path / "settings.csv"
     write_settings_csv(path, settings)
-    assert read_settings_csv(path) == settings
+    assert path.read_text().splitlines() == settings
