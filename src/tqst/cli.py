@@ -71,9 +71,7 @@ def _fidelity_report(fit: np.ndarray, target: np.ndarray) -> dict:
     Every reported metric is unitarily invariant, so the report is computed
     on the two states compressed onto their joint support, at most (rows of
     fit + rows of target) square, and no 2**n x 2**n eigensolve runs for a
-    low-rank pair.  The target comes first and is the argument square-rooted:
-    for a pure target its compressed matrix is diag(1, 0, ...) up to
-    round-off, and the fidelity then equals <psi|rho|psi> to round-off.
+    low-rank pair.
     """
     target, rho = metrics.joint_support(target, fit)
     root = metrics.root_fidelity(target, rho)
@@ -164,15 +162,13 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    _, diag_record = simulator.sample_counts(target, threshold.diagonal_plan(n), shots, noise)
+    diag_record = simulator.sample_diagonal(target, shots, noise)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)
 
     plan = threshold.select_offdiagonal(diag_record, t)
     threshold.write_plan_csv(outdir / "plan.csv", plan)
 
-    # same seed: the diagonal stream is shared, so these records embed the
-    # exact counts the plan was derived from
-    records, _ = simulator.sample_counts(target, plan, shots, noise)
+    records = simulator.sample_counts(target, plan, diag_record, noise)
     mle.write_counts_csv(outdir / "counts.csv", records)
 
     plan_settings = settings_mod.settings_for_plan(plan)
@@ -227,7 +223,8 @@ def simulate(state, n, filling, lam, shots, seed, exact, plan_file, out):
     target, n = _target_factor(state, n, filling, seed)
     plan = threshold.read_plan_csv(plan_file) if plan_file else threshold.diagonal_plan(n)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
-    records, diag_record = simulator.sample_counts(target, plan, shots, noise)
+    diag_record = simulator.sample_diagonal(target, shots, noise)
+    records = simulator.sample_counts(target, plan, diag_record, noise)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)

@@ -80,6 +80,7 @@ def validate_word(word: str) -> str:
 
 
 _BITS_TO_HV = str.maketrans("01", "HV")
+_HV_TO_BITS = str.maketrans("HV", "01")
 
 
 def basis_word(index: int, n: int) -> str:
@@ -95,6 +96,11 @@ def product_ket(word: str) -> np.ndarray:
     Returns a unit-norm complex vector of dimension ``2**len(word)``.
     """
     validate_word(word)
+    if len(word) > 1 and not word.strip("HV"):
+        # a basis word is one-hot, with the same bytes as the chain: its zeros are all +0.0
+        ket = np.zeros(2 ** len(word), dtype=complex)
+        ket[int(word.translate(_HV_TO_BITS), 2)] = 1.0
+        return ket
     # the chain of outer products forms the same products as np.kron
     ket = STATE_VECTORS[word[0]]
     for c in word[1:]:
@@ -133,34 +139,10 @@ class ValidityReport:
     offdiag_violation: float
 
     @property
-    def hermitian_ok(self) -> bool:
-        return self.hermitian_violation <= self.tolerance
-
-    @property
-    def trace_ok(self) -> bool:
-        return self.trace_violation <= self.tolerance
-
-    @property
-    def psd_ok(self) -> bool:
-        return self.psd_violation <= self.tolerance
-
-    @property
-    def offdiag_ok(self) -> bool:
-        return self.offdiag_violation <= self.tolerance
-
-    @property
     def ok(self) -> bool:
-        return self.hermitian_ok and self.trace_ok and self.psd_ok and self.offdiag_ok
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "tolerance": self.tolerance,
-            "hermitian": {"ok": self.hermitian_ok, "violation": self.hermitian_violation},
-            "trace": {"ok": self.trace_ok, "violation": self.trace_violation},
-            "positive_semidefinite": {"ok": self.psd_ok, "violation": self.psd_violation},
-            "offdiagonal_bound": {"ok": self.offdiag_ok, "violation": self.offdiag_violation},
-        }
+        violations = (self.hermitian_violation, self.trace_violation, self.psd_violation,
+                      self.offdiag_violation)
+        return all(v <= self.tolerance for v in violations)
 
 
 def validate_density(m: np.ndarray, tolerance: float = 1e-9) -> ValidityReport:
@@ -270,16 +252,19 @@ def read_table(path: str | Path, columns) -> tuple[dict, list]:
     """Read a :func:`write_table` file whose header row is ``columns``.
 
     Returns the comment's fields (as strings) and the data rows as
-    ``(line number, fields)`` pairs.  A malformed comment, a missing or
-    different header, no data rows, or a row with the wrong field count
-    raises ``ValueError`` naming the file and the line.
+    ``(line number, fields)`` pairs.  A malformed comment, a repeated comment
+    key, a missing or different header, no data rows, or a row with the
+    wrong field count raises ``ValueError`` naming the file and the line.
     """
     lines = Path(path).read_text().splitlines()
     header = 2 if lines and lines[0].startswith("#") else 1  # its line number
     try:
-        fields = dict(item.split("=", 1) for item in lines[0][1:].split()) if header == 2 else {}
+        items = [item.split("=", 1) for item in lines[0][1:].split()] if header == 2 else []
+        fields = dict(items)
     except ValueError:
         raise ValueError(f"{path}:1: comment is not '# key=value ...'") from None
+    if len(fields) != len(items):
+        raise ValueError(f"{path}:1: comment {lines[0]!r} repeats a key")
     rows = list(enumerate(csv.reader(lines[header - 1:]), header))
     if len(rows) < 2 or rows[0][1] != list(columns):
         raise ValueError(f"{path}:{header}: expected header {','.join(columns)!r} and data rows")

@@ -19,31 +19,24 @@ def _check_pair(rho: np.ndarray, sigma: np.ndarray) -> None:
     for name, m in (("first", rho), ("second", sigma)):
         report = validate_density(m, VALIDITY_TOLERANCE)
         if not report.ok:
-            raise ValueError(f"{name} argument is not a valid density matrix: {report.as_dict()}")
-
-
-def _round_off_zeroed(vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues with those at most size * eps * max(vals) set to zero.
-
-    Below that cutoff an eigenvalue of a rank-deficient matrix is round-off,
-    and its square root (~1e-8 for ~1e-16) would otherwise enter the result.
-    """
-    cutoff = vals.size * np.finfo(float).eps * max(vals.max(), 0.0)
-    return np.where(vals > cutoff, vals, 0.0)
+            raise ValueError(f"{name} argument is not a valid density matrix: {report}")
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix with its eigenvalues at most size * eps * max
+    set to zero: on a rank-deficient matrix they are round-off, and their
+    square roots (~1e-8 for ~1e-16) would otherwise enter the result."""
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    return (vecs * np.sqrt(_round_off_zeroed(vals))) @ vecs.conj().T
+    vals = np.where(vals > vals.size * np.finfo(float).eps * max(vals.max(), 0.0), vals, 0.0)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def root_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Tr sqrt(sqrt(rho) sigma sqrt(rho)), symmetric in its arguments."""
+    """Tr sqrt(sqrt(rho) sigma sqrt(rho)), symmetric in its arguments, as the sum
+    of the singular values of sqrt(rho) sqrt(sigma): no small eigenvalue of rho
+    is squared below the round-off cutoff and lost."""
     _check_pair(rho, sigma)
-    s = _psd_sqrt(rho)
-    inner = s @ sigma @ s
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    return float(np.sqrt(_round_off_zeroed(vals)).sum())
+    return float(np.linalg.svd(_psd_sqrt(rho) @ _psd_sqrt(sigma), compute_uv=False).sum())
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

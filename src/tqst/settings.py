@@ -23,10 +23,9 @@ def setting_of(word: str) -> str:
 
 
 def settings_for_plan(plan: MeasurementPlan) -> list[str]:
-    """Deduplicated settings of all plan targets, first occurrence first."""
-    if not plan.targets:
-        raise ValueError("plan has no targets")
-    seen: dict[str, None] = {}
+    """Deduplicated settings of a plan, first occurrence first: the diagonal's
+    all-Z setting, then those of its targets."""
+    seen = {"Z" * plan.n: None}
     for _, word in plan.targets:
         seen.setdefault(setting_of(word), None)
     return list(seen)

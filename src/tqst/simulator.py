@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import expectation
+from .core import _factor_qubits, basis_word, expectation
 from .threshold import DiagonalRecord, MeasurementPlan
 from .mle import CountRecord
 
@@ -28,7 +28,7 @@ class NoiseModel:
     draws; with ``depolarizing=0`` that reproduces the ideal expectations.
     ``seed`` is resolved once, at construction, to ``SeedSequence(seed).entropy``:
     an integer seed stays itself and None becomes fresh entropy, so every
-    :func:`sample_counts` call with one model draws from the same streams.
+    sampling call with one model draws from the same streams.
     """
 
     depolarizing: float = 0.0
@@ -129,60 +129,72 @@ def populations(factor: np.ndarray) -> np.ndarray:
     return np.real(factor * factor.conj()).sum(axis=0)
 
 
-def sample_counts(
-    factor: np.ndarray,
-    plan: MeasurementPlan,
-    shots: int,
-    noise: NoiseModel | None = None,
-) -> tuple[list[CountRecord], DiagonalRecord]:
-    """Simulate the measurements of a plan on a (noise-injected) state.
+def _stream(noise: NoiseModel, k: int) -> np.random.Generator:
+    """Stream k of ``noise``, the child ``SeedSequence.spawn`` would give its seed."""
+    return np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(k,)))
+
+
+def _unit_trace_populations(factor: np.ndarray) -> np.ndarray:
+    """Populations of a factor whose trace ||F||_F**2 is 1 within ``TRACE_TOLERANCE``."""
+    p_state = populations(factor)
+    if abs(p_state.sum() - 1.0) > TRACE_TOLERANCE:
+        raise ValueError(f"factor has trace ||F||_F**2 = {float(p_state.sum())}, not 1")
+    return p_state
+
+
+def sample_diagonal(factor: np.ndarray, shots: int,
+                    noise: NoiseModel | None = None) -> DiagonalRecord:
+    """Measure a (noise-injected) state in the computational basis.
 
     ``factor`` is the r x 2**n factor F of the state rho = F^H F, so memory
     and time stay linear in 2**n for a low-rank state; its trace ||F||_F**2
     must be 1 within ``TRACE_TOLERANCE``.  Depolarizing noise enters each
-    probability as (1 - lam) <P> + lam / 2**n, the expectation in
-    :func:`apply_depolarizing` of the state, so no dense mixture is built.
-    The diagonal is sampled once as a multinomial over the computational
-    probabilities of the noisy state and reported both as a DiagonalRecord and
-    as one CountRecord per diagonal target.  Every off-diagonal target is a
-    binomial with its projector expectation as success probability.  Each
-    target draws from its own random stream, the child of the seed that
-    ``SeedSequence.spawn`` would give it, so results are reproducible per
-    seed independent of evaluation order.  Without ``noise``, each call
-    samples noiselessly from a fresh, unseeded :class:`NoiseModel`.
+    probability as (1 - lam) p + lam / 2**n, as in :func:`apply_depolarizing`,
+    without a dense mixture.  The counts are a multinomial from stream 0 of
+    ``noise``, or its rounding for ``sampling="exact"``.  Without ``noise``,
+    each call samples noiselessly from a fresh, unseeded :class:`NoiseModel`.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    dim = 2**plan.n
-    if factor.shape[1:] != (dim,):
-        raise ValueError(f"dimension mismatch: plan is for {plan.n} qubits, "
-                         f"factor is {factor.shape}")
-    p_state = populations(factor)
-    if abs(p_state.sum() - 1.0) > TRACE_TOLERANCE:
-        raise ValueError(f"factor has trace ||F||_F**2 = {float(p_state.sum())}, not 1")
+    if _factor_qubits(factor.shape) is None:
+        raise ValueError(f"factor shape {factor.shape} is not r x 2**n with r >= 1, n >= 1")
+    dim = factor.shape[1]
+    p_state = _unit_trace_populations(factor)
     noise = NoiseModel() if noise is None else noise
     lam = noise.depolarizing
-
     p_diag = np.clip((1.0 - lam) * p_state + lam / dim, 0.0, None)
     p_diag = p_diag / p_diag.sum()
-
-    def stream(k: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(k,)))
-
     if noise.sampling == "exact":
-        diag_counts = _exact_multinomial(p_diag, shots)
+        counts = _exact_multinomial(p_diag, shots)
     else:
-        diag_counts = stream(0).multinomial(shots, p_diag)
+        counts = _stream(noise, 0).multinomial(shots, p_diag)
+    return DiagonalRecord(counts=counts, shots=shots)
 
-    records = []
-    for t, (idx, word) in enumerate(plan.targets):
-        if idx.part == "diag":
-            records.append(CountRecord(word, int(diag_counts[idx.i]), shots))
-            continue
+
+def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecord,
+                  noise: NoiseModel | None = None) -> list[CountRecord]:
+    """The records of a plan on the state whose measured diagonal is ``diag``.
+
+    The 2**n basis records come first, read off ``diag``: the plan was chosen
+    from that round, so it is not drawn again.  Each target then is a binomial
+    at ``diag.shots`` on its depolarized projector expectation, drawn from
+    stream 2**n + k + 1 of ``noise`` for target k, or rounded for "exact".
+    """
+    dim = 2**plan.n
+    if factor.shape[1:] != (dim,) or diag.n != plan.n:
+        raise ValueError(f"dimension mismatch: plan is for {plan.n} qubits, factor is "
+                         f"{factor.shape}, diagonal record for {diag.n}")
+    _unit_trace_populations(factor)
+    noise = NoiseModel() if noise is None else noise
+    lam = noise.depolarizing
+    shots = diag.shots
+    records = [CountRecord(basis_word(k, plan.n), count, shots)
+               for k, count in enumerate(diag.counts.tolist())]
+    for k, (_, word) in enumerate(plan.targets):
         q = min(max((1.0 - lam) * expectation(factor, word) + lam / dim, 0.0), 1.0)
         if noise.sampling == "exact":
             observed = int(round(q * shots))
         else:
-            observed = int(stream(t + 1).binomial(shots, q))
+            observed = int(_stream(noise, dim + k + 1).binomial(shots, q))
         records.append(CountRecord(word, observed, shots))
-    return records, DiagonalRecord(counts=diag_counts, shots=shots)
+    return records

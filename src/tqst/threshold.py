@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,9 @@ class DiagonalRecord:
 
 @dataclass(frozen=True)
 class MeasurementPlan:
-    """Ordered measurement targets: all diagonal elements first, then the
-    selected off-diagonal (re, im) pairs with j > i."""
+    """The threshold's choice: the ``(ElementIndex, word)`` re and im targets of
+    the kept pairs j > i, in row-major order.  Every plan measures the 2**n
+    basis states first, in the diagonal round; ``size`` counts them too."""
 
     n: int
     threshold: float
@@ -60,20 +62,17 @@ class MeasurementPlan:
 
     @property
     def size(self) -> int:
-        return len(self.targets)
+        return 2**self.n + len(self.targets)
 
     def offdiagonal_pairs(self) -> list[tuple[int, int]]:
         return [(idx.i, idx.j) for idx, _ in self.targets if idx.part == "re"]
 
 
 def diagonal_plan(n: int) -> MeasurementPlan:
-    """Plan containing only the 2**n computational-basis measurements."""
+    """The plan with no targets: only the 2**n computational-basis measurements."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
-    targets = tuple(
-        (ElementIndex(k, k, "diag"), basis_word(k, n)) for k in range(2**n)
-    )
-    return MeasurementPlan(n=n, threshold=1.0, targets=targets)
+    return MeasurementPlan(n=n, threshold=1.0, targets=())
 
 
 def check_threshold(t: float) -> float:
@@ -101,16 +100,16 @@ def pair_rows(p: np.ndarray, t: float):
 
 def select_offdiagonal(diag: DiagonalRecord, t: float) -> MeasurementPlan:
     """Build the measurement plan for threshold ``t`` from diagonal counts:
-    the diagonal targets, then the (re, im) targets of every pair that
-    :func:`pair_rows` keeps, in row-major order."""
+    the (re, im) targets of every pair that :func:`pair_rows` keeps, in
+    row-major order."""
     n = diag.n
-    offdiagonal = tuple(
+    targets = tuple(
         (idx, projector_for(n, idx))
         for i, keep in pair_rows(diag.probabilities(), t)
         for j in (i + 1 + np.flatnonzero(keep)).tolist()
         for idx in (ElementIndex(i, j, "re"), ElementIndex(i, j, "im"))
     )
-    return MeasurementPlan(n=n, threshold=float(t), targets=diagonal_plan(n).targets + offdiagonal)
+    return MeasurementPlan(n=n, threshold=float(t), targets=targets)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,8 @@ def estimate_threshold(
     an expected-zero index and ``c1`` the smallest count seen at the weakest
     expected-nonzero index.  The noise level is c0 + f*sqrt(c0) and the
     signal level c1 - f*sqrt(c1); the threshold is their maximum divided by
-    the shots, with ``f`` the qubit count ``n``.
+    the shots, with ``f`` the qubit count ``n``.  A noise level above the
+    shots raises: no threshold in [0, 1] separates such replicas.
     """
     ideal = np.asarray(ideal_diag, dtype=float)
     if ideal.size != 2**n:
@@ -168,6 +168,9 @@ def estimate_threshold(
     c1 = float(counts[:, weakest].min())
 
     noise_level = c0 + n * math.sqrt(c0)
+    if noise_level > shots:
+        raise ValueError(f"noise level c0 + {n}*sqrt(c0) = {noise_level:g} exceeds the {shots} "
+                         f"shots, with c0 = {c0:g} counts on a state the ideal expects empty")
     signal_level = c1 - n * math.sqrt(c1)
     return ThresholdEstimate(
         noise_threshold=noise_level,
@@ -208,15 +211,18 @@ def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
 
 def write_plan_csv(path: str | Path, plan: MeasurementPlan) -> None:
     """Plan CSV: a ``# n_qubits=<n> threshold=<t>`` comment, then one
-    ``i,j,part,projector_word`` row per target."""
-    rows = ((idx.i, idx.j, idx.part, word) for idx, word in plan.targets)
+    ``i,j,part,projector_word`` row per measurement: the 2**n diagonal rows
+    in basis order, then one per target."""
+    diagonal = ((k, k, "diag", basis_word(k, plan.n)) for k in range(2**plan.n))
+    rows = chain(diagonal, ((idx.i, idx.j, idx.part, word) for idx, word in plan.targets))
     write_table(path, PLAN_COLUMNS, rows, {"n_qubits": plan.n, "threshold": plan.threshold})
 
 
 def read_plan_csv(path: str | Path) -> MeasurementPlan:
-    """Read a plan, requiring the 2**n diagonal targets first and in order, no
-    duplicate targets, both parts of every off-diagonal pair, and every word
-    equal to ``projector_for`` its element."""
+    """Read a plan, requiring the 2**n diagonal rows first and in order, no
+    duplicate rows, both parts of every off-diagonal pair, and every word
+    equal to ``projector_for`` its element.  The plan keeps the rows after
+    the diagonal as its targets."""
     fields, rows = read_table(path, PLAN_COLUMNS)
     try:
         n, t = int(fields["n_qubits"]), float(fields["threshold"])
@@ -230,7 +236,7 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
         for line, (i, j, part, word) in rows:
             idx = ElementIndex(int(i), int(j), part)
             if len(targets) < 2**n and idx != ElementIndex(len(targets), len(targets), "diag"):
-                raise ValueError(f"{idx} where diagonal target {len(targets)} belongs")
+                raise ValueError(f"{idx} where diagonal row {len(targets)} belongs")
             if idx in targets:
                 raise ValueError(f"duplicate target {idx}")
             expected = projector_for(n, idx)
@@ -243,4 +249,4 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
         other = {"re": "im", "im": "re"}.get(idx.part)
         if other and ElementIndex(idx.i, idx.j, other) not in targets:
             raise ValueError(f"{path}:{line}: {idx} has no {other!r} row; a pair needs both")
-    return MeasurementPlan(n=n, threshold=t, targets=tuple(targets.items()))
+    return MeasurementPlan(n=n, threshold=t, targets=tuple(targets.items())[2**n:])

@@ -28,10 +28,16 @@ from tqst.projectors import (
     psd_projection,
 )
 from tqst.settings import settings_for_plan
-from tqst.simulator import NoiseModel, color_code_state, populations, sample_counts, w_state
+from tqst.simulator import (
+    NoiseModel,
+    color_code_state,
+    populations,
+    sample_counts,
+    sample_diagonal,
+    w_state,
+)
 from tqst.threshold import (
     DiagonalRecord,
-    diagonal_plan,
     estimate_threshold,
     select_offdiagonal,
 )
@@ -116,10 +122,10 @@ def test_criterion_4_noiseless_w_state_replication():
     results = []
     for n, t in ((4, 0.1), (5, 0.01), (6, 0.001), (7, 0.0001)):
         psi = w_state(n)
-        _, diag = sample_counts(psi, diagonal_plan(n), shots, exact)
+        diag = sample_diagonal(psi, shots, exact)
         plan = select_offdiagonal(diag, t)
         assert plan.size == 2**n + n * (n - 1), (n, plan.size)
-        records, _ = sample_counts(psi, plan, shots, exact)
+        records = sample_counts(psi, plan, diag, exact)
         result = reconstruct(records, MleOptions(seed=n))
         f = fidelity(result.rho, density(psi))
         assert f >= 0.99, (n, f)
@@ -139,18 +145,17 @@ def test_criterion_5_noisy_w_state_trend():
         psi = w_state(n)
         ideal = populations(psi)
         runs = [
-            sample_counts(psi, diagonal_plan(n), shots,
-                          NoiseModel(lam, "multinomial", 1000 + r))[1]
+            sample_diagonal(psi, shots, NoiseModel(lam, "multinomial", 1000 + r))
             for r in range(20)
         ]
         estimate = estimate_threshold(ideal, runs, n)
         assert estimate.favorable
         noise = NoiseModel(lam, "multinomial", 42)
-        _, diag = sample_counts(psi, diagonal_plan(n), shots, noise)
+        diag = sample_diagonal(psi, shots, noise)
         plan = select_offdiagonal(diag, estimate.threshold)
         formula = 2**n + n * n - n
         assert abs(plan.size - formula) <= 0.01 * formula, (n, plan.size, formula)
-        records, _ = sample_counts(psi, plan, shots, noise)
+        records = sample_counts(psi, plan, diag, noise)
         result = reconstruct(
             records,
             MleOptions(parametrization="low_rank", rank=2, seed=7,
@@ -185,7 +190,7 @@ def test_criterion_6_fidelity_bound_validity():
 
 def test_criterion_7_color_code_counts():
     start = time.perf_counter()
-    _, diag = sample_counts(color_code_state(0), diagonal_plan(7), 10**4, NoiseModel(sampling="exact"))
+    diag = sample_diagonal(color_code_state(0), 10**4, NoiseModel(sampling="exact"))
     plan = select_offdiagonal(diag, 0.01)
     assert plan.size == 184
     settings = settings_for_plan(plan)

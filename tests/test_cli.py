@@ -57,6 +57,35 @@ def test_run_writes_all_artifacts(w3_run):
     assert summary["fidelity"] > 0.9
 
 
+def test_run_draws_the_diagonal_stream_once(tmp_path, monkeypatch, capsys):
+    # stream 0 is the diagonal round; the plan's targets draw from 2**n + k + 1
+    from tqst import cli, simulator
+
+    streams = []
+    original = simulator._stream
+
+    def spy(noise, k):
+        streams.append(k)
+        return original(noise, k)
+
+    monkeypatch.setattr(simulator, "_stream", spy)
+    cli.cli.main(["run", "--state", "w", "--n", "3", "--threshold", "0.1", "--lambda", "0.05",
+                  "--seed", "1", "--out", str(tmp_path)], standalone_mode=False)
+    pairs = json.loads(capsys.readouterr().out)["pairs_kept"]
+    assert pairs > 0
+    assert streams == [0] + [8 + k + 1 for k in range(2 * pairs)]
+
+
+def test_self_fidelity_of_a_fit_is_one(tmp_path):
+    # this fit has eigenvalues of 1.5e-10 and 7.0e-10, which must not be lost
+    r = tqst("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--exact", "--seed", 1,
+             "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = tqst("fidelity", tmp_path / "rho.json", tmp_path / "rho.json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["root_fidelity"] == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
 def test_run_artifacts_parse_through_module_readers(w3_run):
     out, summary = w3_run
     diag = read_diagonal_csv(out / "diagonal.csv")
@@ -257,6 +286,14 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     pytest.param({"diag.csv": "# n_s=10\nbasis_index,count\n0,4\n1,3\n1,3\n3,0\n"},
                  ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
                  "diag.csv:5:", id="duplicated-diagonal"),
+    pytest.param({"diag.csv": DIAG_N3.replace("n_s=10", "n_s=1000 n_s=2000")},
+                 ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
+                 "diag.csv:1: comment '# n_s=1000 n_s=2000' repeats a key",
+                 id="diagonal-repeated-key"),
+    pytest.param({"plan.csv": PLAN_N2.replace("threshold=0.5", "threshold=0.5 threshold=0.1")},
+                 ("settings", "--plan", "{tmp}/plan.csv"),
+                 "plan.csv:1: comment '# n_qubits=2 threshold=0.5 threshold=0.1' repeats a key",
+                 id="plan-repeated-key"),
     pytest.param({"counts.csv": "projector_word,observed,shots\nHH,5,10\nHV,5\n"},
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "counts.csv:3:", id="short-counts-row"),

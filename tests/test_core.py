@@ -61,11 +61,13 @@ def test_product_ket_unit_norm(word):
 
 
 def test_product_ket_bit_identical_to_kronecker_chain():
-    for n in range(1, 5):
-        for letters in itertools.product(STATE_LABELS, repeat=n):
-            word = "".join(letters)
-            reference = functools.reduce(np.kron, (STATE_VECTORS[c] for c in word))
-            assert product_ket(word).tobytes() == reference.tobytes(), word
+    # every word up to n = 4, and every computational-basis word up to n = 8
+    words = [letters for n in range(1, 5) for letters in itertools.product(STATE_LABELS, repeat=n)]
+    words += [letters for n in range(5, 9) for letters in itertools.product("HV", repeat=n)]
+    for letters in words:
+        word = "".join(letters)
+        reference = functools.reduce(np.kron, (STATE_VECTORS[c] for c in word))
+        assert product_ket(word).tobytes() == reference.tobytes(), word
 
 
 def test_product_ket_table_is_read_only():
@@ -150,9 +152,9 @@ def test_validate_density_accepts_maximally_mixed():
 def test_validate_density_flags_negative_eigenvalue():
     report = validate_density(np.diag([1.5, -0.5]), 1e-9)
     assert not report.ok
-    assert report.trace_ok
-    assert report.hermitian_ok
-    assert not report.psd_ok
+    assert report.trace_violation <= report.tolerance
+    assert report.hermitian_violation <= report.tolerance
+    assert report.psd_violation > report.tolerance
     assert report.psd_violation == pytest.approx(0.5)
 
 

@@ -2,10 +2,16 @@
 
 The CSV files must match the pinned SHA-256 digests byte for byte.  The
 fitted factor in ``rho.json`` and the values in ``fidelity.json`` must match
-the checked-in copies under ``tests/golden/`` to TOLERANCE, which leaves room
-for last-bit differences between BLAS builds and thread counts but not for a
-changed fit.  The references were taken at commit 447576e, where all six
-files of each run were byte-identical at one and two BLAS threads.
+the checked-in copies under ``tests/golden/`` to TOLERANCE.  That does not
+leave room for last-bit differences in the fit: the optimizer amplifies
+them, and a relative perturbation of 1e-16 on each objective and gradient
+value moves the w10 factor by up to 3.3e-4 (rho by 3.6e-5) and the w6 factor
+by 1.5e-5.  So the test in effect demands bit-identical fit arithmetic, as at
+one and two BLAS threads with OpenBLAS on x86-64; a change that reorders the
+fit's floating-point operations fails it.  The references were taken at
+commit 447576e, where all six files of each run were byte-identical at one
+and two BLAS threads.  ``fidelity.json`` has since moved in its last bits,
+within TOLERANCE, when the root fidelity became a sum of singular values.
 """
 
 import hashlib

@@ -153,13 +153,15 @@ def test_joint_support_matches_dense_metrics(n, rank_a, rank_b, seed):
 @given(n=st.integers(1, 8), rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 @example(n=2, rank=4, seed=0)
 def test_joint_support_fidelity_against_pure_target(n, rank, seed):
-    # the order `tqst run` uses: the target first, in the support and in the fidelity
+    # the target first, in the support and in the fidelity, as `tqst run` does;
+    # the fit first gives the same value
     rng = np.random.default_rng(seed)
     a = random_factor(rng, rank, 2**n)
     psi = random_factor(rng, 1, 2**n)[0]
     target_c, rho_c = joint_support(psi.conj()[None, :], a)
     exact = np.sqrt(np.real(psi.conj() @ a.conj().T @ (a @ psi)))
     assert root_fidelity(target_c, rho_c) == pytest.approx(exact, abs=1e-12)
+    assert root_fidelity(rho_c, target_c) == pytest.approx(exact, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

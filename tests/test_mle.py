@@ -23,8 +23,8 @@ from tqst.mle import (
     write_counts_csv,
 )
 from tqst.projectors import build_projector_table
-from tqst.simulator import NoiseModel, sample_counts, w_state
-from tqst.threshold import diagonal_plan, select_offdiagonal
+from tqst.simulator import NoiseModel, sample_counts, sample_diagonal, w_state
+from tqst.threshold import select_offdiagonal
 
 
 def exact_records(factor, n, shots=10**8):
@@ -220,9 +220,9 @@ def test_objective_never_increases_along_descent():
 def test_reconstruct_w4_threshold_plan():
     psi = w_state(4)
     exact = NoiseModel(sampling="exact")
-    _, diag = sample_counts(psi, diagonal_plan(4), 10**6, exact)
+    diag = sample_diagonal(psi, 10**6, exact)
     plan = select_offdiagonal(diag, 0.1)
-    records, _ = sample_counts(psi, plan, 10**6, exact)
+    records = sample_counts(psi, plan, diag, exact)
     result = reconstruct(records, MleOptions(seed=1))
     assert result.converged
     assert fidelity(result.rho, density(psi)) >= 0.99
@@ -243,9 +243,9 @@ def test_reconstruct_basis_state_from_diagonal_only():
 def test_reconstruct_sampled_w3_regression():
     psi = w_state(3)
     noise = NoiseModel(sampling="multinomial", seed=1)
-    _, diag = sample_counts(psi, diagonal_plan(3), 10**4, noise)
+    diag = sample_diagonal(psi, 10**4, noise)
     plan = select_offdiagonal(diag, 0.05)
-    records, _ = sample_counts(psi, plan, 10**4, noise)
+    records = sample_counts(psi, plan, diag, noise)
     result = reconstruct(records, MleOptions(seed=1))
     f = fidelity(result.rho, density(psi))
     assert f >= 0.98
@@ -280,8 +280,8 @@ def test_reconstruct_deterministic_given_seed():
 def test_result_factor_reproduces_rho(parametrization, rank, shape):
     psi = w_state(3)
     noise = NoiseModel(0.05, "multinomial", seed=2)
-    _, diag = sample_counts(psi, diagonal_plan(3), 10**4, noise)
-    records, _ = sample_counts(psi, select_offdiagonal(diag, 0.05), 10**4, noise)
+    diag = sample_diagonal(psi, 10**4, noise)
+    records = sample_counts(psi, select_offdiagonal(diag, 0.05), diag, noise)
     result = reconstruct(records, MleOptions(parametrization, rank, seed=2))
     f = result.factor
     assert f.shape == shape

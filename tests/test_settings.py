@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tqst.core import expectation
+from tqst.core import basis_word, expectation
 
 from tqst.projectors import build_projector_table
 from tqst.settings import setting_of, settings_for_plan, write_settings_csv
@@ -63,7 +63,7 @@ def test_full_two_qubit_plan_settings_match_brute_force():
     plan = select_offdiagonal(DiagonalRecord(counts=counts, shots=1000), 0.0)
     deduped = settings_for_plan(plan)
     oracle = []
-    for _, word in plan.targets:
+    for word in [basis_word(k, 2) for k in range(4)] + [word for _, word in plan.targets]:
         s = setting_of(word)
         if s not in oracle:
             oracle.append(s)
@@ -78,13 +78,6 @@ def test_full_set_covers_at_most_3n_settings(n):
     assert len(settings) <= 3**n
     if n == 1:
         assert settings == {"X", "Y", "Z"}
-
-
-def test_settings_for_plan_rejects_empty():
-    from tqst.threshold import MeasurementPlan
-
-    with pytest.raises(ValueError):
-        settings_for_plan(MeasurementPlan(n=1, threshold=0.0, targets=()))
 
 
 def test_settings_csv_roundtrip(tmp_path):

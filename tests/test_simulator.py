@@ -16,6 +16,7 @@ from tqst.simulator import (
     populations,
     random_filled_state,
     sample_counts,
+    sample_diagonal,
     w_state,
 )
 from tqst.threshold import DiagonalRecord, diagonal_plan, select_offdiagonal
@@ -115,25 +116,25 @@ def test_generators_emit_valid_densities(make):
 
 
 def test_exact_diagonal_sampling():
-    records, diag = sample_counts(
-        np.eye(2) / np.sqrt(2), diagonal_plan(1), 10**4, NoiseModel(sampling="exact")
-    )
+    factor = np.eye(2) / np.sqrt(2)
+    diag = sample_diagonal(factor, 10**4, NoiseModel(sampling="exact"))
     assert diag.counts.tolist() == [5000, 5000]
+    records = sample_counts(factor, diagonal_plan(1), diag, NoiseModel(sampling="exact"))
     assert [r.observed for r in records] == [5000, 5000]
 
 
 def test_exact_diagonal_sampling_preserves_total():
     # probabilities of 1/3 cannot round independently without losing shots
-    _, diag = sample_counts(w_state(3), diagonal_plan(3), 10**4,
-                            NoiseModel(sampling="exact"))
+    diag = sample_diagonal(w_state(3), 10**4, NoiseModel(sampling="exact"))
     assert diag.counts.sum() == 10**4
 
 
+W3_DIAGONAL = DiagonalRecord(np.array([0, 3334, 3333, 0, 3333, 0, 0, 0]), 10**4)
+
+
 def test_exact_offdiagonal_rounding():
-    plan = select_offdiagonal(
-        DiagonalRecord(np.array([0, 3334, 3333, 0, 3333, 0, 0, 0]), 10**4), 0.1
-    )
-    records, _ = sample_counts(w_state(3), plan, 10**4, NoiseModel(sampling="exact"))
+    plan = select_offdiagonal(W3_DIAGONAL, 0.1)
+    records = sample_counts(w_state(3), plan, W3_DIAGONAL, NoiseModel(sampling="exact"))
     by_word = {r.projector: r.observed for r in records}
     assert by_word["HVH"] == round(10**4 / 3)
 
@@ -146,16 +147,19 @@ def test_exact_depolarized_counts_match_dense_mixture():
     assert np.allclose(density(mixture), apply_depolarizing(density(psi), 0.3), atol=1e-15)
     plan = select_offdiagonal(DiagonalRecord(np.full(16, 100), 1600), 0.0)
     shots = 10**5
-    records, diag = sample_counts(psi, plan, shots, NoiseModel(0.3, "exact"))
-    ref_records, ref_diag = sample_counts(mixture, plan, shots, NoiseModel(0.0, "exact"))
-    assert records == ref_records
+    diag = sample_diagonal(psi, shots, NoiseModel(0.3, "exact"))
+    ref_diag = sample_diagonal(mixture, shots, NoiseModel(0.0, "exact"))
     assert np.array_equal(diag.counts, ref_diag.counts)
+    records = sample_counts(psi, plan, diag, NoiseModel(0.3, "exact"))
+    ref_records = sample_counts(mixture, plan, ref_diag, NoiseModel(0.0, "exact"))
+    assert records == ref_records
 
 
 def test_multinomial_seeded_fixture():
     plan = select_offdiagonal(DiagonalRecord(np.array([0, 500, 500, 0]), 1000), 0.1)
-    records, diag = sample_counts(w_state(2), plan, 1000,
-                                  NoiseModel(0.0, "multinomial", 123))
+    noise = NoiseModel(0.0, "multinomial", 123)
+    diag = sample_diagonal(w_state(2), 1000, noise)
+    records = sample_counts(w_state(2), plan, diag, noise)
     assert diag.counts.tolist() == [0, 484, 516, 0]
     by_word = {r.projector: r.observed for r in records}
     assert by_word["RR"] == 507
@@ -164,19 +168,23 @@ def test_multinomial_seeded_fixture():
 
 
 def test_multinomial_deterministic_per_seed():
-    plan = diagonal_plan(3)
-    a = sample_counts(w_state(3), plan, 5000, NoiseModel(0.1, "multinomial", 7))
-    b = sample_counts(w_state(3), plan, 5000, NoiseModel(0.1, "multinomial", 7))
-    assert a[0] == b[0]
-    assert np.array_equal(a[1].counts, b[1].counts)
+    def draw():
+        noise = NoiseModel(0.1, "multinomial", 7)
+        diag = sample_diagonal(w_state(3), 5000, noise)
+        return diag, sample_counts(w_state(3), select_offdiagonal(diag, 0.1), diag, noise)
+
+    a, b = draw(), draw()
+    assert a[1] == b[1]
+    assert np.array_equal(a[0].counts, b[0].counts)
 
 
 def test_sampled_frequencies_converge():
     psi = random_filled_state(4, 0.5, seed=20)
     shots = 10**6
-    _, diag = sample_counts(psi, diagonal_plan(4), shots, NoiseModel(0, "multinomial", 21))
+    noise = NoiseModel(0, "multinomial", 21)
+    diag = sample_diagonal(psi, shots, noise)
     plan = select_offdiagonal(diag, 0.02)
-    records, _ = sample_counts(psi, plan, shots, NoiseModel(0, "multinomial", 21))
+    records = sample_counts(psi, plan, diag, noise)
     for rec in records:
         p = expectation(psi, rec.projector)
         se = np.sqrt(max(p * (1 - p), 1e-12) / shots)
@@ -184,38 +192,54 @@ def test_sampled_frequencies_converge():
 
 
 def test_sample_counts_dimension_mismatch():
+    diag2 = DiagonalRecord(np.full(4, 25), 100)
+    diag3 = DiagonalRecord(np.full(8, 25), 200)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        sample_counts(w_state(2), diagonal_plan(3), 100)
+        sample_counts(w_state(2), diagonal_plan(3), diag3)
     for factor in (np.eye(3) / np.sqrt(3), np.eye(4)[:, :2] / np.sqrt(2)):  # not r x 2**n
         with pytest.raises(ValueError, match="dimension mismatch"):
-            sample_counts(factor, diagonal_plan(2), 100)
+            sample_counts(factor, diagonal_plan(2), diag2)
     with pytest.raises(ValueError, match=r"plan is for 3 qubits, factor is \(1, 4\)"):
-        sample_counts(w_state(2), diagonal_plan(3), 100)
+        sample_counts(w_state(2), diagonal_plan(3), diag3)
     with pytest.raises(ValueError, match=r"plan is for 2 qubits, factor is \(4,\)"):
-        sample_counts(w_state(2)[0], diagonal_plan(2), 100)  # a ket is not a factor
+        sample_counts(w_state(2)[0], diagonal_plan(2), diag2)  # a ket is not a factor
+    with pytest.raises(ValueError, match="plan is for 2 qubits.*diagonal record for 3"):
+        sample_counts(w_state(2), diagonal_plan(2), diag3)
+
+
+def test_sample_diagonal_needs_an_r_by_2n_factor_and_shots():
+    for factor in (np.eye(3) / np.sqrt(3), w_state(2)[0], np.ones((1, 1))):
+        with pytest.raises(ValueError, match=r"is not r x 2\*\*n"):
+            sample_diagonal(factor, 100)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        sample_diagonal(w_state(2), 0)
 
 
 @pytest.mark.parametrize("scale", [2.0, 3.0])
 def test_sample_counts_rejects_non_unit_trace(scale):
     # the diagonal would be renormalized, the off-diagonal probabilities not
-    plan = select_offdiagonal(
-        DiagonalRecord(np.array([0, 3334, 3333, 0, 3333, 0, 0, 0]), 10**4), 0.1
-    )
+    plan = select_offdiagonal(W3_DIAGONAL, 0.1)
     with pytest.raises(ValueError, match=r"trace \|\|F\|\|_F\*\*2 = (4|9)\.0"):
-        sample_counts(scale * w_state(3), plan, 10**4, NoiseModel(sampling="exact"))
+        sample_counts(scale * w_state(3), plan, W3_DIAGONAL, NoiseModel(sampling="exact"))
+    with pytest.raises(ValueError, match=r"trace \|\|F\|\|_F\*\*2 = (4|9)\.0"):
+        sample_diagonal(scale * w_state(3), 10**4, NoiseModel(sampling="exact"))
 
 
 def test_sample_counts_rejects_mixed_density_as_factor():
     # a dense rho passed as a factor samples rho^2, whose trace is the purity
     mixed = apply_depolarizing(density(w_state(3)), 0.3)
     with pytest.raises(ValueError, match="trace"):
-        sample_counts(mixed, diagonal_plan(3), 100)
+        sample_diagonal(mixed, 100)
+    with pytest.raises(ValueError, match="trace"):
+        sample_counts(mixed, diagonal_plan(3), W3_DIAGONAL)
     # a pure rho has rho^H rho = rho, so it samples the state itself
-    plan = select_offdiagonal(
-        DiagonalRecord(np.array([0, 3334, 3333, 0, 3333, 0, 0, 0]), 10**4), 0.1
-    )
-    pure = sample_counts(density(w_state(3)), plan, 10**4, NoiseModel(sampling="exact"))
-    assert pure[0] == sample_counts(w_state(3), plan, 10**4, NoiseModel(sampling="exact"))[0]
+    exact = NoiseModel(sampling="exact")
+    pure = density(w_state(3))
+    assert np.array_equal(sample_diagonal(pure, 10**4, exact).counts,
+                          sample_diagonal(w_state(3), 10**4, exact).counts)
+    plan = select_offdiagonal(W3_DIAGONAL, 0.1)
+    assert (sample_counts(pure, plan, W3_DIAGONAL, exact)
+            == sample_counts(w_state(3), plan, W3_DIAGONAL, exact))
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,12 +277,13 @@ def dense_reference(monkeypatch, rho):
 def test_sample_counts_ket_equals_density(monkeypatch, factor, sampling, lam):
     n = factor.shape[1].bit_length() - 1
     noise = NoiseModel(lam, sampling, seed=9)
-    _, diag = sample_counts(factor, diagonal_plan(n), 2000, noise)
-    plan = select_offdiagonal(diag, 0.01)
-    assert plan.offdiagonal_pairs()
-    from_factor, diag_factor = sample_counts(factor, plan, 2000, noise)
+    diag_factor = sample_diagonal(factor, 2000, noise)
+    plan = select_offdiagonal(diag_factor, 0.01)
+    assert plan.n == n and plan.offdiagonal_pairs()
+    from_factor = sample_counts(factor, plan, diag_factor, noise)
     dense_reference(monkeypatch, density(factor))
-    from_rho, diag_rho = sample_counts(factor, plan, 2000, noise)
+    diag_rho = sample_diagonal(factor, 2000, noise)
+    from_rho = sample_counts(factor, plan, diag_rho, noise)
     assert from_factor == from_rho
     assert np.array_equal(diag_factor.counts, diag_rho.counts)
 
@@ -270,9 +295,9 @@ def test_sampling_from_ket_needs_no_dense_state():
     noise = NoiseModel(0.05, "multinomial", seed=42)
     tracemalloc.start()
     try:
-        _, diag = sample_counts(factor, diagonal_plan(12), 10000, noise)
+        diag = sample_diagonal(factor, 10000, noise)
         plan = select_offdiagonal(diag, 0.038)
-        records, _ = sample_counts(factor, plan, 10000, noise)
+        records = sample_counts(factor, plan, diag, noise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -294,26 +319,54 @@ def test_one_unseeded_model_draws_one_set_of_streams():
     assert NoiseModel(seed=7).seed == 7
     noise = NoiseModel(0.05, "multinomial")
     assert isinstance(noise.seed, int) and noise.seed >= 0
-    # diagonal, plan from it, then the plan: both phases see one diagonal
-    _, diag = sample_counts(w_state(3), diagonal_plan(3), 1000, noise)
-    plan = select_offdiagonal(diag, 0.05)
-    _, again = sample_counts(w_state(3), plan, 1000, noise)
+    # two draws with one model see one diagonal and one set of plan records
+    diag = sample_diagonal(w_state(3), 1000, noise)
+    again = sample_diagonal(w_state(3), 1000, noise)
     assert np.array_equal(diag.counts, again.counts)
+    plan = select_offdiagonal(diag, 0.05)
+    assert sample_counts(w_state(3), plan, diag, noise) == sample_counts(w_state(3), plan, again, noise)
     # without a model, each call draws fresh entropy (equal with probability ~1e-6)
-    first, second = (sample_counts(w_state(3), diagonal_plan(3), 10**6)[1] for _ in range(2))
+    first, second = (sample_diagonal(w_state(3), 10**6) for _ in range(2))
     assert not np.array_equal(first.counts, second.counts)
 
 
 def test_diagonal_record_counts_match_records():
-    # the embedded diagonal CountRecords come from the same multinomial draw
-    plan = diagonal_plan(2)
-    records, diag = sample_counts(w_state(2), plan, 2000,
-                                  NoiseModel(0.05, "multinomial", 3))
+    # the basis records carry the counts of the diagonal record passed in
+    noise = NoiseModel(0.05, "multinomial", 3)
+    diag = sample_diagonal(w_state(2), 2000, noise)
+    records = sample_counts(w_state(2), diagonal_plan(2), diag, noise)
     assert [r.observed for r in records] == diag.counts.tolist()
 
 
+def test_basis_records_come_from_the_given_diagonal_not_the_seed():
+    # a diagonal measured under another seed and shot count is used as it is:
+    # sample_counts never draws the diagonal itself
+    noise = NoiseModel(0.05, "multinomial", 3)
+    own = sample_diagonal(w_state(3), 2000, noise)
+    other = sample_diagonal(w_state(3), 3000, NoiseModel(0.05, "multinomial", 4))
+    plan = select_offdiagonal(own, 0.1)
+    records = sample_counts(w_state(3), plan, other, noise)
+    assert len(records) == plan.size == 8 + 6
+    basis = records[:8]
+    assert [r.projector for r in basis] == ["HHH", "HHV", "HVH", "HVV", "VHH", "VHV", "VVH", "VVV"]
+    assert [r.observed for r in basis] == other.counts.tolist() != own.counts.tolist()
+    assert {r.shots for r in records} == {3000}
+
+
+def test_no_plan_holds_a_diagonal_target():
+    noise = NoiseModel(0.05, "multinomial", 5)
+    diag = sample_diagonal(w_state(4), 1000, noise)
+    for t in (0.0, 0.1, 1.0):
+        plan = select_offdiagonal(diag, t)
+        assert [idx.part for idx, _ in plan.targets] == ["re", "im"] * len(plan.offdiagonal_pairs())
+        assert plan.size == 16 + len(plan.targets)
+    assert diagonal_plan(4).targets == () and diagonal_plan(4).size == 16
+
+
 def test_count_records_are_well_formed():
-    records, _ = sample_counts(ghz_state(2), diagonal_plan(2), 100, NoiseModel())
+    diag = sample_diagonal(ghz_state(2), 100, NoiseModel())
+    records = sample_counts(ghz_state(2), select_offdiagonal(diag, 0.0), diag, NoiseModel())
+    assert len(records) == 4 + 2
     for rec in records:
         assert isinstance(rec, CountRecord)
         assert 0 <= rec.observed <= rec.shots

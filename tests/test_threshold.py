@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tqst.core import validate_word
-from tqst.simulator import NoiseModel, populations, sample_counts, w_state
+from tqst.simulator import NoiseModel, populations, sample_diagonal, w_state
 from tqst.threshold import (
     DiagonalRecord,
     diagonal_plan,
@@ -47,7 +47,7 @@ def test_unit_threshold_is_diagonal_only():
     counts = np.array([250, 250, 250, 250])
     plan = select_offdiagonal(DiagonalRecord(counts=counts, shots=1000), 1.0)
     assert plan.size == 4
-    assert all(idx.part == "diag" for idx, _ in plan.targets)
+    assert plan.targets == diagonal_plan(2).targets == ()
 
 
 def test_color_code_plan_size():
@@ -159,7 +159,7 @@ def test_estimate_threshold_w4_synthetic_runs():
     psi = w_state(4)
     ideal = populations(psi)
     runs = [
-        sample_counts(psi, diagonal_plan(4), 10**4, NoiseModel(0.02, "multinomial", 500 + r))[1]
+        sample_diagonal(psi, 10**4, NoiseModel(0.02, "multinomial", 500 + r))
         for r in range(100)
     ]
     est = estimate_threshold(ideal, runs, 4)
@@ -180,3 +180,14 @@ def test_estimate_threshold_input_validation():
         estimate_threshold(ideal, [run, DiagonalRecord(np.array([5, 0]), 5)], n=1)
     with pytest.raises(ValueError, match="a 2-qubit diagonal has 4"):
         estimate_threshold(ideal, [run, run], n=2)  # ideal and runs are 1-qubit
+
+
+def test_estimate_threshold_rejects_a_noise_level_above_the_shots():
+    # all shots on |000>, which the W state never populates: no threshold in
+    # [0, 1] separates these replicas, and the error names the noise level
+    counts = np.zeros(8, dtype=np.int64)
+    counts[0] = 1000
+    runs = [DiagonalRecord(counts=counts, shots=1000)] * 2
+    with pytest.raises(ValueError, match=r"noise level c0 \+ 3\*sqrt\(c0\) = 1094\.87 exceeds "
+                                         r"the 1000 shots, with c0 = 1000 counts on a state"):
+        estimate_threshold(populations(w_state(3)), runs, n=3)
