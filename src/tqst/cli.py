@@ -181,8 +181,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     report = _fidelity_report(result.factor, target)
     p = diag_record.probabilities()
     report["fidelity_bound"] = metrics.fidelity_bound(p, t, report["rank_target"])
-    min_kept_bound = min((float(np.sqrt(p[i] * p[j])) for i, j in plan.offdiagonal_pairs()),
-                         default=None)
+    min_kept_bound = float(np.sqrt(p[plan.pairs].prod(axis=1)).min()) if len(plan.pairs) else None
     (outdir / "fidelity.json").write_text(json.dumps(report, indent=2))
 
     _emit({
@@ -191,7 +190,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
         "threshold": t,
         "threshold_estimate": estimate_info,
         "measurements": plan.size,
-        "pairs_kept": len(plan.offdiagonal_pairs()),
+        "pairs_kept": len(plan.pairs),
         "min_kept_bound": min_kept_bound,
         "settings": len(plan_settings),
         "converged": result.converged,
@@ -287,8 +286,7 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
                              f"but {counts_file} has {n}-qubit projector words")
         # the missing basis records go first, in basis order, as in every plan,
         # so the fit sees the records in the order `tqst run` gives them
-        basis = (mle.CountRecord(core.basis_word(k, n), int(count), diag_record.shots)
-                 for k, count in enumerate(diag_record.counts))
+        basis = mle.basis_records(diag_record.counts, diag_record.shots)
         records = [rec for rec in basis if rec.projector not in present] + records
     result = mle.reconstruct(records, options)
     outdir = Path(out)

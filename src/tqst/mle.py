@@ -46,6 +46,12 @@ class CountRecord:
             raise ValueError(f"observed={self.observed} outside [0, shots={self.shots}]")
 
 
+def basis_records(counts: np.ndarray, shots: int) -> list[CountRecord]:
+    """The 2**n computational-basis records of one diagonal round, in basis order."""
+    n = len(counts).bit_length() - 1
+    return [CountRecord(basis_word(k, n), count, shots) for k, count in enumerate(counts.tolist())]
+
+
 @dataclass(frozen=True)
 class MleOptions:
     parametrization: str = "full"  # "full" or "low_rank"
@@ -285,8 +291,8 @@ def write_counts_csv(path: str | Path, records: list[CountRecord]) -> None:
 
 
 def read_counts_csv(path: str | Path) -> list[CountRecord]:
-    """Read counts, rejecting duplicate projector words and words whose
-    length differs from the first row's."""
+    """Read counts, rejecting duplicate projector words, words whose length
+    differs from the first row's, and counts that are not plain decimals."""
     _, rows = read_table(path, COUNTS_COLUMNS)
     n = len(rows[0][1][0])  # letters of the first row's word
     records = {}
@@ -296,6 +302,8 @@ def read_counts_csv(path: str | Path) -> list[CountRecord]:
                 raise ValueError(f"duplicate projector word {word!r}")
             if len(word) != n:
                 raise ValueError(f"{len(word)}-qubit word {word!r} after {n}-qubit words")
+            if not (observed.isdecimal() and shots.isdecimal()):
+                raise ValueError(f"expected decimal counts, got '{observed},{shots}'")
             records[word] = CountRecord(word, int(observed), int(shots))
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None

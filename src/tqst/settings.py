@@ -24,11 +24,8 @@ def setting_of(word: str) -> str:
 
 def settings_for_plan(plan: MeasurementPlan) -> list[str]:
     """Deduplicated settings of a plan, first occurrence first: the diagonal's
-    all-Z setting, then those of its targets."""
-    seen = {"Z" * plan.n: None}
-    for _, word in plan.targets:
-        seen.setdefault(setting_of(word), None)
-    return list(seen)
+    all-Z setting, then those of its words."""
+    return list(dict.fromkeys(["Z" * plan.n, *map(setting_of, plan.words)]))
 
 
 def write_settings_csv(path: str | Path, settings: list[str]) -> None:

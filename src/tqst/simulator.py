@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _factor_qubits, basis_word, expectation
+from .core import _factor_qubits, expectation
 from .threshold import DiagonalRecord, MeasurementPlan
-from .mle import CountRecord
+from .mle import CountRecord, basis_records
 
 #: Computational components of the 7-qubit color-code logical states, written
 #: as bit strings with the first qubit most significant.
@@ -176,9 +176,9 @@ def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecor
     """The records of a plan on the state whose measured diagonal is ``diag``.
 
     The 2**n basis records come first, read off ``diag``: the plan was chosen
-    from that round, so it is not drawn again.  Each target then is a binomial
-    at ``diag.shots`` on its depolarized projector expectation, drawn from
-    stream 2**n + k + 1 of ``noise`` for target k, or rounded for "exact".
+    from that round, so it is not drawn again.  Each plan word then is a
+    binomial at ``diag.shots`` on its depolarized projector expectation,
+    drawn from stream 2**n + k + 1 of ``noise`` for word k, or rounded for "exact".
     """
     dim = 2**plan.n
     if factor.shape[1:] != (dim,) or diag.n != plan.n:
@@ -188,9 +188,8 @@ def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecor
     noise = NoiseModel() if noise is None else noise
     lam = noise.depolarizing
     shots = diag.shots
-    records = [CountRecord(basis_word(k, plan.n), count, shots)
-               for k, count in enumerate(diag.counts.tolist())]
-    for k, (_, word) in enumerate(plan.targets):
+    records = basis_records(diag.counts, shots)
+    for k, word in enumerate(plan.words):
         q = min(max((1.0 - lam) * expectation(factor, word) + lam / dim, 0.0), 1.0)
         if noise.sampling == "exact":
             observed = int(round(q * shots))

@@ -2,17 +2,16 @@
 
 Measuring the computational-basis (diagonal) distribution first bounds every
 off-diagonal element through |rho_ij| <= sqrt(rho_ii * rho_jj).  A plan then
-keeps only the off-diagonal elements whose bound reaches the threshold; at
-t = 0 every element with a nonvanishing bound is kept and the plan grows to
-the conventional 4**n measurements.  The rule is written once, in
-:func:`pair_rows`, for the plan, the fidelity bound and the truncation.
+keeps only the pairs (i, j) whose bound reaches the threshold, measuring the
+real and the imaginary part of each; at t = 0 it keeps every pair with a
+nonvanishing bound, the conventional 4**n measurements.  The rule is written
+once, in :func:`pair_rows`, for the plan, the fidelity bound and the truncation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,29 +49,38 @@ class DiagonalRecord:
         return self.counts / self.shots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementPlan:
-    """The threshold's choice: the ``(ElementIndex, word)`` re and im targets of
-    the kept pairs j > i, in row-major order.  Every plan measures the 2**n
-    basis states first, in the diagonal round; ``size`` counts them too."""
+    """The threshold's choice: ``pairs``, the k x 2 int64 array of the kept (i, j) with
+    i < j, and ``words``, formed once: each pair's re word, then its im word.  Every
+    plan measures the 2**n basis states first, in the diagonal round; ``size`` counts them."""
 
     n: int
     threshold: float
-    targets: tuple
+    pairs: np.ndarray
+    words: tuple = field(init=False)
+
+    def __post_init__(self):
+        pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        pairs.setflags(write=False)
+        words = (projector_for(self.n, ElementIndex(i, j, part))
+                 for i, j in pairs.tolist() for part in ("re", "im"))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "words", tuple(words))
 
     @property
     def size(self) -> int:
-        return 2**self.n + len(self.targets)
+        return 2**self.n + 2 * len(self.pairs)
 
-    def offdiagonal_pairs(self) -> list[tuple[int, int]]:
-        return [(idx.i, idx.j) for idx, _ in self.targets if idx.part == "re"]
+    def offdiagonal_pairs(self) -> np.ndarray:
+        return self.pairs
 
 
 def diagonal_plan(n: int) -> MeasurementPlan:
-    """The plan with no targets: only the 2**n computational-basis measurements."""
+    """The plan with no pairs: only the 2**n computational-basis measurements."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
-    return MeasurementPlan(n=n, threshold=1.0, targets=())
+    return MeasurementPlan(n=n, threshold=1.0, pairs=())
 
 
 def check_threshold(t: float) -> float:
@@ -100,16 +108,10 @@ def pair_rows(p: np.ndarray, t: float):
 
 def select_offdiagonal(diag: DiagonalRecord, t: float) -> MeasurementPlan:
     """Build the measurement plan for threshold ``t`` from diagonal counts:
-    the (re, im) targets of every pair that :func:`pair_rows` keeps, in
-    row-major order."""
-    n = diag.n
-    targets = tuple(
-        (idx, projector_for(n, idx))
-        for i, keep in pair_rows(diag.probabilities(), t)
-        for j in (i + 1 + np.flatnonzero(keep)).tolist()
-        for idx in (ElementIndex(i, j, "re"), ElementIndex(i, j, "im"))
-    )
-    return MeasurementPlan(n=n, threshold=float(t), targets=targets)
+    every pair that :func:`pair_rows` keeps, in row-major order."""
+    pairs = [(i, j) for i, keep in pair_rows(diag.probabilities(), t)
+             for j in (i + 1 + np.flatnonzero(keep)).tolist()]
+    return MeasurementPlan(n=diag.n, threshold=float(t), pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -209,20 +211,25 @@ def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
         raise ValueError(f"{path}: not a '# n_s=<shots>' diagonal record ({exc!r})") from None
 
 
+def _plan_rows(plan: MeasurementPlan):
+    """A plan's rows: the 2**n diagonal rows in basis order, then each pair's re and im row."""
+    for k in range(2**plan.n):
+        yield k, k, "diag", basis_word(k, plan.n)
+    for (i, j), re, im in zip(plan.pairs.tolist(), plan.words[::2], plan.words[1::2]):
+        yield i, j, "re", re
+        yield i, j, "im", im
+
+
 def write_plan_csv(path: str | Path, plan: MeasurementPlan) -> None:
-    """Plan CSV: a ``# n_qubits=<n> threshold=<t>`` comment, then one
-    ``i,j,part,projector_word`` row per measurement: the 2**n diagonal rows
-    in basis order, then one per target."""
-    diagonal = ((k, k, "diag", basis_word(k, plan.n)) for k in range(2**plan.n))
-    rows = chain(diagonal, ((idx.i, idx.j, idx.part, word) for idx, word in plan.targets))
-    write_table(path, PLAN_COLUMNS, rows, {"n_qubits": plan.n, "threshold": plan.threshold})
+    """Plan CSV: a ``# n_qubits=<n> threshold=<t>`` comment, then the rows
+    of :func:`_plan_rows`."""
+    write_table(path, PLAN_COLUMNS, _plan_rows(plan), {"n_qubits": plan.n, "threshold": plan.threshold})
 
 
 def read_plan_csv(path: str | Path) -> MeasurementPlan:
-    """Read a plan, requiring the 2**n diagonal rows first and in order, no
-    duplicate rows, both parts of every off-diagonal pair, and every word
-    equal to ``projector_for`` its element.  The plan keeps the rows after
-    the diagonal as its targets."""
+    """Read a plan: its pairs are the plain decimal ``i,j`` of every other row after the
+    2**n diagonal rows, each new and with i < j < 2**n, in file order, and the file must
+    hold exactly the rows that :func:`write_plan_csv` writes for them."""
     fields, rows = read_table(path, PLAN_COLUMNS)
     try:
         n, t = int(fields["n_qubits"]), float(fields["threshold"])
@@ -231,22 +238,17 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
     # 1 <= n and 2**n <= len(rows), without computing 2**n for a huge n
     if not (1 <= n < len(rows).bit_length() and 0.0 <= t <= 1.0):
         raise ValueError(f"{path}:1: n_qubits={n} threshold={t} out of range for {len(rows)} rows")
-    targets, lines = {}, {}
-    try:
-        for line, (i, j, part, word) in rows:
-            idx = ElementIndex(int(i), int(j), part)
-            if len(targets) < 2**n and idx != ElementIndex(len(targets), len(targets), "diag"):
-                raise ValueError(f"{idx} where diagonal row {len(targets)} belongs")
-            if idx in targets:
-                raise ValueError(f"duplicate target {idx}")
-            expected = projector_for(n, idx)
-            if word != expected:
-                raise ValueError(f"word {word!r} does not measure {idx}, {expected!r} does")
-            targets[idx], lines[idx] = word, line
-    except ValueError as exc:
-        raise ValueError(f"{path}:{line}: {exc}") from None
-    for idx, line in lines.items():
-        other = {"re": "im", "im": "re"}.get(idx.part)
-        if other and ElementIndex(idx.i, idx.j, other) not in targets:
-            raise ValueError(f"{path}:{line}: {idx} has no {other!r} row; a pair needs both")
-    return MeasurementPlan(n=n, threshold=t, targets=tuple(targets.items())[2**n:])
+    pairs = {}  # in file order
+    for line, (i, j, _, _) in rows[2**n::2]:
+        pair = (int(i), int(j)) if i.isdecimal() and j.isdecimal() else None
+        if pair is None or not pair[0] < pair[1] < 2**n or pair in pairs:
+            raise ValueError(f"{path}:{line}: '{i},{j}' is not a new pair i < j < {2**n} in plain decimals")
+        pairs[pair] = None
+    plan = MeasurementPlan(n=n, threshold=t, pairs=list(pairs))
+    expected = _plan_rows(plan)
+    for (line, row), want in zip(rows, expected):
+        if row != list(map(str, want)):
+            raise ValueError(f"{path}:{line}: expected '{','.join(map(str, want))}', got '{','.join(row)}'")
+    if next(expected, None):  # the last row is a pair's re row
+        raise ValueError(f"{path}:{line}: '{','.join(row)}' has no 'im' row after it")
+    return plan

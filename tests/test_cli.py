@@ -202,6 +202,7 @@ def test_auto_threshold_pipeline(tmp_path):
 
 DIAG_N3 = "# n_s=10\nbasis_index,count\n" + "".join(f"{k},{5 * (k in (1, 2))}\n" for k in range(8))
 DIAG_GHZ2 = "# n_s=10\nbasis_index,count\n0,5\n1,0\n2,0\n3,5\n"
+COUNTS_N2 = "projector_word,observed,shots\nHH,50,100\nHV,25,100\nVH,25,100\nVV,0,100\n"
 PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     f"{k},{k},diag,{word}\n" for k, word in enumerate(("HH", "HV", "VH", "VV"))
 )
@@ -301,6 +302,18 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "{tmp}/counts.csv:4: 3-qubit word 'VHH' after 2-qubit words",
                  id="counts-mixed-word-lengths"),
+    pytest.param({"counts.csv": COUNTS_N2.replace("HH,50,", "HH,5_0,")},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 "counts.csv:2: expected decimal counts, got '5_0,100'",
+                 id="counts-underscore"),
+    pytest.param({"counts.csv": COUNTS_N2.replace("HV,25,", "HV,+25,")},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 "counts.csv:3: expected decimal counts, got '+25,100'",
+                 id="counts-plus-sign"),
+    pytest.param({"counts.csv": COUNTS_N2.replace("VH,25,", "VH, 25,")},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 "counts.csv:4: expected decimal counts, got ' 25,100'",
+                 id="counts-leading-space"),
     pytest.param({"plan.csv": PLAN_N2.replace(",HV\n", ",HVH\n")},
                  ("settings", "--plan", "{tmp}/plan.csv"),
                  "plan.csv:4:", id="plan-word-length"),
@@ -310,11 +323,11 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     pytest.param({"plan.csv": PLAN_N2 + "1,2,re,RR\n"},
                  ("simulate", "--state", "w", "--n", 2, "--plan", "{tmp}/plan.csv",
                   "--out", "{tmp}/o"),
-                 "plan.csv:7: ElementIndex(i=1, j=2, part='re') has no 'im' row",
+                 "plan.csv:7: '1,2,re,RR' has no 'im' row after it",
                  id="plan-lone-re"),
     pytest.param({"plan.csv": PLAN_N2 + "1,2,im,RD\n"},
                  ("settings", "--plan", "{tmp}/plan.csv", "--out", "{tmp}/settings.csv"),
-                 "plan.csv:7: ElementIndex(i=1, j=2, part='im') has no 're' row",
+                 "plan.csv:7: expected '1,2,re,RR', got '1,2,im,RD'",
                  id="plan-lone-im"),
     pytest.param({"rho.json": '{"n_qubits": 1, "factor_re": [[1.0, 0.0], [0.0, NaN]], '
                               '"factor_im": [[0.0, 0.0], [0.0, 0.0]]}'},

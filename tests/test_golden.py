@@ -23,6 +23,8 @@ import pytest
 
 import tqst.cli
 from tqst.core import load_factor
+from tqst.settings import settings_for_plan, write_settings_csv
+from tqst.threshold import read_plan_csv, write_plan_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 TOLERANCE = 1e-9  # absolute, on every factor entry and fidelity.json value
@@ -64,8 +66,15 @@ def tqst_cli(*args):
     tqst.cli.cli.main([str(a) for a in args], standalone_mode=False)
 
 
-@pytest.mark.parametrize("name", RUNS)
-def test_golden_outputs(name, tmp_path):
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module", params=RUNS)
+def golden_run(request, tmp_path_factory):
+    """The name of a reference run and the directory it wrote."""
+    name = request.param
+    tmp_path = tmp_path_factory.mktemp(name)
     run_files = []
     for seed in REPLICA_SEEDS.get(name, ()):
         tqst_cli("simulate", "--state", "w", "--n", 10, "--lambda", 0.05, "--shots", 10000,
@@ -73,9 +82,13 @@ def test_golden_outputs(name, tmp_path):
         run_files += ["--run-file", tmp_path / f"replica{seed}" / "diagonal.csv"]
     out = tmp_path / name
     tqst_cli("run", *RUNS[name], *run_files, "--out", out)
+    return name, out
 
+
+def test_golden_outputs(golden_run):
+    name, out = golden_run
     for file, digest in DIGESTS[name].items():
-        assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
+        assert sha256(out / file) == digest, file
 
     expected = load_factor(GOLDEN / name / "rho.json")
     factor = load_factor(out / "rho.json")
@@ -87,3 +100,14 @@ def test_golden_outputs(name, tmp_path):
     assert report.keys() == expected.keys()
     for key, value in expected.items():
         assert report[key] == pytest.approx(value, rel=0, abs=TOLERANCE), key
+
+
+def test_golden_plan_reads_back(golden_run, tmp_path):
+    # the reader accepts the reference plans, and the plan it returns writes
+    # the same plan and settings files again
+    name, out = golden_run
+    plan = read_plan_csv(out / "plan.csv")
+    write_plan_csv(tmp_path / "plan.csv", plan)
+    assert sha256(tmp_path / "plan.csv") == DIGESTS[name]["plan.csv"]
+    write_settings_csv(tmp_path / "settings.csv", settings_for_plan(plan))
+    assert sha256(tmp_path / "settings.csv") == DIGESTS[name]["settings.csv"]

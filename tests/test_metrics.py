@@ -259,7 +259,7 @@ def test_threshold_rule_matches_dense_reference(n, zeros, rank, pick, seed):
     upper = np.triu_indices(dim, 1)
     t = float(np.append(geo[upper], 0.0)[pick % (upper[0].size + 1)])
     kept = [(i, j) for i, j in zip(*upper) if geo[i, j] > 0.0 and geo[i, j] >= t]
-    assert select_offdiagonal(record, t).offdiagonal_pairs() == kept
+    assert select_offdiagonal(record, t).pairs.tolist() == [list(pair) for pair in kept]
     assert fidelity_bound(p, t, rank) == pytest.approx(dense_fidelity_bound(p, t, rank), abs=1e-12)
     assert fidelity_bound(p, 0.0, rank) == 1.0
     # the truncation drops exactly the pairs the plan does not measure

@@ -63,7 +63,7 @@ def test_full_two_qubit_plan_settings_match_brute_force():
     plan = select_offdiagonal(DiagonalRecord(counts=counts, shots=1000), 0.0)
     deduped = settings_for_plan(plan)
     oracle = []
-    for word in [basis_word(k, 2) for k in range(4)] + [word for _, word in plan.targets]:
+    for word in [basis_word(k, 2) for k in range(4)] + list(plan.words):
         s = setting_of(word)
         if s not in oracle:
             oracle.append(s)

@@ -279,7 +279,7 @@ def test_sample_counts_ket_equals_density(monkeypatch, factor, sampling, lam):
     noise = NoiseModel(lam, sampling, seed=9)
     diag_factor = sample_diagonal(factor, 2000, noise)
     plan = select_offdiagonal(diag_factor, 0.01)
-    assert plan.n == n and plan.offdiagonal_pairs()
+    assert plan.n == n and len(plan.pairs)
     from_factor = sample_counts(factor, plan, diag_factor, noise)
     dense_reference(monkeypatch, density(factor))
     diag_rho = sample_diagonal(factor, 2000, noise)
@@ -358,9 +358,9 @@ def test_no_plan_holds_a_diagonal_target():
     diag = sample_diagonal(w_state(4), 1000, noise)
     for t in (0.0, 0.1, 1.0):
         plan = select_offdiagonal(diag, t)
-        assert [idx.part for idx, _ in plan.targets] == ["re", "im"] * len(plan.offdiagonal_pairs())
-        assert plan.size == 16 + len(plan.targets)
-    assert diagonal_plan(4).targets == () and diagonal_plan(4).size == 16
+        assert (plan.pairs[:, 0] < plan.pairs[:, 1]).all()
+        assert plan.size == 16 + len(plan.words) == 16 + 2 * len(plan.pairs)
+    assert diagonal_plan(4).words == () and diagonal_plan(4).size == 16
 
 
 def test_count_records_are_well_formed():

@@ -6,6 +6,7 @@ from tqst.core import validate_word
 from tqst.simulator import NoiseModel, populations, sample_diagonal, w_state
 from tqst.threshold import (
     DiagonalRecord,
+    MeasurementPlan,
     diagonal_plan,
     estimate_threshold,
     read_diagonal_csv,
@@ -39,7 +40,7 @@ def test_zero_threshold_reaches_conventional_count():
 def test_zero_threshold_skips_vanishing_products():
     counts = np.array([600, 400, 0, 0])
     plan = select_offdiagonal(DiagonalRecord(counts=counts, shots=1000), 0.0)
-    assert plan.offdiagonal_pairs() == [(0, 1)]
+    assert plan.pairs.tolist() == [[0, 1]]
     assert plan.size == 4 + 2
 
 
@@ -47,7 +48,7 @@ def test_unit_threshold_is_diagonal_only():
     counts = np.array([250, 250, 250, 250])
     plan = select_offdiagonal(DiagonalRecord(counts=counts, shots=1000), 1.0)
     assert plan.size == 4
-    assert plan.targets == diagonal_plan(2).targets == ()
+    assert plan.pairs.shape == diagonal_plan(2).pairs.shape == (0, 2)
 
 
 def test_color_code_plan_size():
@@ -70,8 +71,8 @@ def test_plan_targets_shrink_monotonically():
         counts = rng.multinomial(10**4, rng.dirichlet(np.ones(8)))
         record = DiagonalRecord(counts=counts, shots=10**4)
         t1, t2 = sorted(rng.uniform(0, 0.6, size=2))
-        low = set(idx for idx, _ in select_offdiagonal(record, t1).targets)
-        high = set(idx for idx, _ in select_offdiagonal(record, t2).targets)
+        low = set(map(tuple, select_offdiagonal(record, t1).pairs.tolist()))
+        high = set(map(tuple, select_offdiagonal(record, t2).pairs.tolist()))
         assert high <= low
 
 
@@ -98,14 +99,55 @@ roundtrip = settings(max_examples=40, deadline=None,
 def test_plan_words_serialize_and_parse(tmp_path, counts, t):
     record = DiagonalRecord(counts=np.array(counts), shots=sum(counts))
     plan = select_offdiagonal(record, t)
-    for _, word in plan.targets:
+    for word in plan.words:
         assert validate_word(word) == word
     path = tmp_path / "plan.csv"
     write_plan_csv(path, plan)
     back = read_plan_csv(path)
     assert back.n == plan.n
     assert back.threshold == plan.threshold
-    assert back.targets == plan.targets
+    assert np.array_equal(back.pairs, plan.pairs)
+    assert back.words == plan.words
+
+
+def _swap(a, b):
+    def edit(lines):
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+    return edit
+
+
+def _replace(line, old, new):
+    def edit(lines):
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    return edit
+
+
+#: one edit each to the file of the 2-qubit plan with pairs (2, 3) and (1, 2):
+#: the comment, the header, the diagonal rows on lines 3-6, then the re and im
+#: rows of (2, 3) on lines 7-8 and of (1, 2) on lines 9-10; and the line that
+#: the reader must name
+PLAN_EDITS = {
+    "swapped-re-im": (_swap(9, 10), 9),
+    "plus-sign": (_replace(10, "1,2,", "+1,2,"), 10),
+    "repeated-pair": (lambda lines: lines.extend(lines[6:8]), 11),
+    "j-out-of-range": (_replace(9, "1,2,", "1,4,"), 9),
+    "i-equals-j": (_replace(9, "1,2,", "2,2,"), 9),
+    "changed-word": (_replace(8, ",im,VR", ",im,HH"), 8),
+    "moved-diagonal-row": (_swap(3, 4), 3),
+    "lone-re": (lambda lines: lines.append("0,1,re,HD"), 11),
+}
+
+
+@pytest.mark.parametrize("edit, line", PLAN_EDITS.values(), ids=PLAN_EDITS)
+def test_plan_reader_names_the_edited_line(tmp_path, edit, line):
+    path = tmp_path / "plan.csv"
+    write_plan_csv(path, MeasurementPlan(n=2, threshold=0.1, pairs=[(2, 3), (1, 2)]))
+    assert read_plan_csv(path).pairs.tolist() == [[2, 3], [1, 2]]  # pairs in any order
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"plan\.csv:{line}: "):
+        read_plan_csv(path)
 
 
 @roundtrip
