@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -119,9 +119,81 @@ def expectation(factor: np.ndarray, word: str) -> float:
     return float(np.vdot(a, a).real)
 
 
-def density(factor: np.ndarray) -> np.ndarray:
-    """The density matrix rho = F^H F of an r x 2**n factor F."""
-    return factor.conj().T @ factor
+#: Largest qubit count of a state: its basis indices are int64.
+MAX_QUBITS = 62
+
+
+@dataclass(frozen=True, eq=False)
+class BlockState:
+    """The state rho = F^H F on the basis states ``columns``, plus the
+    ``populations`` of the basis states ``isolated`` on its diagonal, and zero
+    elsewhere: (F^H F) ⊕ diag(populations), in n qubits.
+
+    ``columns`` and ``isolated`` are disjoint, strictly increasing int64
+    indices below 2**n; ``factor`` is r x len(columns) with r >= 1, and the
+    populations are finite and non-negative.  Any fault raises ValueError.
+    A factor over all 2**n columns, with no isolated state, is the plain
+    factored state of :meth:`of_factor`.
+    """
+
+    n: int
+    columns: np.ndarray
+    factor: np.ndarray
+    isolated: np.ndarray = field(default_factory=lambda: np.arange(0))
+    populations: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        if type(self.n) is not int or not 1 <= self.n <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {self.n!r}")
+        for name in ("columns", "isolated"):
+            index = np.asarray(getattr(self, name), dtype=np.int64)
+            if index.ndim != 1 or (index.size and (index[0] < 0 or index[-1] >= 2**self.n)):
+                raise ValueError(f"{name} must be a list of basis indices below 2**{self.n}")
+            if (np.diff(index) <= 0).any():
+                raise ValueError(f"{name} must be strictly increasing")
+            object.__setattr__(self, name, index)
+        factor = np.asarray(self.factor, dtype=complex)
+        populations = np.asarray(self.populations, dtype=float)
+        if factor.ndim != 2 or factor.shape[0] < 1 or factor.shape[1] != self.columns.size:
+            raise ValueError(f"factor of shape {factor.shape} is not r x {self.columns.size} "
+                             f"(one column per entry of columns) with r >= 1")
+        if not np.isfinite(factor).all():
+            raise ValueError("factor has non-finite entries")
+        if populations.shape != self.isolated.shape:
+            raise ValueError(f"{populations.size} populations for {self.isolated.size} isolated states")
+        if not (np.isfinite(populations) & (populations >= 0.0)).all():
+            raise ValueError("populations must be finite and non-negative")
+        if np.intersect1d(self.columns, self.isolated).size:
+            raise ValueError("an isolated state is also a column of the factor")
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "populations", populations)
+
+    @classmethod
+    def of_factor(cls, factor: np.ndarray) -> "BlockState":
+        """The state F^H F of an r x 2**n factor F over all columns."""
+        factor = np.asarray(factor, dtype=complex)
+        n = _factor_qubits(factor.shape)
+        if n is None:
+            raise ValueError(f"factor shape {factor.shape} is not r x 2**n with r >= 1, n >= 1")
+        return cls(n, np.arange(2**n), factor)
+
+    @property
+    def all_columns(self) -> bool:
+        """Whether the factor covers all 2**n columns, as in a plain factored state."""
+        return self.columns.size == 2**self.n
+
+
+def density(state) -> np.ndarray:
+    """The density matrix of a :class:`BlockState`, or F^H F of a factor F:
+    the one function that forms it."""
+    if not isinstance(state, BlockState):
+        return state.conj().T @ state
+    if state.all_columns:
+        return density(state.factor)
+    rho = np.zeros((2**state.n, 2**state.n), dtype=complex)
+    rho[np.ix_(state.columns, state.columns)] = density(state.factor)
+    rho[state.isolated, state.isolated] = state.populations
+    return rho
 
 
 @dataclass(frozen=True)
@@ -178,47 +250,75 @@ def validate_density(m: np.ndarray, tolerance: float = 1e-9) -> ValidityReport:
     )
 
 
-def save_density(path: str | Path, factor: np.ndarray) -> None:
-    """Write the state rho = F^H F as its factor F, r x 2**n with r >= 1:
-    {"n_qubits", "factor_re", "factor_im"} at full precision."""
-    factor = np.asarray(factor, dtype=complex)
-    n = _factor_qubits(factor.shape)
-    if n is None:
-        raise ValueError(f"factor shape {factor.shape} is not r x 2**n with r >= 1, n >= 1")
-    payload = {
-        "n_qubits": n,
-        "factor_re": factor.real.tolist(),
-        "factor_im": factor.imag.tolist(),
-    }
+def save_density(path: str | Path, state) -> None:
+    """Write a :class:`BlockState`, or the state F^H F of a factor F, at full
+    precision: {"n_qubits", "factor_re", "factor_im"} for a factor over all
+    2**n columns, and otherwise {"n_qubits", "columns", "factor_re",
+    "factor_im", "isolated", "populations"}."""
+    if not isinstance(state, BlockState):
+        state = BlockState.of_factor(state)
+    payload = {"n_qubits": state.n}
+    if not state.all_columns:
+        payload["columns"] = state.columns.tolist()
+    payload["factor_re"] = state.factor.real.tolist()
+    payload["factor_im"] = state.factor.imag.tolist()
+    if not state.all_columns:
+        payload["isolated"] = state.isolated.tolist()
+        payload["populations"] = state.populations.tolist()
     Path(path).write_text(json.dumps(payload, allow_nan=False))
 
 
-def load_factor(path: str | Path) -> np.ndarray:
-    """Read the factor F written by :func:`save_density`.  Both arrays must
-    be r x 2**n_qubits with r >= 1 and finite numeric entries; a file without
-    the factor keys, such as a dense ``{"re", "im"}`` matrix, is rejected."""
+BLOCK_KEYS = ("columns", "isolated", "populations")
+
+
+def load_state(path: str | Path) -> BlockState:
+    """Read the state written by :func:`save_density`.  The factor arrays must
+    be r x 2**n_qubits, or r x len(columns) when the file has the block keys
+    ``columns``, ``isolated`` and ``populations`` (all three or none), with
+    r >= 1 and finite numeric entries; indices must be integers.  A file
+    without the factor keys, such as a dense ``{"re", "im"}`` matrix, is
+    rejected, and so is any fault :class:`BlockState` rejects."""
     try:
         payload = json.loads(Path(path).read_text())
         n = payload["n_qubits"]
         if type(n) is not int:  # neither 1.9 nor true is read as 1
             raise TypeError(f"n_qubits {n!r} is not an integer")
         re, im = _json_numbers(payload["factor_re"]), _json_numbers(payload["factor_im"])
+        block = [key in payload for key in BLOCK_KEYS]
+        if any(block) and not all(block):
+            raise KeyError(f"{BLOCK_KEYS} must be given together")
+        if all(block):
+            columns, isolated = (_json_indices(payload[key]) for key in ("columns", "isolated"))
+            populations = _json_numbers(payload["populations"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a factored density-matrix JSON file with keys "
                          f"n_qubits, factor_re, factor_im ({exc!r})") from exc
-    # n comes from the arrays' shape, so n_qubits is never exponentiated unchecked
-    if re.shape != im.shape or _factor_qubits(re.shape) != n:
-        raise ValueError(f"{path}: n_qubits={n} does not match arrays of shape "
-                         f"{re.shape}/{im.shape}, which must be r x 2**n_qubits with r >= 1")
-    factor = re + 1j * im
-    if not np.isfinite(factor).all():
-        raise ValueError(f"{path}: factor has non-finite entries")
-    return factor
+    if re.shape != im.shape:
+        raise ValueError(f"{path}: factor_re and factor_im have shapes {re.shape} and {im.shape}")
+    try:
+        if all(block):
+            return BlockState(n, columns, re + 1j * im, isolated, populations)
+        # n comes from the arrays' shape, so n_qubits is never exponentiated unchecked
+        if _factor_qubits(re.shape) != n:
+            raise ValueError(f"n_qubits={n} does not match arrays of shape {re.shape}, "
+                             "which must be r x 2**n_qubits with r >= 1")
+        return BlockState.of_factor(re + 1j * im)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_density(path: str | Path) -> np.ndarray:
-    """The density matrix F^H F of the factor in a :func:`save_density` file."""
-    return density(load_factor(path))
+    """The density matrix of the state in a :func:`save_density` file."""
+    return density(load_state(path))
+
+
+def _json_indices(value) -> np.ndarray:
+    """A JSON list of integers as int64; anything else raises."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise TypeError("indices must be a list of integers")
+    if any(not 0 <= x < 2**MAX_QUBITS for x in value):
+        raise ValueError(f"indices must lie in [0, 2**{MAX_QUBITS})")
+    return np.array(value, dtype=np.int64)
 
 
 def _json_numbers(value) -> np.ndarray:

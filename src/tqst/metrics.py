@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .core import density, validate_density
-from .threshold import pair_rows
+from .threshold import candidate_rows, kept_pairs
 
 EIGEN_TOLERANCE = 1e-8
 VALIDITY_TOLERANCE = 1e-6  # how far either input may stray from a density matrix
@@ -84,10 +84,16 @@ def fidelity_bound(diag: np.ndarray, t: float, rank: int) -> float:
     """Worst-case fidelity of reconstructing with below-threshold elements zeroed.
 
     With S the sum of diag_i * diag_j over all ordered pairs (i, j), i != j,
-    that :func:`~tqst.threshold.pair_rows` does not keep, the bound is
+    that :func:`~tqst.threshold.kept_pairs` does not keep, the bound is
     (1 - sqrt(rank * S))^2, clamped to [0, 1] before squaring: a negative
-    inner value carries no information.  At t = 0 only pairs of zero product
-    are dropped, and the bound is exactly 1.
+    inner value carries no information.
+
+    Only the candidates of :func:`~tqst.threshold.candidate_rows` are
+    scanned.  With Q the sum of the other entries and P that of the
+    candidates, the pairs with at least one non-candidate add
+    2 Q P + Q**2 - (the sum of the non-candidates' squares); the dropped
+    pairs among the candidates are added one by one.  At t = 0 every nonzero
+    entry is a candidate and the bound is exactly 1.
     """
     diag = np.asarray(diag, dtype=float)
     if rank < 1:
@@ -97,14 +103,18 @@ def fidelity_bound(diag: np.ndarray, t: float, rank: int) -> float:
     if diag.sum() > 1.0 + 1e-9:
         raise ValueError(f"diagonal sums to {diag.sum()}, above 1")
     p = np.clip(diag, 0.0, None)
+    candidate, rows = candidate_rows(p, t)
+    other = p[~candidate]
+    q = float(other.sum())
     # each dropped pair counts in both orientations
-    s = 2.0 * sum(float((p[i] * p[i + 1 :][~keep]).sum()) for i, keep in pair_rows(p, t))
-    inner = min(max(1.0 - math.sqrt(rank * s), 0.0), 1.0)
+    s = q * (2.0 * float(p[candidate].sum()) + q) - float(other @ other)
+    s += 2.0 * sum(float((p[i] * p[later][~keep]).sum()) for i, later, keep in rows)
+    inner = min(max(1.0 - math.sqrt(rank * max(s, 0.0)), 0.0), 1.0)
     return inner * inner
 
 
 def truncate_below_threshold(rho: np.ndarray, t: float) -> np.ndarray:
-    """Zero every off-diagonal pair that :func:`~tqst.threshold.pair_rows`
+    """Zero every off-diagonal pair that :func:`~tqst.threshold.kept_pairs`
     does not keep for the diagonal of ``rho``.
 
     This is the estimator a threshold-limited reconstruction targets; it is
@@ -112,7 +122,8 @@ def truncate_below_threshold(rho: np.ndarray, t: float) -> np.ndarray:
     """
     rho = np.array(rho, dtype=complex)
     p = np.clip(np.real(np.diag(rho)), 0.0, None)
-    for i, keep in pair_rows(p, t):
-        drop = i + 1 + np.flatnonzero(~keep)
-        rho[i, drop] = rho[drop, i] = 0.0
+    keep = np.eye(p.size, dtype=bool)
+    i, j = kept_pairs(p, t).T
+    keep[i, j] = keep[j, i] = True
+    rho[~keep] = 0.0
     return rho

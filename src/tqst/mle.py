@@ -1,11 +1,19 @@
 """Maximum-likelihood density-matrix reconstruction from projector counts.
 
-The state is parametrized so that positivity and unit trace hold by
-construction: rho = F^dag F / tr(F^dag F), where F is either an upper
-triangular matrix with a real diagonal (``full``, exactly 4**n real
-parameters) or a free r x 2**n complex factor (``low_rank``, 2*r*2**n
-parameters, suited to high-purity states).  The Gaussian negative
-log-likelihood
+The fit follows the threshold: a coherence that no record measures is zero.
+The basis states split into the coupled states C, the union of the supports
+of the records' superposition words; the isolated states I, outside C with
+a nonzero basis count; and the rest, whose zero-count basis records only
+add a constant to the objective and are left out.  The fitted state is
+
+    rho = (F^dag F ⊕ diag(d^2)) / tau,    tau = tr(F^dag F) + |d|^2,
+
+so positivity and unit trace hold by construction.  F acts on the columns
+C only: an upper triangular matrix with a real diagonal (``full``, |C|**2
+real parameters) or a free r x |C| complex factor (``low_rank``, 2*r*|C|
+parameters, suited to high-purity states); d holds one real amplitude per
+isolated state.  When every state is coupled, as at t = 0, this is the
+plain factor over all 2**n columns.  The Gaussian negative log-likelihood
 
     L = sum_K ((n_K - N_K) / (2 sqrt(n_K)))^2,    n_K = shots_K <P_K rho P_K>
 
@@ -24,10 +32,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import basis_word, density, product_ket, read_table, validate_word, write_table
+from .core import (BlockState, basis_word, density, product_ket, read_table, validate_word,
+                   write_table)
 
 EPSILON = 1e-9  # relative floor for model counts n_K
 JITTER = 1e-3  # scale of the random start off the measured diagonal
+#: Line-search steps per L-BFGS-B iteration (scipy's default is 20).  On
+#: exact-count fits, whose zero counts put kinks in the objective at the
+#: floor, 20 steps ended 14 of 120 seeded `full` W-state fits (n = 3..5; 18
+#: with a factor over all columns) in an abnormal line-search stop; 50 ended
+#: none.  A fit whose line searches all end within 20 steps takes the same
+#: path either way.
+LINE_SEARCH_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -75,12 +91,14 @@ class MleOptions:
 
 @dataclass
 class ReconstructionResult:
-    """The fitted state as its factor: ``factor`` is the fitted F scaled to
-    unit Frobenius norm (r x 2**n for ``low_rank``, 2**n x 2**n for ``full``),
-    and the density matrix ``rho`` is ``factor^H factor``, formed on first use.
-    ``nfev``, ``status`` and ``message`` are scipy's for the minimization."""
+    """The fitted state as a :class:`~tqst.core.BlockState` of unit trace: the
+    factor on the coupled states (r x |C| for ``low_rank``, |C| x |C| for
+    ``full``) and the populations of the isolated ones.  The density matrix
+    ``rho`` is formed on first use.  ``parameters`` is the number of real
+    parameters fitted; ``nfev``, ``status`` and ``message`` are scipy's for
+    the minimization."""
 
-    factor: np.ndarray
+    state: BlockState
     final_objective: float
     iterations: int
     nfev: int
@@ -89,18 +107,26 @@ class ReconstructionResult:
     gradient_norm: float
     parametrization: str
     converged: bool
+    parameters: int
     wall_time_s: float = 0.0
 
     @cached_property
     def rho(self) -> np.ndarray:
-        return density(self.factor)
+        return density(self.state)
 
 
 class _Bundle:
     """Records unpacked to arrays: observed counts, shots, and the projector
-    kets as the rows of a CSR matrix ``kets`` (m x 2**n) with its conjugate
-    transpose ``kets_h``.  A product ket has 2**(number of D/A/R/L letters)
-    nonzeros, and only those are stored."""
+    kets as the rows of a CSR matrix ``kets`` with its conjugate transpose
+    ``kets_h``.  A product ket has 2**(number of D/A/R/L letters) nonzeros,
+    and only those are stored.
+
+    As made, the bundle is the model over all 2**n columns: ``columns`` is
+    every basis state and ``isolated`` none.  :meth:`split` restricts it to
+    the block model: the kets' rows to the records on the coupled states and
+    their columns to those states, followed by the records of the isolated
+    states, whose positions in ``isolated`` are ``iso``; ``constant`` is the
+    objective of the records left out."""
 
     def __init__(self, records: list[CountRecord]):
         if not records:
@@ -127,6 +153,60 @@ class _Bundle:
         self.kets_h = self.kets.conj().T.tocsr()
         self.observed = np.array([rec.observed for rec in records], dtype=float)
         self.shots = np.array([rec.shots for rec in records], dtype=float)
+        self.columns, self.isolated = np.arange(self.dim), np.arange(0)
+        self.iso, self.constant = np.arange(0), 0.0
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The measured frequency of each basis state, -1 where no record
+        measures it, read off the kets with one nonzero (an H/V word is a
+        basis state, and each D/A/R/L letter doubles the support).  Formed
+        on first use, which :meth:`split` makes before it restricts the kets."""
+        kets = self.kets
+        basis = np.flatnonzero(np.diff(kets.indptr) == 1)
+        diagonal = np.full(self.dim, -1.0)
+        diagonal[kets.indices[kets.indptr[basis]]] = self.observed[basis] / self.shots[basis]
+        return diagonal
+
+    def split(self) -> "_Bundle":
+        """Restrict the bundle to the block model, in place; returns it."""
+        from scipy import sparse
+
+        kets, indptr = self.kets, self.kets.indptr
+        sizes = np.diff(indptr)
+        state = np.where(sizes == 1, kets.indices[indptr[:-1]], -1)  # of each basis record
+        basis = state >= 0
+        # a column is coupled when a superposition word's ket has an entry
+        # there: when it has more entries than basis records
+        coupled = (np.bincount(kets.indices, minlength=self.dim)
+                   > np.bincount(state[basis], minlength=self.dim))
+        if coupled.all():  # the model over all columns already
+            return self
+        self.diagonal  # formed now, from every record, before the kets are restricted
+        populated = np.zeros(self.dim, dtype=bool)
+        populated[state[basis & (self.observed > 0)]] = True
+        isolated = populated & ~coupled
+        on_coupled = ~basis | coupled[state]
+        on_isolated = basis & isolated[state]
+        left_out = ~(on_coupled | on_isolated)  # zero counts, and a model of zero: floored
+        self.constant = float(np.sum(EPSILON * self.shots[left_out] / 4.0))
+
+        rows = np.flatnonzero(on_coupled)
+        kept = sizes[rows]  # the entries of those rows, in order
+        take = np.repeat(indptr[rows] - np.cumsum(kept) + kept, kept) + np.arange(kept.sum())
+        position = np.cumsum(coupled) - 1  # the column of each coupled state in F
+        self.kets = sparse.csr_array(
+            (kets.data[take], position[kets.indices[take]],
+             np.concatenate(([0], np.cumsum(kept)))),
+            shape=(rows.size, int(coupled.sum())),
+        )
+        self.kets_h = self.kets.conj().T.tocsr()
+        lone = np.flatnonzero(on_isolated)
+        self.observed = np.concatenate((self.observed[rows], self.observed[lone]))
+        self.shots = np.concatenate((self.shots[rows], self.shots[lone]))
+        self.columns, self.isolated = np.flatnonzero(coupled), np.flatnonzero(isolated)
+        self.iso = np.searchsorted(self.isolated, state[lone])
+        return self
 
 
 class _Layout(NamedTuple):
@@ -165,15 +245,23 @@ def _factor_params(f: np.ndarray, layout: _Layout) -> np.ndarray:
 
 
 def _evaluate(params, bundle, layout):
-    """The likelihood and its gradient with respect to the parameters."""
-    f = _build_factor(np.ascontiguousarray(params, dtype=float), layout)
-    tau = float(np.real(np.vdot(f, f)))
+    """The likelihood and its gradient with respect to the parameters: F's in
+    ``layout``, then the amplitudes d of the bundle's isolated states."""
+    params = np.ascontiguousarray(params, dtype=float)
+    k = layout.size
+    if params.size != k + bundle.isolated.size:
+        raise ValueError(f"expected {k + bundle.isolated.size} parameters, got {params.size}")
+    f, d = _build_factor(params[:k], layout), params[k:]
+    tau = float(np.real(np.vdot(f, f))) + float(d @ d)
     if tau <= 0.0 or not math.isfinite(tau):
         raise ValueError("all-zero parameters: trace normalization undefined")
 
-    # w_K = F psi_K for all records at once, over the kets' nonzeros only
+    # w_K = F psi_K for the records on the coupled states, over the kets' nonzeros only;
+    # an isolated state's record sees its own d^2
     w = bundle.kets @ f.T
     u = np.einsum("kr,kr->k", w, w.conj()).real
+    if d.size:
+        u = np.concatenate((u, d[bundle.iso] ** 2))
     model = bundle.shots * (u / tau)
     floor = EPSILON * bundle.shots
     floored = model < floor
@@ -183,14 +271,20 @@ def _evaluate(params, bundle, layout):
     dldn = 0.25 * (1.0 - (bundle.observed / n_eff) ** 2)
     dldn[floored] = 0.0  # flat region of the floor
     alpha = dldn * bundle.shots / tau
-    c = (bundle.kets_h @ (w * alpha[:, None])).T
+    m = w.shape[0]
+    c = (bundle.kets_h @ (w * alpha[:m, None])).T
     scale = float(np.sum(alpha * u) / tau)
     # packing the complex factor-space gradient reuses the parameter layout
-    return value, _factor_params(2.0 * (c - scale * f), layout)
+    grad = _factor_params(2.0 * (c - scale * f), layout)
+    if d.size:
+        lone = np.bincount(bundle.iso, alpha[m:], minlength=d.size)
+        grad = np.concatenate((grad, 2.0 * d * (lone - scale)))
+    return value, grad
 
 
 def likelihood(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions()) -> float:
-    """Gaussian negative log-likelihood of the parametrized state."""
+    """Gaussian negative log-likelihood of the state F^H F of a factor F over
+    all 2**n columns, packed as in :func:`_layout`."""
     bundle = _Bundle(records)
     return _evaluate(params, bundle, _layout(bundle.dim, options))[0]
 
@@ -202,13 +296,10 @@ def gradient(params: np.ndarray, records: list[CountRecord], options: MleOptions
 
 
 def _initial_params(bundle: _Bundle, layout: _Layout, options: MleOptions) -> np.ndarray:
-    """Start from the measured diagonal, with jitter to break the saddle at
-    exactly-diagonal points.  The diagonal records are the kets with one nonzero:
-    an H/V word is a basis state, and each D/A/R/L letter doubles the support."""
-    kets = bundle.kets
-    basis = np.flatnonzero(np.diff(kets.indptr) == 1)
-    probs = np.full(bundle.dim, -1.0)
-    probs[kets.indices[kets.indptr[basis]]] = bundle.observed[basis] / bundle.shots[basis]
+    """Start from the measured diagonal, with jitter on F's parameters to break
+    the saddle at exactly-diagonal points; the isolated amplitudes start at
+    the square roots of their frequencies."""
+    probs = bundle.diagonal
     if (probs < 0).any():
         missing = int(np.flatnonzero(probs < 0)[0])
         raise ValueError(
@@ -218,15 +309,15 @@ def _initial_params(bundle: _Bundle, layout: _Layout, options: MleOptions) -> np
     amp = np.sqrt(np.maximum(probs, EPSILON))
     f = np.zeros(layout.shape, dtype=complex)
     if options.parametrization == "full":
-        np.fill_diagonal(f, amp)
+        np.fill_diagonal(f, amp[bundle.columns])
         jittered = slice(layout.real.size, None)  # the off-diagonal parameters
     else:
-        f[0] = amp
+        f[0] = amp[bundle.columns]
         jittered = slice(None)
     params = _factor_params(f, layout)
     rng = np.random.default_rng(options.seed)
     params[jittered] += rng.normal(scale=JITTER, size=params[jittered].size)
-    return params
+    return np.concatenate((params, amp[bundle.isolated]))
 
 
 def minimize(fun, x0, *args, **kwargs):
@@ -246,8 +337,8 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
     reported through ``converged`` on the result, not raised.
     """
     start = time.perf_counter()
-    bundle = _Bundle(records)
-    layout = _layout(bundle.dim, options)
+    bundle = _Bundle(records).split()
+    layout = _layout(bundle.columns.size, options)
     x0 = _initial_params(bundle, layout, options)
     res = minimize(
         _evaluate,
@@ -260,13 +351,17 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
             "maxfun": 50 * options.max_iterations,
             "gtol": options.gradient_tolerance,
             "ftol": 1e-16,
+            "maxls": LINE_SEARCH_STEPS,
         },
     )
-    f = _build_factor(res.x, layout)
+    f, d = _build_factor(res.x[: layout.size], layout), res.x[layout.size :]
+    tau = float(np.real(np.vdot(f, f))) + float(d @ d)
+    if not f.shape[0]:  # `full` with no coupled state: an empty factor row
+        f = np.zeros((1, 0), dtype=complex)
     gnorm = float(np.linalg.norm(res.jac))
     return ReconstructionResult(
-        factor=f / math.sqrt(np.real(np.vdot(f, f))),
-        final_objective=float(res.fun),
+        state=BlockState(bundle.n, bundle.columns, f / math.sqrt(tau), bundle.isolated, d * d / tau),
+        final_objective=float(res.fun) + bundle.constant,
         iterations=int(res.nit),
         nfev=int(res.nfev),
         status=int(res.status),
@@ -274,6 +369,7 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
         gradient_norm=gnorm,
         parametrization=options.parametrization,
         converged=bool(res.success or gnorm <= options.gradient_tolerance),
+        parameters=int(res.x.size),
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -322,6 +418,9 @@ def write_diagnostics(path: str | Path, result: ReconstructionResult) -> None:
                 "gradient_norm": result.gradient_norm,
                 "wall_time_s": result.wall_time_s,
                 "parametrization": result.parametrization,
+                "columns_fitted": int(result.state.columns.size),
+                "isolated": int(result.state.isolated.size),
+                "parameters": result.parameters,
                 "converged": result.converged,
             },
             indent=2,

@@ -5,7 +5,7 @@ off-diagonal element through |rho_ij| <= sqrt(rho_ii * rho_jj).  A plan then
 keeps only the pairs (i, j) whose bound reaches the threshold, measuring the
 real and the imaginary part of each; at t = 0 it keeps every pair with a
 nonvanishing bound, the conventional 4**n measurements.  The rule is written
-once, in :func:`pair_rows`, for the plan, the fidelity bound and the truncation.
+once, in :func:`candidate_rows`, for the plan, the fidelity bound and the truncation.
 """
 
 from __future__ import annotations
@@ -90,28 +90,49 @@ def check_threshold(t: float) -> float:
     return float(t)
 
 
-def pair_rows(p: np.ndarray, t: float):
-    """The threshold rule, one row at a time: for each i, yield ``(i, keep)``
-    with the mask of the pairs j > i kept.
+def candidate_rows(p: np.ndarray, t: float):
+    """The threshold rule, scanned over its candidates only.
 
-    A pair is kept when its positivity bound sqrt(p_i * p_j) is nonzero and
-    reaches ``t``: a vanishing diagonal estimate pins its whole row and
-    column to zero, so those pairs are dropped even at t = 0.  ``t`` is
-    checked before the first row.
+    A pair (i, j) is kept when its positivity bound sqrt(p_i * p_j) is
+    nonzero and reaches ``t``: a vanishing diagonal estimate pins its whole
+    row and column to zero, so those pairs are dropped even at t = 0.  A
+    kept pair joins two candidates, the i with p_i > 0 and
+    sqrt(p_i * max p) >= t: rounding is monotone, so the computed
+    sqrt(p_i * p_j) never exceeds the computed sqrt(p_i * max p).  On a
+    diagonal that sums to at most 1 there are at most 1 / t**2 candidates,
+    whatever its length.
+
+    Returns the boolean mask of the candidates and a generator that yields,
+    for each candidate i in order, ``(i, later, keep)``: the later
+    candidates and the mask of the pairs (i, later) kept.  ``t`` is checked
+    before anything is returned.
     """
     t = check_threshold(t)
     p = np.asarray(p, dtype=float)
-    for i in range(p.size - 1):
-        bound = np.sqrt(p[i] * p[i + 1 :])
-        yield i, (bound > 0.0) & (bound >= t)
+    candidate = (p > 0.0) & (np.sqrt(p * p.max(initial=0.0)) >= t)
+    indices = np.flatnonzero(candidate)
+
+    def rows():
+        for k, i in enumerate(indices[:-1].tolist()):
+            later = indices[k + 1 :]
+            bound = np.sqrt(p[i] * p[later])
+            yield i, later, (bound > 0.0) & (bound >= t)
+
+    return candidate, rows()
+
+
+def kept_pairs(p: np.ndarray, t: float) -> np.ndarray:
+    """The k x 2 int64 array of the pairs (i, j), i < j, that
+    :func:`candidate_rows` keeps, in row-major order."""
+    _, rows = candidate_rows(p, t)
+    pairs = [np.column_stack((np.full(keep.sum(), i), later[keep])) for i, later, keep in rows]
+    return np.concatenate([np.empty((0, 2), dtype=np.int64), *pairs])
 
 
 def select_offdiagonal(diag: DiagonalRecord, t: float) -> MeasurementPlan:
     """Build the measurement plan for threshold ``t`` from diagonal counts:
-    every pair that :func:`pair_rows` keeps, in row-major order."""
-    pairs = [(i, j) for i, keep in pair_rows(diag.probabilities(), t)
-             for j in (i + 1 + np.flatnonzero(keep)).tolist()]
-    return MeasurementPlan(n=diag.n, threshold=float(t), pairs=pairs)
+    every pair that :func:`kept_pairs` keeps, in row-major order."""
+    return MeasurementPlan(n=diag.n, threshold=float(t), pairs=kept_pairs(diag.probabilities(), t))
 
 
 @dataclass(frozen=True)
@@ -206,9 +227,18 @@ def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
                              f"0..N-1, each once and in order), got '{index},{count}'")
     counts = np.array([int(count) for _, (_, count) in rows], dtype=np.int64)
     try:
-        return DiagonalRecord(counts=counts, shots=int(fields["n_s"]))
+        return DiagonalRecord(counts=counts, shots=_written(int, fields["n_s"]))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: not a '# n_s=<shots>' diagonal record ({exc!r})") from None
+
+
+def _written(kind, text: str):
+    """``kind(text)`` when the writer writes that value as ``text``, else ValueError:
+    a sign, a ``_``, a leading zero or another spelling of the number is rejected."""
+    value = kind(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not written as {value!r}")
+    return value
 
 
 def _plan_rows(plan: MeasurementPlan):
@@ -232,7 +262,7 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
     hold exactly the rows that :func:`write_plan_csv` writes for them."""
     fields, rows = read_table(path, PLAN_COLUMNS)
     try:
-        n, t = int(fields["n_qubits"]), float(fields["threshold"])
+        n, t = _written(int, fields["n_qubits"]), _written(float, fields["threshold"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}:1: need '# n_qubits=<n> threshold=<t>' ({exc!r})") from None
     # 1 <= n and 2**n <= len(rows), without computing 2**n for a huge n

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tqst as package
@@ -157,6 +158,126 @@ def test_fidelity_command(w3_run, tmp_path):
     assert "purity_a" in report and "rank_b" in report
 
 
+def test_diagnostics_report_the_fit_size(w3_run, tmp_path):
+    # W n = 3 at t = 0.05: the plan's words cover the basis states 0-6, and
+    # state 7 has no count, so it is neither coupled nor isolated
+    out, _ = w3_run
+    run = json.loads((out / "diagnostics.json").read_text())
+    assert (run["columns_fitted"], run["isolated"], run["parameters"]) == (7, 0, 49)
+    r = tqst("reconstruct", "--counts", out / "counts.csv", "--parametrization", "low_rank",
+             "--rank", 2, "--seed", 1, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    fit = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert (fit["columns_fitted"], fit["isolated"], fit["parameters"]) == (7, 0, 28)
+
+
+def _dense_report(a, b):
+    from tqst import core, metrics
+
+    rho, sigma = core.density(a), core.density(b)
+    return {"root_fidelity": metrics.root_fidelity(sigma, rho),
+            "trace_distance": metrics.trace_distance(rho, sigma),
+            "purity_reconstructed": metrics.purity(rho), "purity_target": metrics.purity(sigma),
+            "rank_reconstructed": metrics.numerical_rank(rho),
+            "rank_target": metrics.numerical_rank(sigma)}
+
+
+def _random_block(rng, n, columns, isolated, rows, zero_column=False):
+    from tqst import core
+
+    f = rng.normal(size=(rows, len(columns))) + 1j * rng.normal(size=(rows, len(columns)))
+    if zero_column and len(columns) > 1:
+        f[:, 0] = 0.0
+    pops = rng.random(len(isolated))
+    total = np.vdot(f, f).real + pops.sum()
+    return core.BlockState(n, columns, f / np.sqrt(total), isolated, pops / total)
+
+
+def test_fidelity_report_matches_dense_metrics():
+    # isolated states inside the other state's columns, outside both, shared by
+    # both, and zero factor columns; every metric as on the dense matrices
+    from tqst import cli
+
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        dim = 2**n
+        states = []
+        for _ in range(2):
+            order = rng.permutation(dim)
+            c, i = (int(k) for k in rng.integers(0, dim + 1, size=2))
+            columns = np.sort(order[:c])
+            isolated = np.sort(order[c:c + i])
+            if not columns.size and not isolated.size:
+                isolated = np.sort(order[:1])
+            states.append(_random_block(rng, n, columns, isolated, int(rng.integers(1, 4)),
+                                        zero_column=bool(rng.integers(2))))
+        report = cli._fidelity_report(*states)
+        dense = _dense_report(*states)
+        for key, value in dense.items():
+            assert report[key] == pytest.approx(value, abs=1e-9), key
+        assert report["fidelity"] == pytest.approx(dense["root_fidelity"] ** 2, abs=1e-9)
+
+
+def test_fidelity_report_decomposes_only_the_coupled_block(monkeypatch):
+    # n = 16: a fit with 40 coupled and 3000 isolated states against the W
+    # state; no decomposition sees more than the coupled states
+    from tqst import cli, core, simulator
+
+    sizes = []
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        original = getattr(np.linalg, name)
+
+        def spy(m, *args, _original=original, **kwargs):
+            sizes.append(max(np.shape(m)))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    rng = np.random.default_rng(3)
+    w = simulator.w_state(16)
+    coupled = np.union1d(np.flatnonzero(w[0]), rng.choice(2**16, 24, replace=False))
+    rest = np.setdiff1d(np.arange(2**16), coupled)
+    fit = _random_block(rng, 16, coupled, np.sort(rng.choice(rest, 3000, replace=False)), 2)
+    report = cli._fidelity_report(fit, core.BlockState.of_factor(w))
+    assert sizes and max(sizes) <= coupled.size
+    assert report["rank_reconstructed"] == 3002 and report["rank_target"] == 1
+    psi = w[0].conj()
+    block = fit.factor[:, np.searchsorted(fit.columns, np.flatnonzero(psi))] @ psi[psi != 0]
+    assert report["fidelity"] == pytest.approx(np.vdot(block, block).real, abs=1e-12)
+
+
+def test_fidelity_command_reads_block_and_plain_files_in_any_mix(tmp_path):
+    from tqst import core
+
+    block = tmp_path / "block.json"
+    block.write_text(block_file())
+    plain = tmp_path / "plain.json"
+    core.save_density(plain, _plain_factor(core.load_density(block)))
+    assert "columns" not in json.loads(plain.read_text())
+    pure = tmp_path / "pure.json"
+    core.save_density(pure, np.array([[0.0, 1.0, 0.0, 0.0]]))
+    rho = core.load_density(block)
+    for a, b in [(block, block), (block, plain), (plain, block), (plain, plain)]:
+        r = tqst("fidelity", a, b)
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert report["trace_distance"] == pytest.approx(0.0, abs=1e-12)
+        assert report["rank_a"] == report["rank_b"] == 2
+        assert report["purity_a"] == pytest.approx(0.72**2 + 0.28**2, abs=1e-12)
+    for a in (block, plain):
+        r = tqst("fidelity", a, pure)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["fidelity"] == pytest.approx(rho[1, 1].real, abs=1e-12)
+
+
+def _plain_factor(rho):
+    """A factor F over all columns with F^H F = rho."""
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > 1e-12
+    return (vecs[:, keep] * np.sqrt(vals[keep])).conj().T
+
+
 def test_bound_command(w3_run):
     out, _ = w3_run
     r = tqst("bound", "--diagonal", out / "diagonal.csv", "--threshold", 0.5, "--rank", 1)
@@ -206,6 +327,15 @@ COUNTS_N2 = "projector_word,observed,shots\nHH,50,100\nHV,25,100\nVH,25,100\nVV,
 PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
     f"{k},{k},diag,{word}\n" for k, word in enumerate(("HH", "HV", "VH", "VV"))
 )
+
+PLAN_N1 = "# n_qubits=1 threshold=0.5\ni,j,part,projector_word\n0,0,diag,H\n1,1,diag,V\n"
+BLOCK = {"n_qubits": 2, "columns": [0, 1], "factor_re": [[0.6, 0.6]], "factor_im": [[0.0, 0.0]],
+         "isolated": [3], "populations": [0.28]}
+
+
+def block_file(**edit):
+    """The 2-qubit block state BLOCK with ``edit`` applied, as rho.json text."""
+    return json.dumps({**BLOCK, **edit})
 
 
 @pytest.mark.parametrize("files, args, message", [
@@ -337,6 +467,51 @@ PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
                               '"im": [[0.0, 0.0], [0.0, 0.0]]}'},
                  ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
                  "{tmp}/rho.json: not a factored density-matrix", id="legacy-dense-density"),
+    # comment fields are read only as the writer writes them
+    pytest.param({"diag.csv": DIAG_N3.replace("n_s=10", "n_s=1_0")},
+                 ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
+                 "diag.csv: not a '# n_s=<shots>' diagonal record", id="diagonal-n-s-underscore"),
+    pytest.param({"plan.csv": PLAN_N1.replace("n_qubits=1", "n_qubits=+1")},
+                 ("settings", "--plan", "{tmp}/plan.csv"),
+                 "plan.csv:1: need '# n_qubits=<n> threshold=<t>'", id="plan-n-qubits-plus"),
+    pytest.param({"plan.csv": PLAN_N2.replace("threshold=0.5", "threshold=1_0e-1")},
+                 ("settings", "--plan", "{tmp}/plan.csv"),
+                 "plan.csv:1: need '# n_qubits=<n> threshold=<t>'", id="plan-threshold-underscore"),
+    # the block form of rho.json
+    pytest.param({"rho.json": block_file(columns=[1, 0])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: columns must be strictly increasing", id="block-columns-unordered"),
+    pytest.param({"rho.json": block_file(columns=[0, 0])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: columns must be strictly increasing", id="block-columns-repeated"),
+    pytest.param({"rho.json": block_file(columns=[0, 4])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: columns must be a list of basis indices below 2**2",
+                 id="block-columns-out-of-range"),
+    pytest.param({"rho.json": block_file(columns=[-1, 0])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: not a factored density-matrix", id="block-columns-negative"),
+    pytest.param({"rho.json": block_file(isolated=[1])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: an isolated state is also a column of the factor",
+                 id="block-isolated-overlaps-columns"),
+    pytest.param({"rho.json": block_file(columns=[0, 1, 2])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: factor of shape (1, 2) is not r x 3", id="block-columns-length"),
+    pytest.param({"rho.json": block_file(populations=[0.28, 0.0])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: 2 populations for 1 isolated states", id="block-populations-length"),
+    pytest.param({"rho.json": block_file(populations=[-0.28])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: populations must be finite and non-negative",
+                 id="block-population-negative"),
+    pytest.param({"rho.json": block_file(populations=[float("nan")])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "rho.json: populations must be finite and non-negative",
+                 id="block-population-nan"),
+    pytest.param({"rho.json": block_file(populations=[0.5])},
+                 ("fidelity", "{tmp}/rho.json", "{tmp}/rho.json"),
+                 "first state has trace 1.22", id="block-trace-not-one"),
 ])
 def test_invalid_input_exits_2_with_json_error(tmp_path, files, args, message):
     for name, text in files.items():

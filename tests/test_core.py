@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tqst.core import (
+    BlockState,
     ElementIndex,
     STATE_LABELS,
     STATE_VECTORS,
@@ -14,7 +15,7 @@ from tqst.core import (
     density,
     expectation,
     load_density,
-    load_factor,
+    load_state,
     product_ket,
     read_table,
     save_density,
@@ -177,8 +178,67 @@ def test_density_json_roundtrip(tmp_path):
     f /= np.linalg.norm(f)
     path = tmp_path / "rho.json"
     save_density(path, f)
-    assert np.array_equal(load_factor(path), f)  # bit-exact
+    assert np.array_equal(load_state(path).factor, f)  # bit-exact
     assert np.array_equal(load_density(path), f.conj().T @ f)
+
+
+def test_block_state_json_roundtrip(tmp_path):
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    f *= np.sqrt(0.7) / np.linalg.norm(f)
+    state = BlockState(4, [1, 2, 8], f, [0, 15], [0.1, 0.2])
+    path = tmp_path / "rho.json"
+    save_density(path, state)
+    payload = json.loads(path.read_text())
+    assert list(payload) == ["n_qubits", "columns", "factor_re", "factor_im", "isolated",
+                             "populations"]
+    back = load_state(path)
+    assert back.n == 4 and back.columns.tolist() == [1, 2, 8]
+    assert back.isolated.tolist() == [0, 15]
+    assert np.array_equal(back.factor, f) and np.array_equal(back.populations, [0.1, 0.2])
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[np.ix_([1, 2, 8], [1, 2, 8])] = f.conj().T @ f
+    rho[0, 0], rho[15, 15] = 0.1, 0.2
+    assert np.array_equal(load_density(path), rho)
+    assert validate_density(rho).ok
+
+
+def test_state_over_all_columns_is_written_as_a_plain_factor(tmp_path):
+    # the block form over all 2**n columns, with no isolated state, is the
+    # plain factor file, byte for byte
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    f /= np.linalg.norm(f)
+    save_density(tmp_path / "a.json", BlockState(3, np.arange(8), f))
+    save_density(tmp_path / "b.json", f)
+    plain = {"n_qubits": 3, "factor_re": f.real.tolist(), "factor_im": f.imag.tolist()}
+    assert (tmp_path / "a.json").read_text() == json.dumps(plain)
+    assert (tmp_path / "b.json").read_text() == json.dumps(plain)
+    assert load_state(tmp_path / "a.json").columns.tolist() == list(range(8))
+
+
+def test_load_state_rejects_malformed_blocks(tmp_path):
+    path = tmp_path / "bad.json"
+    base = {"n_qubits": 2, "columns": [0, 1], "factor_re": [[0.6, 0.6]],
+            "factor_im": [[0.0, 0.0]], "isolated": [3], "populations": [0.28]}
+    path.write_text(json.dumps(base))
+    assert load_state(path).isolated.tolist() == [3]
+    for edit, message in [
+        ({"columns": [0, 1.0]}, "indices must be a list of integers"),
+        ({"isolated": [True]}, "indices must be a list of integers"),
+        ({"columns": [0, 4]}, "below 2\\*\\*2"),
+        ({"columns": [0, 2**70]}, "indices must lie in"),
+        ({"n_qubits": 63, "columns": [0, 1]}, "n_qubits must be an integer in 1..62"),
+        ({"populations": ["0.28"]}, "not strings or booleans"),
+        ({"factor_re": [[0.6, 0.6]], "factor_im": [[0.0]]}, "shapes"),
+    ]:
+        path.write_text(json.dumps({**base, **edit}))
+        with pytest.raises(ValueError, match=f"bad.json: .*{message}"):
+            load_state(path)
+    for key in ("columns", "isolated", "populations"):
+        path.write_text(json.dumps({k: v for k, v in base.items() if k != key}))
+        with pytest.raises(ValueError, match="bad.json: .*must be given together"):
+            load_state(path)
 
 
 def test_load_density_rejects_malformed(tmp_path):
@@ -204,13 +264,13 @@ def test_load_density_rejects_malformed(tmp_path):
     # a dense matrix of the old format would otherwise load as a factor, giving rho^2
     path.write_text('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0, 0], [0, 0]]}')
     with pytest.raises(ValueError, match="bad.json: not a factored density-matrix"):
-        load_factor(path)
+        load_state(path)
     path.write_text('{"n_qubits": 1, "factor_re": [[1.0, 0.0, 0.0]], "factor_im": [[0, 0, 0]]}')
     with pytest.raises(ValueError, match="does not match"):
-        load_factor(path)
+        load_state(path)
     path.write_text('{"n_qubits": 1, "factor_re": [], "factor_im": []}')
     with pytest.raises(ValueError, match="does not match"):
-        load_factor(path)
+        load_state(path)
     with pytest.raises(ValueError):
         save_density(path, np.diag([1.0, np.nan]))
     with pytest.raises(ValueError):

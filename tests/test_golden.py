@@ -1,7 +1,8 @@
 """Golden outputs of three reference `tqst run` invocations.
 
 The CSV files must match the pinned SHA-256 digests byte for byte.  The
-fitted factor in ``rho.json`` and the values in ``fidelity.json`` must match
+fitted state in ``rho.json`` (its columns and isolated states exactly, its
+factor and populations) and the values in ``fidelity.json`` must match
 the checked-in copies under ``tests/golden/`` to TOLERANCE.  That does not
 leave room for last-bit differences in the fit: the optimizer amplifies
 them, and a relative perturbation of 1e-16 on each objective and gradient
@@ -12,6 +13,10 @@ fit's floating-point operations fails it.  The references were taken at
 commit 447576e, where all six files of each run were byte-identical at one
 and two BLAS threads.  ``fidelity.json`` has since moved in its last bits,
 within TOLERANCE, when the root fidelity became a sum of singular values.
+The w4_exact and w10_noisy_lowrank references were taken again when the fit
+moved to the factor on the coupled states and the diagonal on the isolated
+ones; w6_conventional couples every state, so its fit, and its ``rho.json``
+byte for byte, stayed the same.
 """
 
 import hashlib
@@ -22,7 +27,7 @@ import numpy as np
 import pytest
 
 import tqst.cli
-from tqst.core import load_factor
+from tqst.core import load_state
 from tqst.settings import settings_for_plan, write_settings_csv
 from tqst.threshold import read_plan_csv, write_plan_csv
 
@@ -90,10 +95,13 @@ def test_golden_outputs(golden_run):
     for file, digest in DIGESTS[name].items():
         assert sha256(out / file) == digest, file
 
-    expected = load_factor(GOLDEN / name / "rho.json")
-    factor = load_factor(out / "rho.json")
-    assert factor.shape == expected.shape
-    np.testing.assert_allclose(factor, expected, rtol=0, atol=TOLERANCE)
+    expected = load_state(GOLDEN / name / "rho.json")
+    state = load_state(out / "rho.json")
+    assert np.array_equal(state.columns, expected.columns)
+    assert np.array_equal(state.isolated, expected.isolated)
+    assert state.factor.shape == expected.factor.shape
+    np.testing.assert_allclose(state.factor, expected.factor, rtol=0, atol=TOLERANCE)
+    np.testing.assert_allclose(state.populations, expected.populations, rtol=0, atol=TOLERANCE)
 
     expected = json.loads((GOLDEN / name / "fidelity.json").read_text())
     report = json.loads((out / "fidelity.json").read_text())

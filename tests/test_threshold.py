@@ -9,6 +9,7 @@ from tqst.threshold import (
     MeasurementPlan,
     diagonal_plan,
     estimate_threshold,
+    kept_pairs,
     read_diagonal_csv,
     read_plan_csv,
     select_offdiagonal,
@@ -23,6 +24,32 @@ def uniform_support_record(n, support, shots=7 * 8 * 9 * 100):
     counts[list(support)] = per
     counts[support[0]] += shots - per * len(support)
     return DiagonalRecord(counts=counts, shots=shots)
+
+
+def brute_force_pairs(p, t):
+    """Every pair i < j, scanned one by one, with the rule's own arithmetic."""
+    return [[i, j] for i in range(p.size) for j in range(i + 1, p.size)
+            if 0.0 < np.sqrt(p[i] * p[j]) >= t]
+
+
+def test_kept_pairs_match_brute_force():
+    # ties (t one of the bounds, or its neighbour float), zeros, t = 0 and 1,
+    # diagonals that sum to 1 and below it, and one dominant entry
+    rng = np.random.default_rng(2024)
+    for trial in range(400):
+        dim = int(rng.integers(1, 40))
+        counts = rng.integers(0, 50, size=dim) * (rng.random(dim) >= rng.random())
+        if trial % 7 == 0:
+            counts[rng.integers(dim)] = 10**6
+        p = counts / max(counts.sum(), 1) * (1.0 if trial % 3 else rng.random())
+        bounds = np.sqrt(np.outer(p, p))[np.triu_indices(dim, 1)]
+        tie = float(bounds[rng.integers(bounds.size)]) if bounds.size else 0.5
+        for t in (0.0, 1.0, float(rng.random() ** 4), tie, np.nextafter(tie, 2.0)):
+            if t > 1.0:
+                continue
+            pairs = kept_pairs(p, t)
+            assert pairs.dtype == np.int64 and pairs.shape[1] == 2
+            assert pairs.tolist() == brute_force_pairs(p, t), (trial, t)
 
 
 def test_w7_plan_has_170_measurements():
