@@ -372,3 +372,18 @@ def read_table(path: str | Path, columns) -> tuple[dict, list]:
         if len(row) != len(columns):
             raise ValueError(f"{path}:{line}: expected {len(columns)} fields, got {len(row)}")
     return fields, rows[1:]
+
+
+def written(kind, text: str, invalid=None):
+    """``kind(text)`` when a writer writes that value as ``text``; otherwise
+    ``invalid``, or ValueError if ``invalid`` is None.  A sign, a ``_``, a
+    space, a leading zero or another spelling of the number is rejected."""
+    try:
+        value = kind(text)
+        if str(value) == text:
+            return value
+    except ValueError:
+        pass
+    if invalid is None:
+        raise ValueError(f"{text!r} is not a plain {kind.__name__}")
+    return invalid

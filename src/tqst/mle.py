@@ -18,6 +18,8 @@ plain factor over all 2**n columns.  The Gaussian negative log-likelihood
     L = sum_K ((n_K - N_K) / (2 sqrt(n_K)))^2,    n_K = shots_K <P_K rho P_K>
 
 is minimized with a quasi-Newton descent using the analytic gradient.
+:func:`likelihood` and :func:`gradient` evaluate the same model, and
+``likelihood`` adds the left-out records' constant.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (BlockState, basis_word, density, product_ket, read_table, validate_word,
-                   write_table)
+                   write_table, written)
 
 EPSILON = 1e-9  # relative floor for model counts n_K
 JITTER = 1e-3  # scale of the random start off the measured diagonal
@@ -116,17 +118,20 @@ class ReconstructionResult:
 
 
 class _Bundle:
-    """Records unpacked to arrays: observed counts, shots, and the projector
-    kets as the rows of a CSR matrix ``kets`` with its conjugate transpose
-    ``kets_h``.  A product ket has 2**(number of D/A/R/L letters) nonzeros,
-    and only those are stored.
+    """The records unpacked to the block model's arrays, in one pass.
 
-    As made, the bundle is the model over all 2**n columns: ``columns`` is
-    every basis state and ``isolated`` none.  :meth:`split` restricts it to
-    the block model: the kets' rows to the records on the coupled states and
-    their columns to those states, followed by the records of the isolated
-    states, whose positions in ``isolated`` are ``iso``; ``constant`` is the
-    objective of the records left out."""
+    A record whose product ket has one nonzero is a basis record (an H/V
+    word is a basis state, and each D/A/R/L letter doubles the support).
+    ``diagonal`` is each basis state's measured frequency, -1 where no
+    record measures it.  ``columns`` are the coupled states C, the columns
+    hit by the superposition words; ``isolated`` are the basis states
+    outside C with a nonzero count.  ``kets`` is the CSR matrix of the
+    records on C, restricted to those columns and keeping only their
+    nonzeros, and ``kets_h`` its conjugate transpose.  ``observed`` and
+    ``shots`` list those records, then the records of the isolated states,
+    whose positions in ``isolated`` are ``iso``.  The zero-count basis
+    records left over see a model of zero, floored; ``constant`` is their
+    share of the objective."""
 
     def __init__(self, records: list[CountRecord]):
         if not records:
@@ -139,74 +144,43 @@ class _Bundle:
 
         self.n = n
         self.dim = 2**n
-        columns, values = [], []
+        indices, values = [], []
         for rec in records:
             ket = product_ket(rec.projector)
             nonzero = np.flatnonzero(ket)
-            columns.append(nonzero)
+            indices.append(nonzero)
             values.append(ket[nonzero])
-        indptr = np.concatenate(([0], np.cumsum([c.size for c in columns])))
-        self.kets = sparse.csr_array(
-            (np.concatenate(values), np.concatenate(columns), indptr),
-            shape=(len(records), self.dim),
-        )
-        self.kets_h = self.kets.conj().T.tocsr()
-        self.observed = np.array([rec.observed for rec in records], dtype=float)
-        self.shots = np.array([rec.shots for rec in records], dtype=float)
-        self.columns, self.isolated = np.arange(self.dim), np.arange(0)
-        self.iso, self.constant = np.arange(0), 0.0
+        sizes = np.array([c.size for c in indices])
+        indices, values = np.concatenate(indices), np.concatenate(values)
+        observed = np.array([rec.observed for rec in records], dtype=float)
+        shots = np.array([rec.shots for rec in records], dtype=float)
 
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        """The measured frequency of each basis state, -1 where no record
-        measures it, read off the kets with one nonzero (an H/V word is a
-        basis state, and each D/A/R/L letter doubles the support).  Formed
-        on first use, which :meth:`split` makes before it restricts the kets."""
-        kets = self.kets
-        basis = np.flatnonzero(np.diff(kets.indptr) == 1)
-        diagonal = np.full(self.dim, -1.0)
-        diagonal[kets.indices[kets.indptr[basis]]] = self.observed[basis] / self.shots[basis]
-        return diagonal
-
-    def split(self) -> "_Bundle":
-        """Restrict the bundle to the block model, in place; returns it."""
-        from scipy import sparse
-
-        kets, indptr = self.kets, self.kets.indptr
-        sizes = np.diff(indptr)
-        state = np.where(sizes == 1, kets.indices[indptr[:-1]], -1)  # of each basis record
-        basis = state >= 0
-        # a column is coupled when a superposition word's ket has an entry
-        # there: when it has more entries than basis records
-        coupled = (np.bincount(kets.indices, minlength=self.dim)
-                   > np.bincount(state[basis], minlength=self.dim))
-        if coupled.all():  # the model over all columns already
-            return self
-        self.diagonal  # formed now, from every record, before the kets are restricted
+        basis = sizes == 1
+        state = np.where(basis, indices[np.cumsum(sizes) - sizes], -1)  # of each basis record
+        self.diagonal = np.full(self.dim, -1.0)
+        self.diagonal[state[basis]] = observed[basis] / shots[basis]
+        coupled = np.zeros(self.dim, dtype=bool)
+        coupled[indices[np.repeat(~basis, sizes)]] = True  # hit by a superposition word
         populated = np.zeros(self.dim, dtype=bool)
-        populated[state[basis & (self.observed > 0)]] = True
+        populated[state[basis & (observed > 0)]] = True
         isolated = populated & ~coupled
         on_coupled = ~basis | coupled[state]
         on_isolated = basis & isolated[state]
-        left_out = ~(on_coupled | on_isolated)  # zero counts, and a model of zero: floored
-        self.constant = float(np.sum(EPSILON * self.shots[left_out] / 4.0))
+        left_out = ~(on_coupled | on_isolated)
+        self.constant = float(np.sum(EPSILON * shots[left_out] / 4.0))
 
-        rows = np.flatnonzero(on_coupled)
-        kept = sizes[rows]  # the entries of those rows, in order
-        take = np.repeat(indptr[rows] - np.cumsum(kept) + kept, kept) + np.arange(kept.sum())
+        entries = np.repeat(on_coupled, sizes)
         position = np.cumsum(coupled) - 1  # the column of each coupled state in F
         self.kets = sparse.csr_array(
-            (kets.data[take], position[kets.indices[take]],
-             np.concatenate(([0], np.cumsum(kept)))),
-            shape=(rows.size, int(coupled.sum())),
+            (values[entries], position[indices[entries]],
+             np.concatenate(([0], np.cumsum(sizes[on_coupled])))),
+            shape=(int(on_coupled.sum()), int(coupled.sum())),
         )
         self.kets_h = self.kets.conj().T.tocsr()
-        lone = np.flatnonzero(on_isolated)
-        self.observed = np.concatenate((self.observed[rows], self.observed[lone]))
-        self.shots = np.concatenate((self.shots[rows], self.shots[lone]))
+        self.observed = np.concatenate((observed[on_coupled], observed[on_isolated]))
+        self.shots = np.concatenate((shots[on_coupled], shots[on_isolated]))
         self.columns, self.isolated = np.flatnonzero(coupled), np.flatnonzero(isolated)
-        self.iso = np.searchsorted(self.isolated, state[lone])
-        return self
+        self.iso = np.searchsorted(self.isolated, state[on_isolated])
 
 
 class _Layout(NamedTuple):
@@ -283,16 +257,17 @@ def _evaluate(params, bundle, layout):
 
 
 def likelihood(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions()) -> float:
-    """Gaussian negative log-likelihood of the state F^H F of a factor F over
-    all 2**n columns, packed as in :func:`_layout`."""
+    """The objective :func:`reconstruct` minimizes, with the left-out records'
+    constant: the parameters are F's over the coupled states, packed as in
+    :func:`_layout`, then the isolated states' amplitudes."""
     bundle = _Bundle(records)
-    return _evaluate(params, bundle, _layout(bundle.dim, options))[0]
+    return _evaluate(params, bundle, _layout(bundle.columns.size, options))[0] + bundle.constant
 
 
 def gradient(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions()) -> np.ndarray:
     """Analytic gradient of :func:`likelihood` with respect to the parameters."""
     bundle = _Bundle(records)
-    return _evaluate(params, bundle, _layout(bundle.dim, options))[1]
+    return _evaluate(params, bundle, _layout(bundle.columns.size, options))[1]
 
 
 def _initial_params(bundle: _Bundle, layout: _Layout, options: MleOptions) -> np.ndarray:
@@ -337,7 +312,7 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
     reported through ``converged`` on the result, not raised.
     """
     start = time.perf_counter()
-    bundle = _Bundle(records).split()
+    bundle = _Bundle(records)
     layout = _layout(bundle.columns.size, options)
     x0 = _initial_params(bundle, layout, options)
     res = minimize(
@@ -398,9 +373,10 @@ def read_counts_csv(path: str | Path) -> list[CountRecord]:
                 raise ValueError(f"duplicate projector word {word!r}")
             if len(word) != n:
                 raise ValueError(f"{len(word)}-qubit word {word!r} after {n}-qubit words")
-            if not (observed.isdecimal() and shots.isdecimal()):
+            counts = written(int, observed, -1), written(int, shots, -1)
+            if min(counts) < 0:
                 raise ValueError(f"expected decimal counts, got '{observed},{shots}'")
-            records[word] = CountRecord(word, int(observed), int(shots))
+            records[word] = CountRecord(word, *counts)
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None
     return list(records.values())

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ElementIndex, basis_word, read_table, write_table
+from .core import ElementIndex, basis_word, read_table, write_table, written
 from .projectors import projector_for
 
 EXPECTED_ZERO = 1e-12
@@ -221,24 +221,17 @@ def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
     """Read a diagonal CSV, requiring the basis indices to run 0..N-1, each
     once and in order, with non-negative counts."""
     fields, rows = read_table(path, DIAGONAL_COLUMNS)
+    counts = []
     for k, (line, (index, count)) in enumerate(rows):
-        if index != str(k) or not count.isdecimal():
+        value = written(int, count, -1)
+        if value < 0 or index != str(k):
             raise ValueError(f"{path}:{line}: expected '{k},<count >= 0>' (indices run "
                              f"0..N-1, each once and in order), got '{index},{count}'")
-    counts = np.array([int(count) for _, (_, count) in rows], dtype=np.int64)
+        counts.append(value)
     try:
-        return DiagonalRecord(counts=counts, shots=_written(int, fields["n_s"]))
-    except (KeyError, ValueError) as exc:
+        return DiagonalRecord(counts=counts, shots=written(int, fields["n_s"]))
+    except (KeyError, ValueError, OverflowError) as exc:  # OverflowError: a count over int64
         raise ValueError(f"{path}: not a '# n_s=<shots>' diagonal record ({exc!r})") from None
-
-
-def _written(kind, text: str):
-    """``kind(text)`` when the writer writes that value as ``text``, else ValueError:
-    a sign, a ``_``, a leading zero or another spelling of the number is rejected."""
-    value = kind(text)
-    if str(value) != text:
-        raise ValueError(f"{text!r} is not written as {value!r}")
-    return value
 
 
 def _plan_rows(plan: MeasurementPlan):
@@ -262,7 +255,7 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
     hold exactly the rows that :func:`write_plan_csv` writes for them."""
     fields, rows = read_table(path, PLAN_COLUMNS)
     try:
-        n, t = _written(int, fields["n_qubits"]), _written(float, fields["threshold"])
+        n, t = written(int, fields["n_qubits"]), written(float, fields["threshold"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}:1: need '# n_qubits=<n> threshold=<t>' ({exc!r})") from None
     # 1 <= n and 2**n <= len(rows), without computing 2**n for a huge n
@@ -270,8 +263,8 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
         raise ValueError(f"{path}:1: n_qubits={n} threshold={t} out of range for {len(rows)} rows")
     pairs = {}  # in file order
     for line, (i, j, _, _) in rows[2**n::2]:
-        pair = (int(i), int(j)) if i.isdecimal() and j.isdecimal() else None
-        if pair is None or not pair[0] < pair[1] < 2**n or pair in pairs:
+        pair = (written(int, i, -1), written(int, j, -1))
+        if not 0 <= pair[0] < pair[1] < 2**n or pair in pairs:
             raise ValueError(f"{path}:{line}: '{i},{j}' is not a new pair i < j < {2**n} in plain decimals")
         pairs[pair] = None
     plan = MeasurementPlan(n=n, threshold=t, pairs=list(pairs))

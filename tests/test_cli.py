@@ -444,6 +444,23 @@ def block_file(**edit):
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "counts.csv:4: expected decimal counts, got ' 25,100'",
                  id="counts-leading-space"),
+    pytest.param({"diag.csv": DIAG_N3.replace("\n1,5\n", "\n1,05\n")},
+                 ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
+                 "diag.csv:4: expected '1,<count >= 0>'", id="diagonal-leading-zero"),
+    pytest.param({"diag.csv": DIAG_N3.replace("\n1,5\n", "\n1,\uff15\n")},
+                 ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
+                 "diag.csv:4: expected '1,<count >= 0>'", id="diagonal-fullwidth-digit"),
+    pytest.param({"diag.csv": "# n_s=10\nbasis_index,count\n0,99999999999999999999\n1,0\n"},
+                 ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
+                 "diag.csv: not a '# n_s=<shots>' diagonal record", id="diagonal-count-overflow"),
+    pytest.param({"counts.csv": COUNTS_N2.replace("HH,50,", "HH,\u06650,")},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 "counts.csv:2: expected decimal counts, got '\u06650,100'",
+                 id="counts-arabic-indic-digit"),
+    pytest.param({"counts.csv": COUNTS_N2.replace("HH,50,100", "HH,50,0100")},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 "counts.csv:2: expected decimal counts, got '50,0100'",
+                 id="counts-leading-zero-shots"),
     pytest.param({"plan.csv": PLAN_N2.replace(",HV\n", ",HVH\n")},
                  ("settings", "--plan", "{tmp}/plan.csv"),
                  "plan.csv:4:", id="plan-word-length"),

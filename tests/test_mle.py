@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from tqst import mle
@@ -48,20 +48,21 @@ def identity_params(dim):
 
 
 def test_likelihood_zero_at_exact_fit():
+    # the D record couples both basis states, so F covers every column
     params = identity_params(2)
-    records = [CountRecord("H", 5000, 10**4)]
+    records = [CountRecord("H", 5000, 10**4), CountRecord("D", 5000, 10**4)]
     assert likelihood(params, records) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_likelihood_single_record_value():
     params = identity_params(2)
-    records = [CountRecord("H", 6000, 10**4)]
-    # (5000 - 6000)^2 / (4 * 5000)
+    records = [CountRecord("H", 6000, 10**4), CountRecord("D", 5000, 10**4)]
+    # (5000 - 6000)^2 / (4 * 5000), and the D record fits exactly
     assert likelihood(params, records) == pytest.approx(50.0)
 
 
 def test_likelihood_rejects_bad_parameters():
-    records = [CountRecord("H", 5000, 10**4)]
+    records = [CountRecord("H", 5000, 10**4), CountRecord("D", 5000, 10**4)]
     with pytest.raises(ValueError):
         likelihood(np.zeros(3), records)
     with pytest.raises(ValueError):
@@ -180,8 +181,9 @@ def test_start_reads_diagonal_from_any_record_order(options):
 
 
 def test_gradient_vanishes_at_exact_fit():
-    # diagonal counts exactly reproduce the maximally mixed state
-    records = [CountRecord("H", 5000, 10**4), CountRecord("V", 5000, 10**4)]
+    # the counts exactly reproduce the maximally mixed state
+    records = [CountRecord("H", 5000, 10**4), CountRecord("V", 5000, 10**4),
+               CountRecord("D", 5000, 10**4)]
     g = gradient(identity_params(2), records)
     assert np.linalg.norm(g) <= 1e-8
 
@@ -307,7 +309,7 @@ def test_block_kernel_matches_dense_reference(options):
     noise = NoiseModel(0.2, "multinomial", seed=3)
     diag = sample_diagonal(psi, 10**4, noise)
     records = sample_counts(psi, select_offdiagonal(diag, 0.1), diag, noise)
-    bundle = _Bundle(records).split()
+    bundle = _Bundle(records)
     assert (bundle.columns.size, bundle.isolated.size) == (11, 5)
     layout = _layout(bundle.columns.size, options)
     rng = np.random.default_rng(9)
@@ -361,7 +363,7 @@ def test_block_split_leaves_out_zero_count_states():
     exact = NoiseModel(sampling="exact")
     diag = sample_diagonal(psi, 3000, exact)
     records = sample_counts(psi, select_offdiagonal(diag, 1.0), diag, exact)
-    bundle = _Bundle(records).split()
+    bundle = _Bundle(records)
     assert bundle.columns.tolist() == [] and bundle.isolated.tolist() == [1, 2, 4]
     assert bundle.constant == pytest.approx(5 * EPSILON * 3000 / 4)
     for options in (MleOptions(seed=1), MleOptions("low_rank", 2, seed=1)):
@@ -369,6 +371,25 @@ def test_block_split_leaves_out_zero_count_states():
         assert result.converged and result.parameters == 3
         assert np.allclose(np.diag(result.rho).real, [0, 1 / 3, 1 / 3, 0, 1 / 3, 0, 0, 0])
         assert result.final_objective == pytest.approx(bundle.constant, rel=1e-6)
+
+
+@pytest.mark.parametrize("options", [MleOptions(seed=1), MleOptions("low_rank", 2, seed=1)])
+def test_likelihood_is_the_fitted_objective(options):
+    # noisy W n = 5 at t = 0.1 from 1000 shots: 16 coupled, 8 isolated and 8
+    # left-out states; the fitted state, packed, scores the fit's own objective
+    psi = w_state(5)
+    noise = NoiseModel(0.02, "multinomial", seed=1)
+    diag = sample_diagonal(psi, 1000, noise)
+    records = sample_counts(psi, select_offdiagonal(diag, 0.1), diag, noise)
+    result = reconstruct(records, options)
+    state = result.state
+    assert (state.columns.size, state.isolated.size) == (16, 8)
+    assert _Bundle(records).constant > 0
+    params = np.concatenate((_factor_params(state.factor, _layout(state.columns.size, options)),
+                             np.sqrt(state.populations)))
+    assert params.size == result.parameters
+    assert likelihood(params, records, options) == pytest.approx(result.final_objective,
+                                                                 rel=1e-9, abs=1e-12)
 
 
 def test_output_is_always_physical():
@@ -438,3 +459,45 @@ def test_counts_csv_roundtrip(tmp_path, records):
     path = tmp_path / "counts.csv"  # overwritten by every example
     write_counts_csv(path, records)
     assert read_counts_csv(path) == records
+
+
+@st.composite
+def word_sets(draw):
+    """Every basis word of n <= 4 qubits and some superposition words, with
+    counts that are often zero."""
+    n = draw(st.integers(1, 4))
+    words = [basis_word(k, n) for k in range(2**n)]
+    words += draw(st.lists(st.text("HVDARL", min_size=n, max_size=n).filter(
+        lambda w: w.strip("HV")), max_size=6, unique=True))
+    count = st.one_of(st.just(0), st.integers(0, 1000))
+    return n, [CountRecord(w, draw(count), 1000) for w in words]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=word_sets(), low_rank=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_bundle_matches_the_brute_force_block_model(case, low_rank, seed):
+    n, records = case
+    dim = 2**n
+    kets = np.array([product_ket(rec.projector) for rec in records])
+    observed = np.array([rec.observed for rec in records], dtype=float)
+    superposed = np.array([rec.projector.strip("HV") != "" for rec in records])
+    coupled = sorted(set(np.flatnonzero(kets[superposed].any(axis=0)).tolist()))
+    isolated = [k for k in range(dim) if k not in coupled and observed[k] > 0]
+    bundle = _Bundle(records)
+    assert bundle.columns.tolist() == coupled and bundle.isolated.tolist() == isolated
+    assert np.array_equal(bundle.diagonal, observed[:dim] / 1000)
+    assume(coupled or isolated)
+
+    options = MleOptions("low_rank", 2) if low_rank else MleOptions()
+    layout = _layout(len(coupled), options)
+    x = np.random.default_rng(seed).normal(size=layout.size + len(isolated))
+    value, _ = _evaluate(x, bundle, layout)
+    f, d = _build_factor(x[:layout.size], layout), x[layout.size:]
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.ix_(coupled, coupled)] = f.conj().T @ f
+    rho[isolated, isolated] = d**2
+    rho /= np.trace(rho).real
+    model = 1000 * np.einsum("ki,ij,kj->k", kets.conj(), rho, kets).real
+    n_eff = np.maximum(model, EPSILON * 1000)
+    reference = np.sum((n_eff - observed) ** 2 / (4.0 * n_eff))
+    assert value + bundle.constant == pytest.approx(reference, rel=1e-9, abs=1e-12)
