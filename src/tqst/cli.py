@@ -29,7 +29,10 @@ def _resolve_seed(seed: int | None) -> int:
     return np.random.SeedSequence(seed).entropy
 
 
-def _target_factor(state: str, n: int | None, filling: float, seed: int | None) -> tuple[np.ndarray, int]:
+def _target_factor(state: str, n: int | None, filling: float | None,
+                   seed: int | None) -> tuple[np.ndarray, int]:
+    if filling is not None and state != "random":
+        raise ValueError("--filling is read only with --state random")
     if state in ("colorcode0", "colorcode1"):
         if n not in (None, 7):
             raise ValueError(f"{state} is a 7-qubit state, got --n {n}")
@@ -37,7 +40,7 @@ def _target_factor(state: str, n: int | None, filling: float, seed: int | None) 
     if n is None:
         raise ValueError(f"--n is required for state {state!r}")
     if state == "random":
-        return simulator.random_filled_state(n, filling, seed), n
+        return simulator.random_filled_state(n, 0.5 if filling is None else filling, seed), n
     return {"w": simulator.w_state, "ghz": simulator.ghz_state}[state](n), n
 
 
@@ -65,75 +68,6 @@ def _resolve_threshold(t: float | None, ideal_diag, run_files, n: int) -> tuple[
     return est.threshold, asdict(est)
 
 
-def _fidelity_report(fit: core.BlockState, target: core.BlockState) -> dict:
-    """Metrics of the fitted state against the target, both block states.
-
-    Take the union U of the two states' factor columns that hold a nonzero
-    entry.  A basis state outside U holds at most an isolated population in
-    each state and no coherence, so it is a common eigenvector of the two:
-    its populations p and q add sqrt(p q) to the root fidelity, |p - q| / 2
-    to the trace distance, p**2 and q**2 to the purities and one to a rank
-    for each population above ``metrics.EIGEN_TOLERANCE``.  On U, each state
-    is a factor: its own rows, and one row per isolated state inside U.
-    Those two factors are compressed onto their joint support
-    (``metrics.joint_support``), at most (rows of both) square, where every
-    reported metric takes its value on U: they are unitarily invariant, and
-    the root fidelity is homogeneous, so it is taken on the two compressed
-    blocks scaled to unit trace and scaled back.  No 2**n x 2**n matrix is
-    formed or decomposed.
-    """
-    for name, state in (("first", fit), ("second", target)):
-        trace = np.vdot(state.factor, state.factor).real + state.populations.sum()
-        if abs(trace - 1.0) > metrics.VALIDITY_TOLERANCE:
-            raise ValueError(f"{name} state has trace {trace}, not 1")
-    if fit.n != target.n:
-        raise ValueError(f"dimension mismatch: {fit.n} and {target.n} qubits")
-    shared = np.union1d(*(s.columns[np.any(s.factor != 0, axis=0)] for s in (fit, target)))
-    (a, fit_out), (b, target_out) = (_restrict(s, shared) for s in (fit, target))
-    outside = np.union1d(fit_out[0], target_out[0])
-    p, q = np.zeros((2, outside.size))
-    p[np.searchsorted(outside, fit_out[0])] = fit_out[1]
-    q[np.searchsorted(outside, target_out[0])] = target_out[1]
-    report = {
-        "root_fidelity": float(np.sqrt(p * q).sum()),
-        "trace_distance": float(np.abs(p - q).sum() / 2.0),
-        "purity_reconstructed": float(p @ p),
-        "purity_target": float(q @ q),
-        "rank_reconstructed": int((p > metrics.EIGEN_TOLERANCE).sum()),
-        "rank_target": int((q > metrics.EIGEN_TOLERANCE).sum()),
-    }
-    if shared.size:
-        target_c, rho_c = metrics.joint_support(b, a)
-        wt, wr = np.trace(target_c).real, np.trace(rho_c).real
-        if wt > 0.0 and wr > 0.0:
-            scaled = metrics.root_fidelity(target_c / wt, rho_c / wr)
-            report["root_fidelity"] += float(np.sqrt(wt * wr)) * scaled
-        report["trace_distance"] += metrics.trace_distance(rho_c, target_c)
-        report["purity_reconstructed"] += metrics.purity(rho_c)
-        report["purity_target"] += metrics.purity(target_c)
-        report["rank_reconstructed"] += metrics.numerical_rank(rho_c)
-        report["rank_target"] += metrics.numerical_rank(target_c)
-    report["fidelity"] = report["root_fidelity"] ** 2
-    return {key: report[key] for key in ("root_fidelity", "fidelity", "trace_distance",
-                                         "purity_reconstructed", "purity_target",
-                                         "rank_reconstructed", "rank_target")}
-
-
-def _restrict(state: core.BlockState, shared: np.ndarray):
-    """The state on the basis states ``shared``, which hold every nonzero
-    factor column, as a factor over them: the state's factor rows, then one
-    row per isolated state inside ``shared``.  Also the isolated states
-    outside ``shared`` and their populations."""
-    inside = np.isin(state.isolated, shared)
-    kept = np.isin(state.columns, shared)  # the others are zero columns
-    rows = state.factor.shape[0]
-    g = np.zeros((rows + inside.sum(), shared.size), dtype=complex)
-    g[:rows, np.searchsorted(shared, state.columns[kept])] = state.factor[:, kept]
-    g[rows + np.arange(inside.sum()), np.searchsorted(shared, state.isolated[inside])] = \
-        np.sqrt(state.populations[inside])
-    return g, (state.isolated[~inside], state.populations[~inside])
-
-
 def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
 
@@ -141,8 +75,8 @@ def _emit(payload: dict) -> None:
 state_option = click.option("--state", type=click.Choice(STATE_NAMES), required=True)
 n_option = click.option("--n", type=int, default=None, help="Qubit count.")
 filling_option = click.option(
-    "--filling", type=float, default=0.5, show_default=True,
-    help="Diagonal filling fraction for --state random.",
+    "--filling", type=float, default=None,
+    help="Diagonal filling fraction, read only with --state random (default 0.5).",
 )
 seed_option = click.option(
     "--seed", type=click.IntRange(min=0), default=None, envvar="TQST_SEED",
@@ -226,7 +160,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     core.save_density(outdir / "rho.json", result.state)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
 
-    report = _fidelity_report(result.state, core.BlockState.of_factor(target))
+    report = metrics.compare(result.state, core.BlockState.of_factor(target))
     p = diag_record.probabilities()
     report["fidelity_bound"] = metrics.fidelity_bound(p, t, report["rank_target"])
     min_kept_bound = float(np.sqrt(p[plan.pairs].prod(axis=1)).min()) if len(plan.pairs) else None
@@ -326,16 +260,13 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
     options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
     records = mle.read_counts_csv(counts_file)
     if diagonal_file is not None:
-        present = {rec.projector for rec in records}
         diag_record = threshold.read_diagonal_csv(diagonal_file)
         n = len(records[0].projector)
         if diag_record.n != n:
             raise ValueError(f"{diagonal_file} is a {diag_record.n}-qubit diagonal, "
                              f"but {counts_file} has {n}-qubit projector words")
-        # the missing basis records go first, in basis order, as in every plan,
-        # so the fit sees the records in the order `tqst run` gives them
-        basis = mle.basis_records(diag_record.counts, diag_record.shots)
-        records = [rec for rec in basis if rec.projector not in present] + records
+        # the fit sees the records in the order `tqst run` gives them
+        records = mle.with_basis_round(records, diag_record)
     result = mle.reconstruct(records, options)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -359,7 +290,7 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
 @click.argument("sigma_file", type=click.Path(exists=True))
 def fidelity(rho_file, sigma_file):
     """Fidelity, trace distance, purity, and rank of two density-matrix files."""
-    report = _fidelity_report(core.load_state(rho_file), core.load_state(sigma_file))
+    report = metrics.compare(core.load_state(rho_file), core.load_state(sigma_file))
     report["purity_a"] = report.pop("purity_reconstructed")
     report["purity_b"] = report.pop("purity_target")
     report["rank_a"] = report.pop("rank_reconstructed")

@@ -348,13 +348,16 @@ def write_table(path: str | Path, columns, rows, comment: dict | None = None) ->
         writer.writerows(rows)
 
 
-def read_table(path: str | Path, columns) -> tuple[dict, list]:
-    """Read a :func:`write_table` file whose header row is ``columns``.
+def read_table(path: str | Path, columns, keys=()) -> tuple[dict, list]:
+    """Read a :func:`write_table` file whose header row is ``columns`` and
+    whose comment holds exactly the keys ``keys``, with no comment line when
+    there are none.
 
     Returns the comment's fields (as strings) and the data rows as
-    ``(line number, fields)`` pairs.  A malformed comment, a repeated comment
-    key, a missing or different header, no data rows, or a row with the
-    wrong field count raises ``ValueError`` naming the file and the line.
+    ``(line number, fields)`` pairs.  A malformed comment, a repeated,
+    missing or unknown comment key, a missing or different header, no data
+    rows, or a row with the wrong field count raises ``ValueError`` naming
+    the file and the line.
     """
     lines = Path(path).read_text().splitlines()
     header = 2 if lines and lines[0].startswith("#") else 1  # its line number
@@ -365,6 +368,8 @@ def read_table(path: str | Path, columns) -> tuple[dict, list]:
         raise ValueError(f"{path}:1: comment is not '# key=value ...'") from None
     if len(fields) != len(items):
         raise ValueError(f"{path}:1: comment {lines[0]!r} repeats a key")
+    if sorted(fields) != sorted(keys):
+        raise ValueError(f"{path}:1: expected comment keys {sorted(keys)}, got {sorted(fields)}")
     rows = list(enumerate(csv.reader(lines[header - 1:]), header))
     if len(rows) < 2 or rows[0][1] != list(columns):
         raise ValueError(f"{path}:{header}: expected header {','.join(columns)!r} and data rows")

@@ -1,4 +1,5 @@
-"""Fidelity measures, trace distance, rank, purity, and the threshold fidelity bound."""
+"""Fidelity measures, trace distance, rank, purity, the comparison of two block
+states, and the threshold fidelity bound."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import math
 
 import numpy as np
 
-from .core import density, validate_density
+from .core import BlockState, density, validate_density
 from .threshold import candidate_rows, kept_pairs
 
 EIGEN_TOLERANCE = 1e-8
@@ -64,20 +65,76 @@ def purity(rho: np.ndarray) -> float:
     return float(np.vdot(rho, rho).real)
 
 
-def joint_support(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compress rho = a^H a and sigma = b^H b onto their joint support.
+def compare(fit: BlockState, target: BlockState) -> dict:
+    """Root fidelity, fidelity, trace distance, purities and ranks of the state
+    ``fit`` against ``target``, both :class:`~tqst.core.BlockState` of unit
+    trace and of one qubit count.
 
-    ``a`` and ``b`` are factors with 2**n columns.  Q, an orthonormal basis
-    of a space holding both supports, comes from the reduced QR of
-    [a^H, b^H]; the result is (Q^H rho Q, Q^H sigma Q), each at most
-    (rows of a + rows of b) square.  Root fidelity, trace distance, purity
-    and rank are unitarily invariant, so each takes the same value on the
-    compressed pair as on (rho, sigma).
+    Take the union U of the two states' factor columns that hold a nonzero
+    entry.  A basis state outside U holds at most an isolated population in
+    each state and no coherence, so it is a common eigenvector of the two:
+    its populations p and q add sqrt(p q) to the root fidelity, |p - q| / 2
+    to the trace distance, p**2 and q**2 to the purities and one to a rank
+    for each population above ``EIGEN_TOLERANCE``.  On U, each state is a
+    factor A: its own rows, and one row per isolated state inside U.  Q, an
+    orthonormal basis holding both supports, comes from the reduced QR of
+    [A_target^H, A_fit^H], and each state is compressed to Q^H A^H A Q, at
+    most (rows of both) square.  Every reported metric takes its value on U
+    there: they are unitarily invariant, and the root fidelity is
+    homogeneous, so it is taken on the two compressed blocks scaled to unit
+    trace and scaled back.  No 2**n x 2**n matrix is formed or decomposed.
     """
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: factors of {a.shape[1]} and {b.shape[1]} columns")
-    q, _ = np.linalg.qr(np.hstack([a.conj().T, b.conj().T]))
-    return density(a @ q), density(b @ q)
+    for name, state in (("first", fit), ("second", target)):
+        trace = np.vdot(state.factor, state.factor).real + state.populations.sum()
+        if abs(trace - 1.0) > VALIDITY_TOLERANCE:
+            raise ValueError(f"{name} state has trace {trace}, not 1")
+    if fit.n != target.n:
+        raise ValueError(f"dimension mismatch: {fit.n} and {target.n} qubits")
+    shared = np.union1d(*(s.columns[np.any(s.factor != 0, axis=0)] for s in (fit, target)))
+    (a, fit_out), (b, target_out) = (_restrict(s, shared) for s in (fit, target))
+    outside = np.union1d(fit_out[0], target_out[0])
+    p, q = np.zeros((2, outside.size))
+    p[np.searchsorted(outside, fit_out[0])] = fit_out[1]
+    q[np.searchsorted(outside, target_out[0])] = target_out[1]
+    report = {
+        "root_fidelity": float(np.sqrt(p * q).sum()),
+        "trace_distance": float(np.abs(p - q).sum() / 2.0),
+        "purity_reconstructed": float(p @ p),
+        "purity_target": float(q @ q),
+        "rank_reconstructed": int((p > EIGEN_TOLERANCE).sum()),
+        "rank_target": int((q > EIGEN_TOLERANCE).sum()),
+    }
+    if shared.size:
+        basis, _ = np.linalg.qr(np.hstack([b.conj().T, a.conj().T]))
+        target_c, rho_c = density(b @ basis), density(a @ basis)
+        wt, wr = np.trace(target_c).real, np.trace(rho_c).real
+        if wt > 0.0 and wr > 0.0:
+            scaled = root_fidelity(target_c / wt, rho_c / wr)
+            report["root_fidelity"] += float(np.sqrt(wt * wr)) * scaled
+        report["trace_distance"] += trace_distance(rho_c, target_c)
+        report["purity_reconstructed"] += purity(rho_c)
+        report["purity_target"] += purity(target_c)
+        report["rank_reconstructed"] += numerical_rank(rho_c)
+        report["rank_target"] += numerical_rank(target_c)
+    report["fidelity"] = report["root_fidelity"] ** 2
+    return {key: report[key] for key in ("root_fidelity", "fidelity", "trace_distance",
+                                         "purity_reconstructed", "purity_target",
+                                         "rank_reconstructed", "rank_target")}
+
+
+def _restrict(state: BlockState, shared: np.ndarray):
+    """The state on the basis states ``shared``, which hold every nonzero
+    factor column, as a factor over them: the state's factor rows, then one
+    row per isolated state inside ``shared``.  Also the isolated states
+    outside ``shared`` and their populations."""
+    inside = np.isin(state.isolated, shared)
+    kept = np.isin(state.columns, shared)  # the others are zero columns
+    rows = state.factor.shape[0]
+    g = np.zeros((rows + inside.sum(), shared.size), dtype=complex)
+    g[:rows, np.searchsorted(shared, state.columns[kept])] = state.factor[:, kept]
+    g[rows + np.arange(inside.sum()), np.searchsorted(shared, state.isolated[inside])] = \
+        np.sqrt(state.populations[inside])
+    return g, (state.isolated[~inside], state.populations[~inside])
 
 
 def fidelity_bound(diag: np.ndarray, t: float, rank: int) -> float:

@@ -28,13 +28,12 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (BlockState, basis_word, density, product_ket, read_table, validate_word,
+from .core import (BlockState, basis_word, product_ket, read_table, validate_word,
                    write_table, written)
 
 EPSILON = 1e-9  # relative floor for model counts n_K
@@ -64,10 +63,14 @@ class CountRecord:
             raise ValueError(f"observed={self.observed} outside [0, shots={self.shots}]")
 
 
-def basis_records(counts: np.ndarray, shots: int) -> list[CountRecord]:
-    """The 2**n computational-basis records of one diagonal round, in basis order."""
-    n = len(counts).bit_length() - 1
-    return [CountRecord(basis_word(k, n), count, shots) for k, count in enumerate(counts.tolist())]
+def with_basis_round(records: list[CountRecord], diag) -> list[CountRecord]:
+    """``records`` after the basis records of the diagonal round ``diag``, a
+    :class:`~tqst.threshold.DiagonalRecord`, that they lack: those go first,
+    in basis order, as every plan measures them."""
+    present = {rec.projector for rec in records}
+    basis = (CountRecord(basis_word(k, diag.n), count, diag.shots)
+             for k, count in enumerate(diag.counts.tolist()))
+    return [rec for rec in basis if rec.projector not in present] + records
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,9 @@ class MleOptions:
 class ReconstructionResult:
     """The fitted state as a :class:`~tqst.core.BlockState` of unit trace: the
     factor on the coupled states (r x |C| for ``low_rank``, |C| x |C| for
-    ``full``) and the populations of the isolated ones.  The density matrix
-    ``rho`` is formed on first use.  ``parameters`` is the number of real
-    parameters fitted; ``nfev``, ``status`` and ``message`` are scipy's for
-    the minimization."""
+    ``full``) and the populations of the isolated ones.  ``parameters`` is
+    the number of real parameters fitted; ``nfev``, ``status`` and
+    ``message`` are scipy's for the minimization."""
 
     state: BlockState
     final_objective: float
@@ -111,10 +113,6 @@ class ReconstructionResult:
     converged: bool
     parameters: int
     wall_time_s: float = 0.0
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return density(self.state)
 
 
 class _Bundle:

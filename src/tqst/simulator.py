@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import _factor_qubits, expectation
 from .threshold import DiagonalRecord, MeasurementPlan
-from .mle import CountRecord, basis_records
+from .mle import CountRecord, with_basis_round
 
 #: Computational components of the 7-qubit color-code logical states, written
 #: as bit strings with the first qubit most significant.
@@ -188,7 +188,7 @@ def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecor
     noise = NoiseModel() if noise is None else noise
     lam = noise.depolarizing
     shots = diag.shots
-    records = basis_records(diag.counts, shots)
+    records = []
     for k, word in enumerate(plan.words):
         q = min(max((1.0 - lam) * expectation(factor, word) + lam / dim, 0.0), 1.0)
         if noise.sampling == "exact":
@@ -196,4 +196,4 @@ def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecor
         else:
             observed = int(_stream(noise, dim + k + 1).binomial(shots, q))
         records.append(CountRecord(word, observed, shots))
-    return records
+    return with_basis_round(records, diag)

@@ -220,7 +220,7 @@ def write_diagonal_csv(path: str | Path, record: DiagonalRecord) -> None:
 def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
     """Read a diagonal CSV, requiring the basis indices to run 0..N-1, each
     once and in order, with non-negative counts."""
-    fields, rows = read_table(path, DIAGONAL_COLUMNS)
+    fields, rows = read_table(path, DIAGONAL_COLUMNS, ("n_s",))
     counts = []
     for k, (line, (index, count)) in enumerate(rows):
         value = written(int, count, -1)
@@ -230,7 +230,7 @@ def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
         counts.append(value)
     try:
         return DiagonalRecord(counts=counts, shots=written(int, fields["n_s"]))
-    except (KeyError, ValueError, OverflowError) as exc:  # OverflowError: a count over int64
+    except (ValueError, OverflowError) as exc:  # OverflowError: a count over int64
         raise ValueError(f"{path}: not a '# n_s=<shots>' diagonal record ({exc!r})") from None
 
 
@@ -253,10 +253,10 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
     """Read a plan: its pairs are the plain decimal ``i,j`` of every other row after the
     2**n diagonal rows, each new and with i < j < 2**n, in file order, and the file must
     hold exactly the rows that :func:`write_plan_csv` writes for them."""
-    fields, rows = read_table(path, PLAN_COLUMNS)
+    fields, rows = read_table(path, PLAN_COLUMNS, ("n_qubits", "threshold"))
     try:
         n, t = written(int, fields["n_qubits"]), written(float, fields["threshold"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}:1: need '# n_qubits=<n> threshold=<t>' ({exc!r})") from None
     # 1 <= n and 2**n <= len(rows), without computing 2**n for a huge n
     if not (1 <= n < len(rows).bit_length() and 0.0 <= t <= 1.0):

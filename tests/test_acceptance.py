@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from tqst.core import ElementIndex, STATE_LABELS, density, expectation, product_ket
+from tqst.core import BlockState, ElementIndex, STATE_LABELS, density, expectation, product_ket
 from tqst.metrics import (
+    compare,
     fidelity,
     fidelity_bound,
     numerical_rank,
@@ -127,7 +128,7 @@ def test_criterion_4_noiseless_w_state_replication():
         assert plan.size == 2**n + n * (n - 1), (n, plan.size)
         records = sample_counts(psi, plan, diag, exact)
         result = reconstruct(records, MleOptions(seed=n))
-        f = fidelity(result.rho, density(psi))
+        f = compare(result.state, BlockState.of_factor(psi))["fidelity"]
         assert f >= 0.99, (n, f)
         results.append((n, plan.size, f))
     elapsed = time.perf_counter() - start
@@ -161,7 +162,7 @@ def test_criterion_5_noisy_w_state_trend():
             MleOptions(parametrization="low_rank", rank=2, seed=7,
                        gradient_tolerance=0.05),
         )
-        f = fidelity(result.rho, density(psi))
+        f = compare(result.state, BlockState.of_factor(psi))["fidelity"]
         assert 0.85 <= f <= 0.97, (n, f)
         results.append((n, estimate.threshold, plan.size, f))
     elapsed = time.perf_counter() - start
@@ -237,7 +238,7 @@ def test_criterion_8_mle_numerics():
         result = reconstruct(
             records, MleOptions(seed=n, gradient_tolerance=1e-9, max_iterations=20000)
         )
-        f = fidelity(result.rho, density(psi))
+        f = compare(result.state, BlockState.of_factor(psi))["fidelity"]
         assert f >= 1 - 1e-6, (n, f)
         fidelities.append(f)
     report(8, f"gradient max rel err {worst:.2e}; exact-data fidelities "

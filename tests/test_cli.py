@@ -196,7 +196,7 @@ def _random_block(rng, n, columns, isolated, rows, zero_column=False):
 def test_fidelity_report_matches_dense_metrics():
     # isolated states inside the other state's columns, outside both, shared by
     # both, and zero factor columns; every metric as on the dense matrices
-    from tqst import cli
+    from tqst import metrics
 
     rng = np.random.default_rng(77)
     for _ in range(60):
@@ -212,7 +212,7 @@ def test_fidelity_report_matches_dense_metrics():
                 isolated = np.sort(order[:1])
             states.append(_random_block(rng, n, columns, isolated, int(rng.integers(1, 4)),
                                         zero_column=bool(rng.integers(2))))
-        report = cli._fidelity_report(*states)
+        report = metrics.compare(*states)
         dense = _dense_report(*states)
         for key, value in dense.items():
             assert report[key] == pytest.approx(value, abs=1e-9), key
@@ -222,7 +222,7 @@ def test_fidelity_report_matches_dense_metrics():
 def test_fidelity_report_decomposes_only_the_coupled_block(monkeypatch):
     # n = 16: a fit with 40 coupled and 3000 isolated states against the W
     # state; no decomposition sees more than the coupled states
-    from tqst import cli, core, simulator
+    from tqst import core, metrics, simulator
 
     sizes = []
     for name in ("eigh", "eigvalsh", "svd", "qr"):
@@ -238,12 +238,34 @@ def test_fidelity_report_decomposes_only_the_coupled_block(monkeypatch):
     coupled = np.union1d(np.flatnonzero(w[0]), rng.choice(2**16, 24, replace=False))
     rest = np.setdiff1d(np.arange(2**16), coupled)
     fit = _random_block(rng, 16, coupled, np.sort(rng.choice(rest, 3000, replace=False)), 2)
-    report = cli._fidelity_report(fit, core.BlockState.of_factor(w))
+    report = metrics.compare(fit, core.BlockState.of_factor(w))
     assert sizes and max(sizes) <= coupled.size
     assert report["rank_reconstructed"] == 3002 and report["rank_target"] == 1
     psi = w[0].conj()
     block = fit.factor[:, np.searchsorted(fit.columns, np.flatnonzero(psi))] @ psi[psi != 0]
     assert report["fidelity"] == pytest.approx(np.vdot(block, block).real, abs=1e-12)
+
+
+def test_fidelity_report_of_a_real_fit_matches_dense_metrics():
+    # noisy W at n = 8 (t = 0.038, rank 2, seed 42): the fit has 37 coupled,
+    # 187 isolated and 32 left-out states; the acceptance tests compare fits
+    # with their targets through this report, not through dense matrices
+    from tqst import core, metrics, mle, simulator, threshold
+
+    psi = simulator.w_state(8)
+    noise = simulator.NoiseModel(0.05, "multinomial", 42)
+    diag = simulator.sample_diagonal(psi, 10**4, noise)
+    records = simulator.sample_counts(psi, threshold.select_offdiagonal(diag, 0.038), diag, noise)
+    fit = mle.reconstruct(records, mle.MleOptions("low_rank", 2, seed=42,
+                                                  gradient_tolerance=0.05)).state
+    assert (fit.columns.size, fit.isolated.size) == (37, 187)
+    target = core.BlockState.of_factor(psi)
+    report = metrics.compare(fit, target)
+    dense = _dense_report(fit, target)
+    dense["fidelity"] = dense["root_fidelity"] ** 2
+    assert set(report) == set(dense)
+    for key, value in dense.items():
+        assert report[key] == pytest.approx(value, abs=1e-9), key
 
 
 def test_fidelity_command_reads_block_and_plain_files_in_any_mix(tmp_path):
@@ -372,6 +394,9 @@ def block_file(**edit):
                   "--out", "{tmp}/plan.csv"),
                  "--run-file and --ideal are read only with --threshold auto",
                  id="numeric-threshold-plan-ideal"),
+    pytest.param({}, ("simulate", "--state", "w", "--n", 2, "--filling", 5, "--seed", 1,
+                      "--out", "{tmp}/o"),
+                 "--filling is read only with --state random", id="filling-without-random"),
     pytest.param({}, ("run", "--state", "w", "--n", 3, "--threshold", 0.1, "--seed", -1,
                       "--out", "{tmp}/o"),
                  "-1 is not in the range x>=0", id="negative-seed"),

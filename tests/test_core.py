@@ -289,6 +289,14 @@ def _read_two_columns(path):
                  "0,0,diag,H\n1,1,diag,V\n0,1,re,D\n0,1,re,D\n", 6, id="duplicate-target"),
     pytest.param(read_diagonal_csv, "# n_s=3\nindex,count\n0,1\n1,2\n", 2, id="wrong-header"),
     pytest.param(_read_two_columns, "word,count\nHV,1\nVH,1,2\n", 3, id="wrong-field-count"),
+    # a comment holds exactly the keys its writer writes
+    pytest.param(read_diagonal_csv, "# n_s=10 colour=blue\nbasis_index,count\n0,4\n1,6\n", 1,
+                 id="diagonal-unknown-key"),
+    pytest.param(read_diagonal_csv, "basis_index,count\n0,4\n1,6\n", 1, id="diagonal-missing-key"),
+    pytest.param(read_plan_csv, "# n_qubits=1 threshold=0.5 n_s=99\ni,j,part,projector_word\n"
+                 "0,0,diag,H\n1,1,diag,V\n", 1, id="plan-unknown-key"),
+    pytest.param(read_counts_csv, "# anything=1\nprojector_word,observed,shots\nH,1,2\nV,1,2\n", 1,
+                 id="counts-unknown-key"),
 ])
 def test_table_readers_name_file_and_line(tmp_path, reader, text, line):
     path = tmp_path / "table.csv"

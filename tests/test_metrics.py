@@ -1,14 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tqst.core import product_ket
+from tqst import metrics
+from tqst.core import BlockState, product_ket
 from tqst.metrics import (
+    compare,
     fidelity,
     fidelity_bound,
-    joint_support,
     numerical_rank,
     purity,
     root_fidelity,
@@ -136,32 +138,33 @@ def random_factor(rng, rows, dim):
 @given(n=st.integers(1, 8), rank_a=st.integers(1, 3), rank_b=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 @example(n=2, rank_a=4, rank_b=1, seed=0)
-def test_joint_support_matches_dense_metrics(n, rank_a, rank_b, seed):
+def test_compare_matches_dense_metrics(n, rank_a, rank_b, seed):
     rng = np.random.default_rng(seed)
     a, b = random_factor(rng, rank_a, 2**n), random_factor(rng, rank_b, 2**n)
     rho, sigma = a.conj().T @ a, b.conj().T @ b
-    rho_c, sigma_c = joint_support(a, b)
-    assert rho_c.shape == sigma_c.shape == (min(rank_a + rank_b, 2**n),) * 2
-    assert trace_distance(rho_c, sigma_c) == pytest.approx(trace_distance(rho, sigma), abs=1e-9)
-    assert purity(rho_c) == pytest.approx(purity(rho), abs=1e-9)
-    assert purity(sigma_c) == pytest.approx(purity(sigma), abs=1e-9)
-    assert numerical_rank(rho_c) == numerical_rank(rho)
-    assert numerical_rank(sigma_c) == numerical_rank(sigma)
+    # the dense metrics, looked up in the module, see the compressed pair
+    with mock.patch.object(metrics, "numerical_rank", wraps=numerical_rank) as rank:
+        report = compare(BlockState.of_factor(a), BlockState.of_factor(b))
+    assert [c.args[0].shape for c in rank.call_args_list] == [(min(rank_a + rank_b, 2**n),) * 2] * 2
+    assert report["trace_distance"] == pytest.approx(trace_distance(rho, sigma), abs=1e-9)
+    assert report["purity_reconstructed"] == pytest.approx(purity(rho), abs=1e-9)
+    assert report["purity_target"] == pytest.approx(purity(sigma), abs=1e-9)
+    assert report["rank_reconstructed"] == numerical_rank(rho)
+    assert report["rank_target"] == numerical_rank(sigma)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 @example(n=2, rank=4, seed=0)
-def test_joint_support_fidelity_against_pure_target(n, rank, seed):
-    # the target first, in the support and in the fidelity, as `tqst run` does;
-    # the fit first gives the same value
+def test_compare_fidelity_against_pure_target(n, rank, seed):
+    # the fit first, as `tqst run` does; the target first gives the same value
     rng = np.random.default_rng(seed)
     a = random_factor(rng, rank, 2**n)
     psi = random_factor(rng, 1, 2**n)[0]
-    target_c, rho_c = joint_support(psi.conj()[None, :], a)
+    fit, target = BlockState.of_factor(a), BlockState.of_factor(psi.conj()[None, :])
     exact = np.sqrt(np.real(psi.conj() @ a.conj().T @ (a @ psi)))
-    assert root_fidelity(target_c, rho_c) == pytest.approx(exact, abs=1e-12)
-    assert root_fidelity(rho_c, target_c) == pytest.approx(exact, abs=1e-12)
+    assert compare(fit, target)["root_fidelity"] == pytest.approx(exact, abs=1e-12)
+    assert compare(target, fit)["root_fidelity"] == pytest.approx(exact, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,6 +278,6 @@ def test_metric_input_validation():
     with pytest.raises(ValueError):
         root_fidelity(np.eye(2) / 2, np.eye(4) / 4)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        joint_support(np.eye(2) / 2, np.eye(4) / 4)
+        compare(BlockState.of_factor([[1.0, 0.0]]), BlockState.of_factor([[1.0, 0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         fidelity(np.diag([1.5, -0.5]).astype(complex), np.eye(2) / 2)

@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from tqst import mle
-from tqst.core import basis_word, density, expectation, product_ket, validate_density
-from tqst.metrics import fidelity, trace_distance
+from tqst.core import BlockState, basis_word, density, expectation, product_ket, validate_density
+from tqst.metrics import compare, trace_distance
 from tqst.mle import (
     EPSILON,
     CountRecord,
@@ -227,7 +227,7 @@ def test_reconstruct_w4_threshold_plan():
     records = sample_counts(psi, plan, diag, exact)
     result = reconstruct(records, MleOptions(seed=1))
     assert result.converged
-    assert fidelity(result.rho, density(psi)) >= 0.99
+    assert compare(result.state, BlockState.of_factor(psi))["fidelity"] >= 0.99
 
 
 def test_reconstruct_basis_state_from_diagonal_only():
@@ -239,7 +239,7 @@ def test_reconstruct_basis_state_from_diagonal_only():
     result = reconstruct(records, MleOptions(seed=0))
     target = np.zeros((8, 8), dtype=complex)
     target[0, 0] = 1.0
-    assert np.max(np.abs(result.rho - target)) <= 1e-6
+    assert np.max(np.abs(density(result.state) - target)) <= 1e-6
 
 
 def test_reconstruct_sampled_w3_regression():
@@ -249,7 +249,7 @@ def test_reconstruct_sampled_w3_regression():
     plan = select_offdiagonal(diag, 0.05)
     records = sample_counts(psi, plan, diag, noise)
     result = reconstruct(records, MleOptions(seed=1))
-    f = fidelity(result.rho, density(psi))
+    f = compare(result.state, BlockState.of_factor(psi))["fidelity"]
     assert f >= 0.98
     assert f == pytest.approx(0.9900316437535431, abs=1e-9)  # seeded regression: <psi|rho|psi>
 
@@ -273,7 +273,7 @@ def test_reconstruct_deterministic_given_seed():
     records = exact_records(w_state(2), 2, shots=10**4)
     a = reconstruct(records, MleOptions(seed=42))
     b = reconstruct(records, MleOptions(seed=42))
-    assert np.array_equal(a.rho, b.rho)
+    assert np.array_equal(density(a.state), density(b.state))
 
 
 @pytest.mark.parametrize("parametrization, rank, shape", [
@@ -293,7 +293,7 @@ def test_result_factor_reproduces_rho(parametrization, rank, shape):
     block = np.zeros((8, 8), dtype=complex)
     block[:7, :7] = f.conj().T @ f
     block[7, 7] = state.populations[0]
-    assert np.max(np.abs(block - result.rho)) <= 1e-12
+    assert np.max(np.abs(block - density(state))) <= 1e-12
     assert np.trace(block).real == pytest.approx(1.0, abs=1e-12)
     assert result.parameters == (49 if parametrization == "full" else 28) + 1
     assert result.nfev >= result.iterations > 0
@@ -353,7 +353,7 @@ def test_block_fit_is_close_to_the_noisy_state():
     assert (result.state.columns.size, result.state.isolated.size) == (37, 187)
     assert result.parameters == 2 * 2 * 37 + 187
     truth = (1 - lam) * density(psi) + lam * np.eye(2**n) / 2**n
-    assert trace_distance(result.rho, truth) < 0.2
+    assert trace_distance(density(result.state), truth) < 0.2
 
 
 def test_block_split_leaves_out_zero_count_states():
@@ -369,7 +369,7 @@ def test_block_split_leaves_out_zero_count_states():
     for options in (MleOptions(seed=1), MleOptions("low_rank", 2, seed=1)):
         result = reconstruct(records, options)
         assert result.converged and result.parameters == 3
-        assert np.allclose(np.diag(result.rho).real, [0, 1 / 3, 1 / 3, 0, 1 / 3, 0, 0, 0])
+        assert np.allclose(np.diag(density(result.state)).real, [0, 1 / 3, 1 / 3, 0, 1 / 3, 0, 0, 0])
         assert result.final_objective == pytest.approx(bundle.constant, rel=1e-6)
 
 
@@ -397,7 +397,7 @@ def test_output_is_always_physical():
     words = build_projector_table(2).words()
     records = [CountRecord(w, int(rng.integers(0, 1001)), 1000) for w in words]
     result = reconstruct(records, MleOptions(seed=3))
-    assert validate_density(result.rho, 1e-6).ok
+    assert validate_density(density(result.state), 1e-6).ok
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -408,7 +408,7 @@ def test_exact_data_consistency(n):
     result = reconstruct(
         records, MleOptions(seed=n, gradient_tolerance=1e-9, max_iterations=20000)
     )
-    assert fidelity(result.rho, density(psi)) >= 1 - 1e-6
+    assert compare(result.state, BlockState.of_factor(psi))["fidelity"] >= 1 - 1e-6
 
 
 def test_full_and_low_rank_agree_on_pure_data():
@@ -420,7 +420,7 @@ def test_full_and_low_rank_agree_on_pure_data():
         MleOptions(parametrization="low_rank", rank=1, seed=7, gradient_tolerance=1e-9,
                    max_iterations=20000),
     )
-    assert fidelity(full.rho, low.rho) >= 1 - 1e-6
+    assert compare(full.state, low.state)["fidelity"] >= 1 - 1e-6
 
 
 def test_reconstruct_requires_all_diagonal_projectors():
@@ -439,7 +439,7 @@ def test_nonconvergence_is_flagged_not_raised():
     records = exact_records(w_state(3), 3, shots=10**4)
     result = reconstruct(records, MleOptions(seed=0, max_iterations=2))
     assert not result.converged
-    assert validate_density(result.rho, 1e-6).ok
+    assert validate_density(density(result.state), 1e-6).ok
 
 
 @st.composite
