@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 #: Amplitudes of the six single-qubit measurement states in the computational
-#: basis (H = |0>, V = |1>).  Read-only: ``product_ket`` of a one-letter word
-#: returns the table entry itself.
+#: basis (H = |0>, V = |1>), read-only.  ``product_ket`` reads H and V as
+#: fixed bits and multiplies the entries of the D, A, R and L letters.
 STATE_VECTORS = {
     "H": np.array([1.0, 0.0], dtype=complex),
     "V": np.array([0.0, 1.0], dtype=complex),
@@ -34,6 +34,9 @@ for _amplitudes in STATE_VECTORS.values():
     _amplitudes.setflags(write=False)
 
 STATE_LABELS = "HVDARL"
+
+#: Largest qubit count of a state: its basis indices are int64.
+MAX_QUBITS = 62
 
 PARTS = ("re", "im", "diag")
 
@@ -76,11 +79,13 @@ def validate_word(word: str) -> str:
     bad = set(word) - set(STATE_LABELS)
     if bad:
         raise ValueError(f"unknown state letters {sorted(bad)} in {word!r}")
+    if len(word) > MAX_QUBITS:
+        raise ValueError(f"{len(word)}-letter word: at most {MAX_QUBITS} qubits")
     return word
 
 
 _BITS_TO_HV = str.maketrans("01", "HV")
-_HV_TO_BITS = str.maketrans("HV", "01")
+_V_BITS = str.maketrans("HVDARL", "010000")
 
 
 def basis_word(index: int, n: int) -> str:
@@ -90,37 +95,32 @@ def basis_word(index: int, n: int) -> str:
     return format(index, f"0{n}b").translate(_BITS_TO_HV)
 
 
-def product_ket(word: str) -> np.ndarray:
-    """Tensor product of single-qubit amplitudes, first letter most significant.
-
-    Returns a unit-norm complex vector of dimension ``2**len(word)``.
-    """
+def product_ket(word: str) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the tensor product of single-qubit amplitudes, first
+    letter most significant: increasing int64 basis indices ``support`` and
+    their ``amplitudes``.  H and V fix a bit; each D/A/R/L letter doubles both."""
     validate_word(word)
-    if len(word) > 1 and not word.strip("HV"):
-        # a basis word is one-hot, with the same bytes as the chain: its zeros are all +0.0
-        ket = np.zeros(2 ** len(word), dtype=complex)
-        ket[int(word.translate(_HV_TO_BITS), 2)] = 1.0
-        return ket
-    # the chain of outer products forms the same products as np.kron
-    ket = STATE_VECTORS[word[0]]
-    for c in word[1:]:
-        ket = np.multiply.outer(ket, STATE_VECTORS[c]).ravel()
-    return ket
+    support = [int(word.translate(_V_BITS), 2)]
+    for q, c in enumerate(reversed(word)):  # bit q, lowest first: the support stays increasing
+        if c in "DARL":
+            support += [k | 1 << q for k in support]
+    letters = word.replace("H", "").replace("V", "")
+    amplitudes = STATE_VECTORS[letters[0]] if letters else np.ones(1, dtype=complex)
+    for c in letters[1:]:  # the products of np.kron, over the D/A/R/L letters
+        amplitudes = np.multiply.outer(amplitudes, STATE_VECTORS[c]).ravel()
+    return np.array(support, dtype=np.int64), amplitudes
 
 
 def expectation(factor: np.ndarray, word: str) -> float:
     """Expectation <psi|rho|psi> of the projector |psi><psi| described by
-    ``word`` in rho = F^H F, computed from the r x 2**n factor F as ||F psi||**2."""
-    psi = product_ket(word)
-    if factor.shape[1:] != psi.shape:
+    ``word`` in rho = F^H F: ||F psi||**2 over the r x 2**n factor F's
+    columns at the support of psi."""
+    support, amplitudes = product_ket(word)
+    if factor.shape[1:] != (2 ** len(word),):
         raise ValueError(f"dimension mismatch: factor is {factor.shape}, "
-                         f"word {word!r} needs r x {psi.size}")
-    a = factor @ psi
+                         f"word {word!r} needs r x {2 ** len(word)}")
+    a = factor[:, support] @ amplitudes
     return float(np.vdot(a, a).real)
-
-
-#: Largest qubit count of a state: its basis indices are int64.
-MAX_QUBITS = 62
 
 
 @dataclass(frozen=True, eq=False)

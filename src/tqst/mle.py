@@ -124,12 +124,12 @@ class _Bundle:
     record measures it.  ``columns`` are the coupled states C, the columns
     hit by the superposition words; ``isolated`` are the basis states
     outside C with a nonzero count.  ``kets`` is the CSR matrix of the
-    records on C, restricted to those columns and keeping only their
-    nonzeros, and ``kets_h`` its conjugate transpose.  ``observed`` and
-    ``shots`` list those records, then the records of the isolated states,
-    whose positions in ``isolated`` are ``iso``.  The zero-count basis
-    records left over see a model of zero, floored; ``constant`` is their
-    share of the objective."""
+    records on C: their kets' amplitudes at their supports, restricted to
+    those columns.  ``kets_h`` is its conjugate transpose.  ``observed``
+    and ``shots`` list those records, then the records of the isolated
+    states, whose positions in ``isolated`` are ``iso``.  The zero-count
+    basis records left over see a model of zero, floored; ``constant`` is
+    their share of the objective."""
 
     def __init__(self, records: list[CountRecord]):
         if not records:
@@ -142,12 +142,7 @@ class _Bundle:
 
         self.n = n
         self.dim = 2**n
-        indices, values = [], []
-        for rec in records:
-            ket = product_ket(rec.projector)
-            nonzero = np.flatnonzero(ket)
-            indices.append(nonzero)
-            values.append(ket[nonzero])
+        indices, values = zip(*(product_ket(rec.projector) for rec in records))
         sizes = np.array([c.size for c in indices])
         indices, values = np.concatenate(indices), np.concatenate(values)
         observed = np.array([rec.observed for rec in records], dtype=float)

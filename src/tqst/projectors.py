@@ -255,7 +255,10 @@ def linear_inversion(records) -> np.ndarray:
     if rank < len(words):
         raise NumericalFailureError(f"Gram matrix is rank deficient ({rank} < {len(words)})")
 
-    kets = np.array([product_ket(w) for w in words])
+    kets = np.zeros((len(words), 2**n), dtype=complex)
+    for ket, w in zip(kets, words):
+        support, amplitudes = product_ket(w)
+        ket[support] = amplitudes
     rho = (kets.T * coeff) @ kets.conj()
     return (rho + rho.conj().T) / 2.0
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from tqst.core import BlockState, ElementIndex, STATE_LABELS, density, expectation, product_ket
+from tqst.core import BlockState, ElementIndex, STATE_LABELS, density, expectation
 from tqst.metrics import (
     compare,
     fidelity,
@@ -42,6 +42,8 @@ from tqst.threshold import (
     estimate_threshold,
     select_offdiagonal,
 )
+
+from kets import dense_ket
 
 
 def report(criterion, detail):
@@ -99,7 +101,7 @@ def test_criterion_3_frobenius_minimizers():
         candidates = {}
         for letters in itertools.product(STATE_LABELS, repeat=n):
             word = "".join(letters)
-            ket = product_ket(word)
+            ket = dense_ket(word)
             candidates[word] = np.outer(ket, ket.conj())
         for idx, word in build_projector_table(n).elements():
             if idx.part == "diag":

@@ -457,6 +457,10 @@ def block_file(**edit):
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "{tmp}/counts.csv:4: 3-qubit word 'VHH' after 2-qubit words",
                  id="counts-mixed-word-lengths"),
+    pytest.param({"counts.csv": "projector_word,observed,shots\n" + "H" * 63 + ",5,10\n"},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 "{tmp}/counts.csv:2: 63-letter word: at most 62 qubits",
+                 id="counts-word-over-62-letters"),
     pytest.param({"counts.csv": COUNTS_N2.replace("HH,50,", "HH,5_0,")},
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "counts.csv:2: expected decimal counts, got '5_0,100'",

@@ -25,6 +25,8 @@ from tqst.mle import read_counts_csv
 from tqst.simulator import w_state
 from tqst.threshold import read_diagonal_csv, read_plan_csv
 
+from kets import dense_ket
+
 
 def brute_force_tensor(word):
     """Independent oracle: explicit index-by-index tensor product."""
@@ -38,45 +40,68 @@ def brute_force_tensor(word):
 
 
 def test_product_ket_single_basis_state():
-    assert np.allclose(product_ket("H"), [1, 0])
+    assert np.allclose(dense_ket("H"), [1, 0])
 
 
 def test_product_ket_computational_index():
-    assert np.allclose(product_ket("HV"), [0, 1, 0, 0])
+    assert np.allclose(dense_ket("HV"), [0, 1, 0, 0])
 
 
 def test_product_ket_rd_expansion():
     expected = brute_force_tensor("RD")
     assert np.allclose(expected, 0.5 * np.array([1, 1, 1j, 1j]))
-    assert np.allclose(product_ket("RD"), expected)
+    assert np.allclose(dense_ket("RD"), expected)
 
 
 @pytest.mark.parametrize("word", ["HVD", "RLA", "DDRR", "ALVH"])
 def test_product_ket_matches_brute_force(word):
-    assert np.allclose(product_ket(word), brute_force_tensor(word), atol=1e-14)
+    assert np.allclose(dense_ket(word), brute_force_tensor(word), atol=1e-14)
 
 
 @given(st.text(alphabet=STATE_LABELS, min_size=1, max_size=10))
 def test_product_ket_unit_norm(word):
-    assert abs(np.linalg.norm(product_ket(word)) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(dense_ket(word)) - 1.0) < 1e-12
 
 
 def test_product_ket_bit_identical_to_kronecker_chain():
-    # every word up to n = 4, and every computational-basis word up to n = 8
+    # every word up to n = 4, every computational-basis word up to n = 8, and
+    # random words up to n = 12: the support is the chain's nonzeros, in
+    # increasing order, and the amplitudes are their values.  The chain's
+    # factors 1 + 0j of the H/V letters are skipped, which may flip the sign
+    # of a zero real or imaginary part, so values are compared, not bytes.
     words = [letters for n in range(1, 5) for letters in itertools.product(STATE_LABELS, repeat=n)]
     words += [letters for n in range(5, 9) for letters in itertools.product("HV", repeat=n)]
+    rng = np.random.default_rng(24)
+    words += [rng.choice(list(STATE_LABELS), size=n) for n in range(5, 13) for _ in range(50)]
     for letters in words:
         word = "".join(letters)
         reference = functools.reduce(np.kron, (STATE_VECTORS[c] for c in word))
-        assert product_ket(word).tobytes() == reference.tobytes(), word
+        support, amplitudes = product_ket(word)
+        assert support.dtype == np.int64 and (np.diff(support) > 0).all(), word
+        assert np.array_equal(support, np.flatnonzero(reference)), word
+        assert np.array_equal(amplitudes, reference[support]), word
+
+
+def test_product_ket_of_a_62_letter_word():
+    # two superposition letters: four nonzeros near 2**62, with no 2**62 vector
+    word = "V" + "H" * 58 + "DVR"
+    support, amplitudes = product_ket(word)
+    top = 2**61 + 2**1
+    assert support.tolist() == [top, top + 1, top + 2**2, top + 2**2 + 1]
+    assert np.array_equal(amplitudes, np.multiply.outer(STATE_VECTORS["D"], STATE_VECTORS["R"]).ravel())
 
 
 def test_product_ket_table_is_read_only():
-    # a one-letter ket is the table entry itself; writing into it must not
-    # corrupt every later product
-    with pytest.raises(ValueError, match="read-only"):
-        product_ket("H")[0] = 5
-    assert product_ket("HH").tolist() == [1, 0, 0, 0]
+    # writing into a returned array either raises or leaves later kets unchanged
+    words = ("H", "V", "D", "HL", "RA", "HVH")
+    before = [dense_ket(word) for word in words]
+    for word in words:
+        for array in product_ket(word):
+            try:
+                array[0] = 5
+            except ValueError as exc:
+                assert "read-only" in str(exc)
+    assert all(np.array_equal(dense_ket(w), b) for w, b in zip(words, before))
 
 
 def test_product_ket_rejects_empty_and_bad_letters():
@@ -84,6 +109,8 @@ def test_product_ket_rejects_empty_and_bad_letters():
         product_ket("")
     with pytest.raises(ValueError):
         product_ket("HQ")
+    with pytest.raises(ValueError, match="63-letter word: at most 62 qubits"):
+        product_ket("H" * 63)
 
 
 def test_expectation_maximally_mixed():
@@ -91,7 +118,7 @@ def test_expectation_maximally_mixed():
 
 
 def test_expectation_projector_onto_itself():
-    assert expectation(product_ket("H").conj()[None, :], "H") == pytest.approx(1.0)
+    assert expectation(dense_ket("H").conj()[None, :], "H") == pytest.approx(1.0)
 
 
 def test_expectation_w3_excitation_component():
@@ -104,7 +131,7 @@ def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError, match=r"dimension mismatch: factor is \(1, 8\)"):
         expectation(w_state(3), "HH")
     with pytest.raises(ValueError, match=r"dimension mismatch: factor is \(2,\)"):
-        expectation(product_ket("H"), "H")  # a ket is not a factor
+        expectation(dense_ket("H"), "H")  # a ket is not a factor
 
 
 def test_expectation_of_ket_matches_density():
@@ -116,7 +143,7 @@ def test_expectation_of_ket_matches_density():
         rho = density(factor)
         for letters in itertools.product(STATE_LABELS, repeat=n):
             word = "".join(letters)
-            phi = product_ket(word)
+            phi = dense_ket(word)
             dense = np.real(phi.conj() @ rho @ phi)
             assert abs(expectation(factor, word) - dense) <= 1e-15, word
 
@@ -319,7 +346,7 @@ def test_element_index_invariants():
 def test_basis_word_and_index_roundtrip():
     assert basis_word(5, 3) == "VHV"
     for k in range(16):
-        assert np.array_equal(np.flatnonzero(product_ket(basis_word(k, 4))), [k])
+        assert np.array_equal(np.flatnonzero(dense_ket(basis_word(k, 4))), [k])
 
 
 def test_basis_word_matches_per_bit_formula():

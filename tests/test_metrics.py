@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tqst import metrics
-from tqst.core import BlockState, product_ket
+from tqst.core import BlockState
 from tqst.metrics import (
     compare,
     fidelity,
@@ -20,9 +20,11 @@ from tqst.metrics import (
 from tqst.projectors import psd_projection
 from tqst.threshold import DiagonalRecord, select_offdiagonal
 
+from kets import dense_ket
+
 
 def pure(word):
-    ket = product_ket(word)
+    ket = dense_ket(word)
     return np.outer(ket, ket.conj())
 
 
@@ -70,7 +72,7 @@ def test_fidelity_equals_overlap_for_pure_second_argument():
     rng = np.random.default_rng(3)
     rho = random_density(rng, 4)
     target = pure("DR")
-    overlap = np.real(product_ket("DR").conj() @ rho @ product_ket("DR"))
+    overlap = np.real(dense_ket("DR").conj() @ rho @ dense_ket("DR"))
     assert fidelity(rho, target) == pytest.approx(overlap, abs=1e-8)
 
 

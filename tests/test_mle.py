@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from tqst import mle
-from tqst.core import BlockState, basis_word, density, expectation, product_ket, validate_density
+from tqst.core import BlockState, basis_word, density, expectation, validate_density
 from tqst.metrics import compare, trace_distance
 from tqst.mle import (
     EPSILON,
@@ -25,6 +25,8 @@ from tqst.mle import (
 from tqst.projectors import build_projector_table
 from tqst.simulator import NoiseModel, sample_counts, sample_diagonal, w_state
 from tqst.threshold import select_offdiagonal
+
+from kets import dense_ket
 
 
 def exact_records(factor, n, shots=10**8):
@@ -102,7 +104,7 @@ def test_gradient_matches_finite_differences(options):
 
 def dense_evaluate(params, records, options):
     """The likelihood and gradient on the dense stack of product kets."""
-    kets = np.array([product_ket(rec.projector) for rec in records])
+    kets = np.array([dense_ket(rec.projector) for rec in records])
     observed = np.array([rec.observed for rec in records], dtype=float)
     shots = np.array([rec.shots for rec in records], dtype=float)
     dim = kets.shape[1]
@@ -321,7 +323,7 @@ def test_block_kernel_matches_dense_reference(options):
     rho[np.ix_(bundle.columns, bundle.columns)] = f.conj().T @ f
     rho[bundle.isolated, bundle.isolated] = d**2
     rho /= np.trace(rho).real
-    kets = np.array([product_ket(rec.projector) for rec in records])
+    kets = np.array([dense_ket(rec.projector) for rec in records])
     model = np.array([rec.shots for rec in records]) * np.einsum("ki,ij,kj->k", kets.conj(), rho, kets).real
     shots = np.array([rec.shots for rec in records], dtype=float)
     observed = np.array([rec.observed for rec in records], dtype=float)
@@ -478,7 +480,7 @@ def word_sets(draw):
 def test_bundle_matches_the_brute_force_block_model(case, low_rank, seed):
     n, records = case
     dim = 2**n
-    kets = np.array([product_ket(rec.projector) for rec in records])
+    kets = np.array([dense_ket(rec.projector) for rec in records])
     observed = np.array([rec.observed for rec in records], dtype=float)
     superposed = np.array([rec.projector.strip("HV") != "" for rec in records])
     coupled = sorted(set(np.flatnonzero(kets[superposed].any(axis=0)).tolist()))

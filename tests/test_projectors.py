@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tqst.core import ElementIndex, ResourceLimitError, STATE_LABELS, density, product_ket
+from tqst.core import ElementIndex, ResourceLimitError, STATE_LABELS, density
 from tqst.mle import CountRecord
 from tqst.projectors import (
     build_projector_table,
@@ -15,6 +15,8 @@ from tqst.projectors import (
     quadrant_walk,
 )
 from tqst.simulator import w_state
+
+from kets import dense_ket
 
 
 def test_two_qubit_offdiagonal_pair():
@@ -106,7 +108,7 @@ def element_target(dim, i, j, part):
 def test_words_are_frobenius_minimizers(n):
     dim = 2**n
     candidates = {
-        "".join(w): np.outer(product_ket("".join(w)), product_ket("".join(w)).conj())
+        "".join(w): np.outer(dense_ket("".join(w)), dense_ket("".join(w)).conj())
         for w in itertools.product(STATE_LABELS, repeat=n)
     }
     for idx, word in build_projector_table(n).elements():
@@ -141,7 +143,7 @@ def test_gram_full_single_qubit_set():
 
 def test_gram_matches_explicit_kets():
     words = build_projector_table(2).words()
-    kets = [product_ket(w) for w in words]
+    kets = [dense_ket(w) for w in words]
     explicit = np.array([[abs(np.vdot(a, b)) ** 2 for b in kets] for a in kets])
     assert np.allclose(gram_matrix(words), explicit, atol=1e-12)
 

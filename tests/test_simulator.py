@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tqst import simulator
-from tqst.core import STATE_LABELS, density, expectation, product_ket, validate_density
+from tqst.core import STATE_LABELS, density, expectation, validate_density
 from tqst.metrics import purity
 from tqst.mle import CountRecord
 from tqst.simulator import (
@@ -20,6 +20,8 @@ from tqst.simulator import (
     w_state,
 )
 from tqst.threshold import DiagonalRecord, diagonal_plan, select_offdiagonal
+
+from kets import dense_ket
 
 
 def test_w2_matrix_values():
@@ -253,7 +255,7 @@ def test_factor_probabilities_match_dense_reference(n, r, seed, words):
     assert np.max(np.abs(populations(factor) - np.real(np.diag(rho)))) <= 1e-14
     for word in words.draw(st.lists(st.text(STATE_LABELS, min_size=n, max_size=n),
                                     min_size=1, max_size=20)):
-        phi = product_ket(word)
+        phi = dense_ket(word)
         assert abs(expectation(factor, word) - np.real(phi.conj() @ rho @ phi)) <= 1e-14
 
 
@@ -263,7 +265,7 @@ def dense_reference(monkeypatch, rho):
     monkeypatch.setattr(simulator, "populations", lambda factor: np.real(np.diag(rho)))
 
     def quadratic_form(factor, word):
-        phi = product_ket(word)
+        phi = dense_ket(word)
         return float(np.real(phi.conj() @ rho @ phi))
 
     monkeypatch.setattr(simulator, "expectation", quadratic_form)
