@@ -64,7 +64,7 @@ def _resolve_threshold(t: float | None, ideal_diag, run_files, n: int) -> tuple[
     if ideal_diag is None:
         raise ValueError("--threshold auto needs an ideal diagonal")
     runs = [threshold.read_diagonal_csv(f) for f in run_files]
-    est = threshold.estimate_threshold(ideal_diag, runs, n)
+    est = threshold.estimate_threshold(ideal_diag, runs, n, run_files)
     return est.threshold, asdict(est)
 
 
@@ -151,12 +151,12 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
     threshold.write_plan_csv(outdir / "plan.csv", plan)
 
     records = simulator.sample_counts(target, plan, diag_record, noise)
-    mle.write_counts_csv(outdir / "counts.csv", records)
+    mle.write_counts_csv(outdir / "counts.csv", records, diag_record)
 
     plan_settings = settings_mod.settings_for_plan(plan)
     settings_mod.write_settings_csv(outdir / "settings.csv", plan_settings)
 
-    result = mle.reconstruct(records, options)
+    result = mle.reconstruct(records, options, diag_record)
     core.save_density(outdir / "rho.json", result.state)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
 
@@ -209,11 +209,11 @@ def simulate(state, n, filling, lam, shots, seed, exact, plan_file, out):
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     threshold.write_diagonal_csv(outdir / "diagonal.csv", diag_record)
-    mle.write_counts_csv(outdir / "counts.csv", records)
+    mle.write_counts_csv(outdir / "counts.csv", records, diag_record)
     _emit({
         "n_qubits": n,
         "state": state,
-        "measurements": len(records),
+        "measurements": plan.size,
         "shots": shots,
         "seed": seed,
         "out": str(outdir),
@@ -259,21 +259,21 @@ def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
     seed = _resolve_seed(seed)
     options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
     records = mle.read_counts_csv(counts_file)
+    diag_record = None
     if diagonal_file is not None:
         diag_record = threshold.read_diagonal_csv(diagonal_file)
         n = len(records[0].projector)
         if diag_record.n != n:
             raise ValueError(f"{diagonal_file} is a {diag_record.n}-qubit diagonal, "
                              f"but {counts_file} has {n}-qubit projector words")
-        # the fit sees the records in the order `tqst run` gives them
-        records = mle.with_basis_round(records, diag_record)
-    result = mle.reconstruct(records, options)
+    # the fit puts the round's basis states first, as `tqst run` does
+    result = mle.reconstruct(records, options, diag_record)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     core.save_density(outdir / "rho.json", result.state)
     mle.write_diagnostics(outdir / "diagnostics.json", result)
     _emit({
-        "records": len(records),
+        "records": result.records,
         "converged": result.converged,
         "objective": result.final_objective,
         "iterations": result.iterations,

@@ -95,6 +95,16 @@ def basis_word(index: int, n: int) -> str:
     return format(index, f"0{n}b").translate(_BITS_TO_HV)
 
 
+def basis_words(n: int) -> np.ndarray:
+    """The words of all 2**n basis states in basis order, as :func:`basis_word`
+    spells them: a unicode array whose characters are filled in place."""
+    letters = np.empty((2**n, n), dtype=np.uint32)  # the code points of the U{n} entries
+    for q in range(n):  # bit q is the letter n - 1 - q: runs of 2**q H, then 2**q V
+        runs = letters[:, n - 1 - q].reshape(-1, 2, 2**q)
+        runs[:, 0], runs[:, 1] = ord("H"), ord("V")
+    return letters.view(f"U{n}").ravel()
+
+
 def product_ket(word: str) -> tuple[np.ndarray, np.ndarray]:
     """The nonzeros of the tensor product of single-qubit amplitudes, first
     letter most significant: increasing int64 basis indices ``support`` and
@@ -348,6 +358,27 @@ def write_table(path: str | Path, columns, rows, comment: dict | None = None) ->
         writer.writerows(rows)
 
 
+def read_head(path: str | Path, columns, keys=()) -> tuple[dict, int, str]:
+    """The comment and header checks of :func:`read_table`, which they share:
+    the comment's fields (as strings), the header's line number, and the
+    text after the header line, which must not be empty."""
+    first, _, rest = Path(path).read_text().partition("\n")
+    header = 2 if first.startswith("#") else 1  # its line number
+    try:
+        items = [item.split("=", 1) for item in first[1:].split()] if header == 2 else []
+        fields = dict(items)
+    except ValueError:
+        raise ValueError(f"{path}:1: comment is not '# key=value ...'") from None
+    if len(fields) != len(items):
+        raise ValueError(f"{path}:1: comment {first!r} repeats a key")
+    if sorted(fields) != sorted(keys):
+        raise ValueError(f"{path}:1: expected comment keys {sorted(keys)}, got {sorted(fields)}")
+    line, _, data = rest.partition("\n") if header == 2 else (first, "", rest)
+    if line != ",".join(columns) or not data:
+        raise ValueError(f"{path}:{header}: expected header {','.join(columns)!r} and data rows")
+    return fields, header, data
+
+
 def read_table(path: str | Path, columns, keys=()) -> tuple[dict, list]:
     """Read a :func:`write_table` file whose header row is ``columns`` and
     whose comment holds exactly the keys ``keys``, with no comment line when
@@ -357,26 +388,15 @@ def read_table(path: str | Path, columns, keys=()) -> tuple[dict, list]:
     ``(line number, fields)`` pairs.  A malformed comment, a repeated,
     missing or unknown comment key, a missing or different header, no data
     rows, or a row with the wrong field count raises ``ValueError`` naming
-    the file and the line.
+    the file and the line.  Fields are read as written, without CSV
+    unquoting: the writers never quote.
     """
-    lines = Path(path).read_text().splitlines()
-    header = 2 if lines and lines[0].startswith("#") else 1  # its line number
-    try:
-        items = [item.split("=", 1) for item in lines[0][1:].split()] if header == 2 else []
-        fields = dict(items)
-    except ValueError:
-        raise ValueError(f"{path}:1: comment is not '# key=value ...'") from None
-    if len(fields) != len(items):
-        raise ValueError(f"{path}:1: comment {lines[0]!r} repeats a key")
-    if sorted(fields) != sorted(keys):
-        raise ValueError(f"{path}:1: expected comment keys {sorted(keys)}, got {sorted(fields)}")
-    rows = list(enumerate(csv.reader(lines[header - 1:]), header))
-    if len(rows) < 2 or rows[0][1] != list(columns):
-        raise ValueError(f"{path}:{header}: expected header {','.join(columns)!r} and data rows")
-    for line, row in rows[1:]:
+    fields, header, data = read_head(path, columns, keys)
+    rows = list(enumerate(csv.reader(data.splitlines(), quoting=csv.QUOTE_NONE), header + 1))
+    for line, row in rows:
         if len(row) != len(columns):
             raise ValueError(f"{path}:{line}: expected {len(columns)} fields, got {len(row)}")
-    return fields, rows[1:]
+    return fields, rows
 
 
 def written(kind, text: str, invalid=None):

@@ -28,13 +28,14 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (BlockState, basis_word, product_ket, read_table, validate_word,
-                   write_table, written)
+from .core import (BlockState, basis_word, basis_words, product_ket, read_table,
+                   validate_word, write_table, written)
 
 EPSILON = 1e-9  # relative floor for model counts n_K
 JITTER = 1e-3  # scale of the random start off the measured diagonal
@@ -63,14 +64,20 @@ class CountRecord:
             raise ValueError(f"observed={self.observed} outside [0, shots={self.shots}]")
 
 
-def with_basis_round(records: list[CountRecord], diag) -> list[CountRecord]:
-    """``records`` after the basis records of the diagonal round ``diag``, a
-    :class:`~tqst.threshold.DiagonalRecord`, that they lack: those go first,
-    in basis order, as every plan measures them."""
-    present = {rec.projector for rec in records}
-    basis = (CountRecord(basis_word(k, diag.n), count, diag.shots)
-             for k, count in enumerate(diag.counts.tolist()))
-    return [rec for rec in basis if rec.projector not in present] + records
+_BASIS_BITS = str.maketrans("HV", "01")
+
+
+def _lacking(records: list[CountRecord], diag) -> np.ndarray:
+    """The basis states of the diagonal round ``diag``, a
+    :class:`~tqst.threshold.DiagonalRecord`, that no record measures, in
+    basis order; a record of another qubit count raises."""
+    lacking = np.ones(2**diag.n, dtype=bool)
+    for rec in records:
+        if len(rec.projector) != diag.n:
+            raise ValueError(f"a {len(rec.projector)}-qubit record with a {diag.n}-qubit diagonal")
+        if not rec.projector.strip("HV"):
+            lacking[int(rec.projector.translate(_BASIS_BITS), 2)] = False
+    return np.flatnonzero(lacking)
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,8 @@ class ReconstructionResult:
     factor on the coupled states (r x |C| for ``low_rank``, |C| x |C| for
     ``full``) and the populations of the isolated ones.  ``parameters`` is
     the number of real parameters fitted; ``nfev``, ``status`` and
-    ``message`` are scipy's for the minimization."""
+    ``message`` are scipy's for the minimization.  ``records`` counts the
+    records fitted, the diagonal round's basis states included."""
 
     state: BlockState
     final_objective: float
@@ -112,29 +120,34 @@ class ReconstructionResult:
     parametrization: str
     converged: bool
     parameters: int
+    records: int
     wall_time_s: float = 0.0
 
 
 class _Bundle:
-    """The records unpacked to the block model's arrays, in one pass.
+    """The records, and the diagonal round ``diag`` if given, unpacked to the
+    block model's arrays, in one pass.
 
-    A record whose product ket has one nonzero is a basis record (an H/V
-    word is a basis state, and each D/A/R/L letter doubles the support).
-    ``diagonal`` is each basis state's measured frequency, -1 where no
-    record measures it.  ``columns`` are the coupled states C, the columns
-    hit by the superposition words; ``isolated`` are the basis states
-    outside C with a nonzero count.  ``kets`` is the CSR matrix of the
-    records on C: their kets' amplitudes at their supports, restricted to
-    those columns.  ``kets_h`` is its conjugate transpose.  ``observed``
-    and ``shots`` list those records, then the records of the isolated
-    states, whose positions in ``isolated`` are ``iso``.  The zero-count
-    basis records left over see a model of zero, floored; ``constant`` is
-    their share of the objective."""
+    The round's basis states that no record measures go first, in basis
+    order, each a basis record of amplitude 1 at its index with the round's
+    count and shots.  A record whose product ket has one nonzero is a basis
+    record too (an H/V word is a basis state, and each D/A/R/L letter
+    doubles the support).  ``diagonal`` is each basis state's measured
+    frequency, -1 where no record measures it.  ``columns`` are the coupled
+    states C, the columns hit by the superposition words; ``isolated`` are
+    the basis states outside C with a nonzero count.  ``kets`` is the CSR
+    matrix of the records on C: their kets' amplitudes at their supports,
+    restricted to those columns.  ``kets_h`` is its conjugate transpose.
+    ``observed`` and ``shots`` list those records, then the records of the
+    isolated states, whose positions in ``isolated`` are ``iso``.  The
+    zero-count basis records left over see a model of zero, floored;
+    ``constant`` is their share of the objective."""
 
-    def __init__(self, records: list[CountRecord]):
-        if not records:
+    def __init__(self, records: list[CountRecord], diag=None):
+        if not records and diag is None:
             raise ValueError("no records given")
-        n = len(records[0].projector)
+        lacking = np.arange(0) if diag is None else _lacking(records, diag)
+        n = len(records[0].projector) if diag is None else diag.n
         for rec in records:
             if len(rec.projector) != n:
                 raise ValueError("records mix qubit counts")
@@ -142,11 +155,19 @@ class _Bundle:
 
         self.n = n
         self.dim = 2**n
-        indices, values = zip(*(product_ket(rec.projector) for rec in records))
-        sizes = np.array([c.size for c in indices])
-        indices, values = np.concatenate(indices), np.concatenate(values)
+        self.records = lacking.size + len(records)
+        kets = [product_ket(rec.projector) for rec in records]
+        sizes = np.concatenate((np.ones(lacking.size, dtype=np.int64),
+                                np.array([support.size for support, _ in kets], dtype=np.int64)))
+        indices = np.concatenate((lacking, *(support for support, _ in kets)))
+        values = np.concatenate((np.ones(lacking.size, dtype=complex),
+                                 *(amplitudes for _, amplitudes in kets)))
+        del kets  # one pair of arrays per record, freed before the fit's arrays are built
         observed = np.array([rec.observed for rec in records], dtype=float)
         shots = np.array([rec.shots for rec in records], dtype=float)
+        if diag is not None:
+            observed = np.concatenate((diag.counts[lacking], observed))
+            shots = np.concatenate((np.full(lacking.size, float(diag.shots)), shots))
 
         basis = sizes == 1
         state = np.where(basis, indices[np.cumsum(sizes) - sizes], -1)  # of each basis record
@@ -249,17 +270,19 @@ def _evaluate(params, bundle, layout):
     return value, grad
 
 
-def likelihood(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions()) -> float:
+def likelihood(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions(),
+               diag=None) -> float:
     """The objective :func:`reconstruct` minimizes, with the left-out records'
     constant: the parameters are F's over the coupled states, packed as in
     :func:`_layout`, then the isolated states' amplitudes."""
-    bundle = _Bundle(records)
+    bundle = _Bundle(records, diag)
     return _evaluate(params, bundle, _layout(bundle.columns.size, options))[0] + bundle.constant
 
 
-def gradient(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions()) -> np.ndarray:
+def gradient(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions(),
+             diag=None) -> np.ndarray:
     """Analytic gradient of :func:`likelihood` with respect to the parameters."""
-    bundle = _Bundle(records)
+    bundle = _Bundle(records, diag)
     return _evaluate(params, bundle, _layout(bundle.columns.size, options))[1]
 
 
@@ -297,15 +320,18 @@ def minimize(fun, x0, *args, **kwargs):
     return scipy_minimize(fun, x0, *args, **kwargs)
 
 
-def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) -> ReconstructionResult:
-    """Reconstruct a physical density matrix from count records.
+def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions(),
+                diag=None) -> ReconstructionResult:
+    """Reconstruct a physical density matrix from count records and the
+    diagonal round ``diag``, a :class:`~tqst.threshold.DiagonalRecord`, if
+    given, whose basis states the records lack are fitted before them.
 
-    The records must include every computational-basis projector: their
-    frequencies seed the diagonal of the starting point.  Non-convergence is
-    reported through ``converged`` on the result, not raised.
+    Every computational-basis state must be measured, by a record or the
+    round: the frequencies seed the diagonal of the starting point.
+    Non-convergence is reported through ``converged`` on the result, not raised.
     """
     start = time.perf_counter()
-    bundle = _Bundle(records)
+    bundle = _Bundle(records, diag)
     layout = _layout(bundle.columns.size, options)
     x0 = _initial_params(bundle, layout, options)
     res = minimize(
@@ -338,6 +364,7 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
         parametrization=options.parametrization,
         converged=bool(res.success or gnorm <= options.gradient_tolerance),
         parameters=int(res.x.size),
+        records=bundle.records,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -349,9 +376,17 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions()) 
 COUNTS_COLUMNS = ("projector_word", "observed", "shots")
 
 
-def write_counts_csv(path: str | Path, records: list[CountRecord]) -> None:
-    """Counts CSV: one ``projector_word,observed,shots`` row per record."""
-    write_table(path, COUNTS_COLUMNS, ((r.projector, r.observed, r.shots) for r in records))
+def write_counts_csv(path: str | Path, records: list[CountRecord], diag=None) -> None:
+    """Counts CSV: one ``projector_word,observed,shots`` row per record, after
+    one for each basis state of the diagonal round ``diag``, if given, that
+    the records lack, in basis order: the records :func:`reconstruct` fits."""
+    rows = ((r.projector, r.observed, r.shots) for r in records)
+    if diag is not None:
+        lacking = _lacking(records, diag)
+        basis = zip(basis_words(diag.n)[lacking].tolist(), diag.counts[lacking].tolist(),
+                    repeat(diag.shots))
+        rows = chain(basis, rows)
+    write_table(path, COUNTS_COLUMNS, rows)
 
 
 def read_counts_csv(path: str | Path) -> list[CountRecord]:

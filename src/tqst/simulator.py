@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import _factor_qubits, expectation
 from .threshold import DiagonalRecord, MeasurementPlan
-from .mle import CountRecord, with_basis_round
+from .mle import CountRecord
 
 #: Computational components of the 7-qubit color-code logical states, written
 #: as bit strings with the first qubit most significant.
@@ -173,12 +173,14 @@ def sample_diagonal(factor: np.ndarray, shots: int,
 
 def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecord,
                   noise: NoiseModel | None = None) -> list[CountRecord]:
-    """The records of a plan on the state whose measured diagonal is ``diag``.
+    """The records of a plan's words on the state whose measured diagonal is
+    ``diag``, one per word in plan order.
 
-    The 2**n basis records come first, read off ``diag``: the plan was chosen
-    from that round, so it is not drawn again.  Each plan word then is a
-    binomial at ``diag.shots`` on its depolarized projector expectation,
-    drawn from stream 2**n + k + 1 of ``noise`` for word k, or rounded for "exact".
+    The 2**n basis states stay in ``diag``: the plan was chosen from that
+    round, so it is not drawn again, and the fit and the counts writer take
+    it as it is.  Each plan word is a binomial at ``diag.shots`` on its
+    depolarized projector expectation, drawn from stream 2**n + k + 1 of
+    ``noise`` for word k, or rounded for "exact".
     """
     dim = 2**plan.n
     if factor.shape[1:] != (dim,) or diag.n != plan.n:
@@ -196,4 +198,4 @@ def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecor
         else:
             observed = int(_stream(noise, dim + k + 1).binomial(shots, q))
         records.append(CountRecord(word, observed, shots))
-    return with_basis_round(records, diag)
+    return records

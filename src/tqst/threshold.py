@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import ElementIndex, basis_word, read_table, write_table, written
+from .core import ElementIndex, basis_words, read_head, read_table, write_table, written
 from .projectors import projector_for
 
 EXPECTED_ZERO = 1e-12
@@ -154,6 +155,7 @@ def estimate_threshold(
     ideal_diag: np.ndarray,
     noisy_runs: list[DiagonalRecord],
     n: int,
+    sources=None,
 ) -> ThresholdEstimate:
     """Estimate a circuit-specific threshold from replicated noisy diagonals.
 
@@ -163,7 +165,9 @@ def estimate_threshold(
     expected-nonzero index.  The noise level is c0 + f*sqrt(c0) and the
     signal level c1 - f*sqrt(c1); the threshold is their maximum divided by
     the shots, with ``f`` the qubit count ``n``.  A noise level above the
-    shots raises: no threshold in [0, 1] separates such replicas.
+    shots raises: no threshold in [0, 1] separates such replicas.  So does a
+    run of another length or shot count, named by its entry in ``sources``,
+    such as the file it was read from, or else by its position.
     """
     ideal = np.asarray(ideal_diag, dtype=float)
     if ideal.size != 2**n:
@@ -174,11 +178,13 @@ def estimate_threshold(
     if len(noisy_runs) < 2:
         raise ValueError("need at least two noisy runs")
     shots = noisy_runs[0].shots
-    for run in noisy_runs:
+    for run, source in zip(noisy_runs, sources or (f"run {k}" for k in range(len(noisy_runs)))):
         if run.shots != shots:
-            raise ValueError("noisy runs must share the same shot count")
+            raise ValueError(f"{source}: noisy runs must share the same shot count "
+                             f"({run.shots} shots, the first run has {shots})")
         if run.counts.size != ideal.size:
-            raise ValueError("noisy run length does not match the ideal diagonal")
+            raise ValueError(f"{source}: noisy run length does not match the ideal diagonal "
+                             f"({run.counts.size} entries, expected {ideal.size})")
 
     nonzero = np.flatnonzero(ideal >= EXPECTED_ZERO)
     if nonzero.size == 0:
@@ -219,28 +225,54 @@ def write_diagonal_csv(path: str | Path, record: DiagonalRecord) -> None:
 
 def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
     """Read a diagonal CSV, requiring the basis indices to run 0..N-1, each
-    once and in order, with non-negative counts."""
-    fields, rows = read_table(path, DIAGONAL_COLUMNS, ("n_s",))
-    counts = []
-    for k, (line, (index, count)) in enumerate(rows):
-        value = written(int, count, -1)
-        if value < 0 or index != str(k):
-            raise ValueError(f"{path}:{line}: expected '{k},<count >= 0>' (indices run "
-                             f"0..N-1, each once and in order), got '{index},{count}'")
-        counts.append(value)
+    once and in order, with counts that are plain decimals.
+
+    The rows are checked as one array; only a file that fails that check is
+    read again row by row, to name its first bad line."""
+    fields, header, data = read_head(path, DIAGONAL_COLUMNS, ("n_s",))
+    rows = _decimal_rows(data, len(DIAGONAL_COLUMNS))
+    if rows is not None and np.array_equal(rows[:, 0], np.arange(len(rows))):
+        counts = rows[:, 1]
+    else:
+        counts = []
+        for k, (line, (index, count)) in enumerate(read_table(path, DIAGONAL_COLUMNS, ("n_s",))[1]):
+            value = written(int, count, -1)
+            if value < 0 or index != str(k):
+                raise ValueError(f"{path}:{line}: expected '{k},<count >= 0>' (indices run "
+                                 f"0..N-1, each once and in order), got '{index},{count}'")
+            counts.append(value)
     try:
         return DiagonalRecord(counts=counts, shots=written(int, fields["n_s"]))
     except (ValueError, OverflowError) as exc:  # OverflowError: a count over int64
         raise ValueError(f"{path}: not a '# n_s=<shots>' diagonal record ({exc!r})") from None
 
 
+def _decimal_rows(data: str, width: int) -> np.ndarray | None:
+    """The lines of ``data`` as an m x ``width`` int64 array when each is
+    ``width`` comma-separated plain decimals of at most 18 digits, so that
+    none overflows; None for anything else: a sign, a space, a leading zero,
+    an empty field or line, a longer number."""
+    if not data.isascii():
+        return None
+    text = data if data.endswith("\n") else data + "\n"
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    ends = np.flatnonzero((chars < ord("0")) | (chars > ord("9")))  # each field's separator
+    pattern = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+    if ends.size % width or not (chars[ends].reshape(-1, width) == pattern).all():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digits = ends - starts
+    if digits.min() < 1 or digits.max() > 18 or (digits[chars[starts] == ord("0")] > 1).any():
+        return None
+    return np.fromstring(text.replace(",", " "), dtype=np.int64, sep=" ").reshape(-1, width)
+
+
 def _plan_rows(plan: MeasurementPlan):
     """A plan's rows: the 2**n diagonal rows in basis order, then each pair's re and im row."""
-    for k in range(2**plan.n):
-        yield k, k, "diag", basis_word(k, plan.n)
-    for (i, j), re, im in zip(plan.pairs.tolist(), plan.words[::2], plan.words[1::2]):
-        yield i, j, "re", re
-        yield i, j, "im", im
+    basis = range(2**plan.n)
+    i, j = plan.pairs.repeat(2, axis=0).T.tolist()
+    return chain(zip(basis, basis, repeat("diag"), basis_words(plan.n).tolist()),
+                 zip(i, j, cycle(("re", "im")), plan.words))
 
 
 def write_plan_csv(path: str | Path, plan: MeasurementPlan) -> None:

@@ -129,7 +129,7 @@ def test_criterion_4_noiseless_w_state_replication():
         plan = select_offdiagonal(diag, t)
         assert plan.size == 2**n + n * (n - 1), (n, plan.size)
         records = sample_counts(psi, plan, diag, exact)
-        result = reconstruct(records, MleOptions(seed=n))
+        result = reconstruct(records, MleOptions(seed=n), diag)
         f = compare(result.state, BlockState.of_factor(psi))["fidelity"]
         assert f >= 0.99, (n, f)
         results.append((n, plan.size, f))
@@ -163,6 +163,7 @@ def test_criterion_5_noisy_w_state_trend():
             records,
             MleOptions(parametrization="low_rank", rank=2, seed=7,
                        gradient_tolerance=0.05),
+            diag,
         )
         f = compare(result.state, BlockState.of_factor(psi))["fidelity"]
         assert 0.85 <= f <= 0.97, (n, f)

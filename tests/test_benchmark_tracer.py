@@ -57,7 +57,7 @@ def test_traced_run_keeps_the_smoke_invariants(tracing, tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     m, _ = tracing.invocation_metrics(tracer.spans, root)
-    assert m["mle.records"] == 8 + 6
+    assert m["mle.records"] == 6  # the plan's records; the 8 basis states stay in the diagonal round
     assert m["core.product_ket_calls"] == m["mle.records"]
     assert m["threshold.pairs_kept"] == 3
     kept = 2 * m["threshold.pairs_kept"]

@@ -257,7 +257,7 @@ def test_fidelity_report_of_a_real_fit_matches_dense_metrics():
     diag = simulator.sample_diagonal(psi, 10**4, noise)
     records = simulator.sample_counts(psi, threshold.select_offdiagonal(diag, 0.038), diag, noise)
     fit = mle.reconstruct(records, mle.MleOptions("low_rank", 2, seed=42,
-                                                  gradient_tolerance=0.05)).state
+                                                  gradient_tolerance=0.05), diag).state
     assert (fit.columns.size, fit.isolated.size) == (37, 187)
     target = core.BlockState.of_factor(psi)
     report = metrics.compare(fit, target)
@@ -344,6 +344,7 @@ def test_auto_threshold_pipeline(tmp_path):
 
 
 DIAG_N3 = "# n_s=10\nbasis_index,count\n" + "".join(f"{k},{5 * (k in (1, 2))}\n" for k in range(8))
+DIAG_N4 = "# n_s=10\nbasis_index,count\n" + "".join(f"{k},{5 * (k in (1, 2))}\n" for k in range(16))
 DIAG_GHZ2 = "# n_s=10\nbasis_index,count\n0,5\n1,0\n2,0\n3,5\n"
 COUNTS_N2 = "projector_word,observed,shots\nHH,50,100\nHV,25,100\nVH,25,100\nVV,0,100\n"
 PLAN_N2 = "# n_qubits=2 threshold=0.5\ni,j,part,projector_word\n" + "".join(
@@ -372,7 +373,18 @@ def block_file(**edit):
     pytest.param({"ghz2.csv": DIAG_GHZ2},
                  ("run", "--state", "w", "--n", 3, "--threshold", "auto", "--run-file",
                   "{tmp}/ghz2.csv", "--run-file", "{tmp}/ghz2.csv", "--out", "{tmp}/o"),
-                 "noisy run length does not match the ideal diagonal", id="auto-replica-length"),
+                 "{tmp}/ghz2.csv: noisy run length does not match the ideal diagonal (4 entries, "
+                 "expected 8)", id="auto-replica-length"),
+    pytest.param({"n4.csv": DIAG_N4, "n3.csv": DIAG_N3},
+                 ("run", "--state", "w", "--n", 4, "--threshold", "auto", "--run-file",
+                  "{tmp}/n4.csv", "--run-file", "{tmp}/n3.csv", "--out", "{tmp}/o"),
+                 "{tmp}/n3.csv: noisy run length does not match the ideal diagonal",
+                 id="auto-replica-qubits"),
+    pytest.param({"a.csv": DIAG_N3, "b.csv": DIAG_N3.replace("n_s=10", "n_s=20").replace("2,5", "2,15")},
+                 ("run", "--state", "w", "--n", 3, "--threshold", "auto", "--run-file",
+                  "{tmp}/a.csv", "--run-file", "{tmp}/b.csv", "--out", "{tmp}/o"),
+                 "{tmp}/b.csv: noisy runs must share the same shot count (20 shots, the first "
+                 "run has 10)", id="auto-replica-shots"),
     pytest.param({"gapped.csv": "# n_s=10\nbasis_index,count\n0,4\n3,6\n"},
                  ("run", "--state", "w", "--n", 2, "--threshold", "auto", "--run-file",
                   "{tmp}/gapped.csv", "--run-file", "{tmp}/gapped.csv", "--out", "{tmp}/o"),

@@ -12,6 +12,7 @@ from tqst.core import (
     STATE_LABELS,
     STATE_VECTORS,
     basis_word,
+    basis_words,
     density,
     expectation,
     load_density,
@@ -315,6 +316,12 @@ def _read_two_columns(path):
     pytest.param(read_plan_csv, "# n_qubits=1 threshold=0.5\ni,j,part,projector_word\n"
                  "0,0,diag,H\n1,1,diag,V\n0,1,re,D\n0,1,re,D\n", 6, id="duplicate-target"),
     pytest.param(read_diagonal_csv, "# n_s=3\nindex,count\n0,1\n1,2\n", 2, id="wrong-header"),
+    # fields are read as written: a writer never quotes
+    pytest.param(read_diagonal_csv, '# n_s=3\nbasis_index,count\n0,"1"\n1,2\n', 3, id="diagonal-quoted"),
+    pytest.param(read_counts_csv, 'projector_word,observed,shots\nHV,1,2\nVH,"1",2\n', 3,
+                 id="counts-quoted"),
+    pytest.param(read_plan_csv, '# n_qubits=1 threshold=0.5\ni,j,part,projector_word\n'
+                 '0,0,diag,H\n1,1,diag,"V"\n', 4, id="plan-quoted"),
     pytest.param(_read_two_columns, "word,count\nHV,1\nVH,1,2\n", 3, id="wrong-field-count"),
     # a comment holds exactly the keys its writer writes
     pytest.param(read_diagonal_csv, "# n_s=10 colour=blue\nbasis_index,count\n0,4\n1,6\n", 1,
@@ -356,6 +363,11 @@ def test_basis_word_matches_per_bit_formula():
     for k in (-1, 2**3):
         with pytest.raises(ValueError, match="out of range"):
             basis_word(k, 3)
+
+
+def test_basis_words_spell_every_basis_word():
+    for n in range(1, 13):
+        assert basis_words(n).tolist() == [basis_word(k, n) for k in range(2**n)]
 
 
 def test_n_qubits_of(tmp_path):

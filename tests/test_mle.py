@@ -24,7 +24,7 @@ from tqst.mle import (
 )
 from tqst.projectors import build_projector_table
 from tqst.simulator import NoiseModel, sample_counts, sample_diagonal, w_state
-from tqst.threshold import select_offdiagonal
+from tqst.threshold import DiagonalRecord, select_offdiagonal
 
 from kets import dense_ket
 
@@ -32,6 +32,12 @@ from kets import dense_ket
 def exact_records(factor, n, shots=10**8):
     words = build_projector_table(n).words()
     return [CountRecord(w, int(round(expectation(factor, w) * shots)), shots) for w in words]
+
+
+def round_records(diag):
+    """The diagonal round ``diag`` as explicit basis records, in basis order."""
+    return [CountRecord(basis_word(k, diag.n), count, diag.shots)
+            for k, count in enumerate(diag.counts.tolist())]
 
 
 def random_pure(rng, n):
@@ -227,7 +233,7 @@ def test_reconstruct_w4_threshold_plan():
     diag = sample_diagonal(psi, 10**6, exact)
     plan = select_offdiagonal(diag, 0.1)
     records = sample_counts(psi, plan, diag, exact)
-    result = reconstruct(records, MleOptions(seed=1))
+    result = reconstruct(records, MleOptions(seed=1), diag)
     assert result.converged
     assert compare(result.state, BlockState.of_factor(psi))["fidelity"] >= 0.99
 
@@ -250,7 +256,7 @@ def test_reconstruct_sampled_w3_regression():
     diag = sample_diagonal(psi, 10**4, noise)
     plan = select_offdiagonal(diag, 0.05)
     records = sample_counts(psi, plan, diag, noise)
-    result = reconstruct(records, MleOptions(seed=1))
+    result = reconstruct(records, MleOptions(seed=1), diag)
     f = compare(result.state, BlockState.of_factor(psi))["fidelity"]
     assert f >= 0.98
     assert f == pytest.approx(0.9900316437535431, abs=1e-9)  # seeded regression: <psi|rho|psi>
@@ -287,7 +293,7 @@ def test_result_factor_reproduces_rho(parametrization, rank, shape):
     noise = NoiseModel(0.05, "multinomial", seed=2)
     diag = sample_diagonal(psi, 10**4, noise)
     records = sample_counts(psi, select_offdiagonal(diag, 0.05), diag, noise)
-    result = reconstruct(records, MleOptions(parametrization, rank, seed=2))
+    result = reconstruct(records, MleOptions(parametrization, rank, seed=2), diag)
     state = result.state
     f = state.factor
     assert f.shape == shape
@@ -311,7 +317,7 @@ def test_block_kernel_matches_dense_reference(options):
     noise = NoiseModel(0.2, "multinomial", seed=3)
     diag = sample_diagonal(psi, 10**4, noise)
     records = sample_counts(psi, select_offdiagonal(diag, 0.1), diag, noise)
-    bundle = _Bundle(records)
+    bundle = _Bundle(records, diag)
     assert (bundle.columns.size, bundle.isolated.size) == (11, 5)
     layout = _layout(bundle.columns.size, options)
     rng = np.random.default_rng(9)
@@ -323,6 +329,7 @@ def test_block_kernel_matches_dense_reference(options):
     rho[np.ix_(bundle.columns, bundle.columns)] = f.conj().T @ f
     rho[bundle.isolated, bundle.isolated] = d**2
     rho /= np.trace(rho).real
+    records = round_records(diag) + records
     kets = np.array([dense_ket(rec.projector) for rec in records])
     model = np.array([rec.shots for rec in records]) * np.einsum("ki,ij,kj->k", kets.conj(), rho, kets).real
     shots = np.array([rec.shots for rec in records], dtype=float)
@@ -350,7 +357,7 @@ def test_block_fit_is_close_to_the_noisy_state():
     noise = NoiseModel(lam, "multinomial", 42)
     diag = sample_diagonal(psi, 10**4, noise)
     records = sample_counts(psi, select_offdiagonal(diag, 0.038), diag, noise)
-    result = reconstruct(records, MleOptions("low_rank", 2, seed=42, gradient_tolerance=0.05))
+    result = reconstruct(records, MleOptions("low_rank", 2, seed=42, gradient_tolerance=0.05), diag)
     assert result.converged
     assert (result.state.columns.size, result.state.isolated.size) == (37, 187)
     assert result.parameters == 2 * 2 * 37 + 187
@@ -365,11 +372,12 @@ def test_block_split_leaves_out_zero_count_states():
     exact = NoiseModel(sampling="exact")
     diag = sample_diagonal(psi, 3000, exact)
     records = sample_counts(psi, select_offdiagonal(diag, 1.0), diag, exact)
-    bundle = _Bundle(records)
+    assert records == []
+    bundle = _Bundle(records, diag)
     assert bundle.columns.tolist() == [] and bundle.isolated.tolist() == [1, 2, 4]
     assert bundle.constant == pytest.approx(5 * EPSILON * 3000 / 4)
     for options in (MleOptions(seed=1), MleOptions("low_rank", 2, seed=1)):
-        result = reconstruct(records, options)
+        result = reconstruct(records, options, diag)
         assert result.converged and result.parameters == 3
         assert np.allclose(np.diag(density(result.state)).real, [0, 1 / 3, 1 / 3, 0, 1 / 3, 0, 0, 0])
         assert result.final_objective == pytest.approx(bundle.constant, rel=1e-6)
@@ -383,14 +391,14 @@ def test_likelihood_is_the_fitted_objective(options):
     noise = NoiseModel(0.02, "multinomial", seed=1)
     diag = sample_diagonal(psi, 1000, noise)
     records = sample_counts(psi, select_offdiagonal(diag, 0.1), diag, noise)
-    result = reconstruct(records, options)
+    result = reconstruct(records, options, diag)
     state = result.state
     assert (state.columns.size, state.isolated.size) == (16, 8)
-    assert _Bundle(records).constant > 0
+    assert _Bundle(records, diag).constant > 0
     params = np.concatenate((_factor_params(state.factor, _layout(state.columns.size, options)),
                              np.sqrt(state.populations)))
     assert params.size == result.parameters
-    assert likelihood(params, records, options) == pytest.approx(result.final_objective,
+    assert likelihood(params, records, options, diag) == pytest.approx(result.final_objective,
                                                                  rel=1e-9, abs=1e-12)
 
 
@@ -503,3 +511,63 @@ def test_bundle_matches_the_brute_force_block_model(case, low_rank, seed):
     n_eff = np.maximum(model, EPSILON * 1000)
     reference = np.sum((n_eff - observed) ** 2 / (4.0 * n_eff))
     assert value + bundle.constant == pytest.approx(reference, rel=1e-9, abs=1e-12)
+
+
+def with_round(records, diag):
+    """``records`` after the explicit basis records of the round ``diag`` that they lack."""
+    present = {rec.projector for rec in records}
+    return [rec for rec in round_records(diag) if rec.projector not in present] + records
+
+
+@st.composite
+def rounds_with_records(draw):
+    """A diagonal round of n <= 4 qubits whose counts are often zero, and
+    records of superposition words and some basis words, in any order."""
+    n = draw(st.integers(1, 4))
+    count = st.one_of(st.just(0), st.integers(0, 1000))
+    counts = draw(st.lists(count, min_size=2**n, max_size=2**n))
+    counts[draw(st.integers(0, 2**n - 1))] += 1  # shots >= 1
+    words = draw(st.lists(st.text("HVDARL", min_size=n, max_size=n), max_size=8, unique=True))
+    return DiagonalRecord(np.array(counts), sum(counts)), [CountRecord(w, draw(count), 1000) for w in words]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=rounds_with_records())
+def test_bundle_of_a_round_equals_the_bundle_of_its_basis_records(tmp_path, case):
+    diag, records = case
+    explicit = with_round(records, diag)
+    write_counts_csv(tmp_path / "counts.csv", records, diag)  # overwritten by every example
+    assert read_counts_csv(tmp_path / "counts.csv") == explicit
+    a, b = _Bundle(records, diag), _Bundle(explicit)
+    for name in ("diagonal", "observed", "shots", "columns", "isolated", "iso"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("kets", "kets_h"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape, name
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(x, part), getattr(y, part)), (name, part)
+    assert (a.n, a.dim, a.records) == (b.n, b.dim, len(explicit))
+    assert a.constant == b.constant
+
+
+@pytest.mark.parametrize("options", [MleOptions(seed=5), MleOptions("low_rank", 2, seed=5)])
+def test_reconstruct_from_a_round_is_bit_identical(options):
+    # noisy W at n = 4, with one basis word among the records that overrides the round's count
+    psi = w_state(4)
+    noise = NoiseModel(0.05, "multinomial", 5)
+    diag = sample_diagonal(psi, 10**4, noise)
+    records = sample_counts(psi, select_offdiagonal(diag, 0.05), diag, noise)
+    records.insert(2, CountRecord("HHVH", int(diag.counts[2]) + 3, 10**4))
+    a, b = reconstruct(records, options, diag), reconstruct(with_round(records, diag), options)
+    for name in ("columns", "factor", "isolated", "populations"):
+        assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
+    assert (a.final_objective, a.iterations, a.records) == (b.final_objective, b.iterations, b.records)
+
+
+def test_the_round_must_match_the_records_qubits():
+    diag = DiagonalRecord(np.array([3, 1]), 4)
+    with pytest.raises(ValueError, match="2-qubit record with a 1-qubit diagonal"):
+        reconstruct([CountRecord("DH", 1, 4)], MleOptions(), diag)
+    with pytest.raises(ValueError, match="no records given"):
+        reconstruct([])

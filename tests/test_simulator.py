@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tqst import simulator
 from tqst.core import STATE_LABELS, density, expectation, validate_density
 from tqst.metrics import purity
-from tqst.mle import CountRecord
+from tqst.mle import CountRecord, read_counts_csv, write_counts_csv
 from tqst.simulator import (
     NoiseModel,
     apply_depolarizing,
@@ -121,8 +121,8 @@ def test_exact_diagonal_sampling():
     factor = np.eye(2) / np.sqrt(2)
     diag = sample_diagonal(factor, 10**4, NoiseModel(sampling="exact"))
     assert diag.counts.tolist() == [5000, 5000]
-    records = sample_counts(factor, diagonal_plan(1), diag, NoiseModel(sampling="exact"))
-    assert [r.observed for r in records] == [5000, 5000]
+    # the basis states stay in the round: a diagonal-only plan has no records
+    assert sample_counts(factor, diagonal_plan(1), diag, NoiseModel(sampling="exact")) == []
 
 
 def test_exact_diagonal_sampling_preserves_total():
@@ -138,7 +138,7 @@ def test_exact_offdiagonal_rounding():
     plan = select_offdiagonal(W3_DIAGONAL, 0.1)
     records = sample_counts(w_state(3), plan, W3_DIAGONAL, NoiseModel(sampling="exact"))
     by_word = {r.projector: r.observed for r in records}
-    assert by_word["HVH"] == round(10**4 / 3)
+    assert by_word["HRR"] == round(10**4 / 3)  # |<HRR|W>|**2 = 1/3
 
 
 def test_exact_depolarized_counts_match_dense_mixture():
@@ -166,7 +166,7 @@ def test_multinomial_seeded_fixture():
     by_word = {r.projector: r.observed for r in records}
     assert by_word["RR"] == 507
     assert by_word["RD"] == 229
-    assert sum(r.observed for r in records if set(r.projector) <= {"H", "V"}) == 1000
+    assert all(set(r.projector) - {"H", "V"} for r in records)  # the basis states stay in diag
 
 
 def test_multinomial_deterministic_per_seed():
@@ -303,7 +303,7 @@ def test_sampling_from_ket_needs_no_dense_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(records) == plan.size > 2**12
+    assert 2**12 + len(records) == plan.size > 2**12
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -332,15 +332,17 @@ def test_one_unseeded_model_draws_one_set_of_streams():
     assert not np.array_equal(first.counts, second.counts)
 
 
-def test_diagonal_record_counts_match_records():
-    # the basis records carry the counts of the diagonal record passed in
+def test_diagonal_record_counts_match_records(tmp_path):
+    # the basis rows of the counts file carry the counts of the diagonal record passed in
     noise = NoiseModel(0.05, "multinomial", 3)
     diag = sample_diagonal(w_state(2), 2000, noise)
     records = sample_counts(w_state(2), diagonal_plan(2), diag, noise)
-    assert [r.observed for r in records] == diag.counts.tolist()
+    assert records == []
+    write_counts_csv(tmp_path / "counts.csv", records, diag)
+    assert [r.observed for r in read_counts_csv(tmp_path / "counts.csv")] == diag.counts.tolist()
 
 
-def test_basis_records_come_from_the_given_diagonal_not_the_seed():
+def test_basis_records_come_from_the_given_diagonal_not_the_seed(tmp_path):
     # a diagonal measured under another seed and shot count is used as it is:
     # sample_counts never draws the diagonal itself
     noise = NoiseModel(0.05, "multinomial", 3)
@@ -348,11 +350,14 @@ def test_basis_records_come_from_the_given_diagonal_not_the_seed():
     other = sample_diagonal(w_state(3), 3000, NoiseModel(0.05, "multinomial", 4))
     plan = select_offdiagonal(own, 0.1)
     records = sample_counts(w_state(3), plan, other, noise)
-    assert len(records) == plan.size == 8 + 6
-    basis = records[:8]
+    assert len(records) == plan.size - 8 == 6
+    write_counts_csv(tmp_path / "counts.csv", records, other)
+    written = read_counts_csv(tmp_path / "counts.csv")
+    assert written[8:] == records
+    basis = written[:8]
     assert [r.projector for r in basis] == ["HHH", "HHV", "HVH", "HVV", "VHH", "VHV", "VVH", "VVV"]
     assert [r.observed for r in basis] == other.counts.tolist() != own.counts.tolist()
-    assert {r.shots for r in records} == {3000}
+    assert {r.shots for r in written} == {3000}
 
 
 def test_no_plan_holds_a_diagonal_target():
@@ -368,7 +373,7 @@ def test_no_plan_holds_a_diagonal_target():
 def test_count_records_are_well_formed():
     diag = sample_diagonal(ghz_state(2), 100, NoiseModel())
     records = sample_counts(ghz_state(2), select_offdiagonal(diag, 0.0), diag, NoiseModel())
-    assert len(records) == 4 + 2
+    assert len(records) == 2
     for rec in records:
         assert isinstance(rec, CountRecord)
         assert 0 <= rec.observed <= rec.shots

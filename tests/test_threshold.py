@@ -188,6 +188,45 @@ def test_diagonal_csv_roundtrip(tmp_path, counts):
     assert np.array_equal(back.counts, record.counts)
 
 
+@pytest.mark.parametrize("n_s, rows, where", [
+    pytest.param(12, "0,5\n2,7\n", ":4:", id="gap"),
+    pytest.param(10, "0,4\n1,3\n1,3\n3,0\n", ":5:", id="repeated-index"),
+    pytest.param(10, "0,05\n1,5\n", ":3:", id="leading-zero-count"),
+    pytest.param(10, "00,5\n1,5\n", ":3:", id="leading-zero-index"),
+    pytest.param(10, "0,5\n1,+5\n", ":4:", id="plus-sign"),
+    pytest.param(10, "0,11\n1,-1\n", ":4:", id="negative-count"),
+    pytest.param(10, "0, 5\n1,5\n", ":3:", id="space"),
+    pytest.param(10, "0,5\n\n1,5\n", ":4:", id="empty-middle-line"),
+    pytest.param(10, "0,5\n1,5\n\n", ":5:", id="empty-last-line"),
+    pytest.param(10, "0,5,0\n1,5\n", ":3:", id="three-fields"),
+    # a saturating parse would read 2**63 as n_s = 2**63 - 1 and accept it
+    pytest.param(2**63 - 1, f"0,{2**63}\n1,0\n", ": not a", id="count-2-to-the-63"),
+    pytest.param(10, "0,5\n1,5\n2,0\n", ": not a", id="length-not-a-power-of-two"),
+    pytest.param(10, "0,5\n1,4\n", ": not a", id="sum-not-n_s"),
+])
+def test_diagonal_reader_names_the_bad_line_or_the_file(tmp_path, n_s, rows, where):
+    path = tmp_path / "diag.csv"
+    path.write_text(f"# n_s={n_s}\nbasis_index,count\n{rows}")
+    with pytest.raises(ValueError, match=f"diag.csv{where}"):
+        read_diagonal_csv(path)
+
+
+@pytest.mark.parametrize("text, counts", [
+    pytest.param(b"# n_s=10\r\nbasis_index,count\r\n0,4\r\n1,6\r\n", [4, 6], id="crlf"),
+    pytest.param(b"# n_s=10\nbasis_index,count\n0,4\n1,6", [4, 6], id="no-final-newline"),
+    pytest.param(b"# n_s=10\r\nbasis_index,count\r\n0,4\r\n1,6", [4, 6], id="crlf-no-final-newline"),
+    pytest.param(b"# n_s=10\nbasis_index,count\n0,0\n1,10\n2,0\n3,0\n", [0, 10, 0, 0], id="zeros"),
+    # 19 digits fit int64 but not the array parse, which leaves them to the row-by-row reading
+    pytest.param(b"# n_s=1000000000000000000\nbasis_index,count\n0,0\n1,1000000000000000000\n",
+                 [0, 10**18], id="19-digits"),
+])
+def test_diagonal_reader_takes_line_endings_and_long_counts(tmp_path, text, counts):
+    path = tmp_path / "diag.csv"
+    path.write_bytes(text)
+    record = read_diagonal_csv(path)
+    assert record.counts.tolist() == counts and record.shots == sum(counts)
+
+
 def test_diagonal_record_invariants():
     with pytest.raises(ValueError):
         DiagonalRecord(counts=np.array([1, 2, 3]), shots=6)  # not a power of two
