@@ -12,9 +12,9 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -347,22 +347,31 @@ def _factor_qubits(shape: tuple) -> int | None:
     return n if n >= 1 and shape[1] == 2**n else None
 
 
+def row_format(width: int) -> str:
+    """The ``%`` format of a row of ``width`` fields in every CSV table: each
+    field as ``str`` gives it, joined by ``,`` and never quoted."""
+    return ",".join(["%s"] * width)
+
+
 def write_table(path: str | Path, columns, rows, comment: dict | None = None) -> None:
-    """Write a CSV table: an optional ``# key=value ...`` comment line, the
-    header row ``columns``, then ``rows``."""
+    """Write a CSV table: an optional ``# key=value ...`` comment line ending in
+    ``\\n``, then the header ``columns`` and the ``rows``, tuples written in
+    :func:`row_format` and each ending in ``\\r\\n``."""
+    lines = map((row_format(len(columns)) + "\r\n").__mod__, chain([columns], rows))
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in comment.items()) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        while chunk := "".join(islice(lines, 1 << 16)):  # in bounded pieces at any size
+            fh.write(chunk)
 
 
 def read_head(path: str | Path, columns, keys=()) -> tuple[dict, int, str]:
-    """The comment and header checks of :func:`read_table`, which they share:
-    the comment's fields (as strings), the header's line number, and the
-    text after the header line, which must not be empty."""
-    first, _, rest = Path(path).read_text().partition("\n")
+    """The comment's fields (as strings), the header's line number and the data
+    text of a :func:`write_table` file whose comment holds exactly ``keys``
+    and whose header is ``columns``.  Any fault, or no data, raises
+    ``ValueError`` naming the file and the line."""
+    with open(path) as fh:  # universal newlines: a "\r\n" is read as "\n"
+        first, _, rest = fh.read().partition("\n")
     header = 2 if first.startswith("#") else 1  # its line number
     try:
         items = [item.split("=", 1) for item in first[1:].split()] if header == 2 else []
@@ -379,36 +388,44 @@ def read_head(path: str | Path, columns, keys=()) -> tuple[dict, int, str]:
     return fields, header, data
 
 
-def read_table(path: str | Path, columns, keys=()) -> tuple[dict, list]:
-    """Read a :func:`write_table` file whose header row is ``columns`` and
-    whose comment holds exactly the keys ``keys``, with no comment line when
-    there are none.
+def decimal_rows(text: str, width: int) -> tuple[np.ndarray, int | None]:
+    """The leading lines of ``text`` that hold ``width`` numbers each, joined by ``,``, as an
+    m x ``width`` int64 array, and the index of the first other line, or None.  A number is
+    1 to 19 digits below 2**63, spelled as :func:`written` spells an int.  Array reductions
+    accept a well-formed text; only one that fails them is scanned for its first bad line."""
+    text = text if text.endswith("\n") else text + "\n"
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    ends = np.flatnonzero(chars - ord("0") > 9)  # the separator after each field: any non-digit
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digits = ends - starts
+    bad = (digits == 0) | (digits > 19) | ((chars[starts] == ord("0")) & (digits > 1))
+    longest = np.flatnonzero(digits == 19)
+    if longest.size:  # 19 digits are below 2**63 when they are at most str(2**63 - 1)
+        spelled = chars[starts[longest, None] + np.arange(19)].view("S19").ravel()
+        bad[longest] |= spelled > b"9223372036854775807"
+    separators = chars[ends]
+    pattern = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+    if ends.size % width == 0 and (separators.reshape(-1, width) == pattern).all():
+        first = int(bad.argmax()) // width if bad.any() else None  # the line of the first bad field
+    else:  # some line has the wrong separators: find each separator's position in its line
+        newline = separators == ord("\n")
+        line = np.cumsum(newline) - newline
+        position = np.arange(ends.size) - np.flatnonzero(np.concatenate(([True], newline[:-1])))[line]
+        bad |= separators != pattern[np.minimum(position, width - 1)]
+        first = int(line[bad.argmax()])
+    # each line before the first bad one holds width fields, in ASCII
+    good = text if first is None else text[: starts[first * width]]
+    return np.fromstring(good.replace(",", " "), dtype=np.int64, sep=" ").reshape(-1, width), first
 
-    Returns the comment's fields (as strings) and the data rows as
-    ``(line number, fields)`` pairs.  A malformed comment, a repeated,
-    missing or unknown comment key, a missing or different header, no data
-    rows, or a row with the wrong field count raises ``ValueError`` naming
-    the file and the line.  Fields are read as written, without CSV
-    unquoting: the writers never quote.
-    """
-    fields, header, data = read_head(path, columns, keys)
-    rows = list(enumerate(csv.reader(data.splitlines(), quoting=csv.QUOTE_NONE), header + 1))
-    for line, row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"{path}:{line}: expected {len(columns)} fields, got {len(row)}")
-    return fields, rows
 
-
-def written(kind, text: str, invalid=None):
-    """``kind(text)`` when a writer writes that value as ``text``; otherwise
-    ``invalid``, or ValueError if ``invalid`` is None.  A sign, a ``_``, a
-    space, a leading zero or another spelling of the number is rejected."""
+def written(kind, text: str):
+    """A comment value ``kind(text)`` when a writer writes it as ``text``, else ValueError:
+    a sign, a ``_``, a space, a leading zero or another spelling of the number is
+    rejected.  A row's numbers, 0 to 2**63 - 1, follow it in :func:`decimal_rows`."""
     try:
         value = kind(text)
         if str(value) == text:
             return value
     except ValueError:
         pass
-    if invalid is None:
-        raise ValueError(f"{text!r} is not a plain {kind.__name__}")
-    return invalid
+    raise ValueError(f"{text!r} is not a plain {kind.__name__}")

@@ -28,14 +28,14 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (BlockState, basis_word, basis_words, product_ket, read_table,
-                   validate_word, write_table, written)
+from .core import (BlockState, basis_word, basis_words, decimal_rows, product_ket, read_head,
+                   validate_word, write_table)
 
 EPSILON = 1e-9  # relative floor for model counts n_K
 JITTER = 1e-3  # scale of the random start off the measured diagonal
@@ -391,20 +391,22 @@ def write_counts_csv(path: str | Path, records: list[CountRecord], diag=None) ->
 
 def read_counts_csv(path: str | Path) -> list[CountRecord]:
     """Read counts, rejecting duplicate projector words, words whose length
-    differs from the first row's, and counts that are not plain decimals."""
-    _, rows = read_table(path, COUNTS_COLUMNS)
-    n = len(rows[0][1][0])  # letters of the first row's word
+    differs from the first row's, and counts that are not plain decimals below 2**63."""
+    _, header, data = read_head(path, COUNTS_COLUMNS)
+    words, _, numbers = zip(*(line.partition(",") for line in data.removesuffix("\n").split("\n")))
+    counts, bad = decimal_rows("".join(text + "\n" for text in numbers), 2)
+    n = len(words[0])
     records = {}
     try:
-        for line, (word, observed, shots) in rows:
+        for line, word, (observed, shots) in zip(count(header + 1), words, counts.tolist()):
             if word in records:
                 raise ValueError(f"duplicate projector word {word!r}")
             if len(word) != n:
                 raise ValueError(f"{len(word)}-qubit word {word!r} after {n}-qubit words")
-            counts = written(int, observed, -1), written(int, shots, -1)
-            if min(counts) < 0:
-                raise ValueError(f"expected decimal counts, got '{observed},{shots}'")
-            records[word] = CountRecord(word, *counts)
+            records[word] = CountRecord(word, observed, shots)
+        if bad is not None:
+            line = header + 1 + bad
+            raise ValueError(f"expected decimal counts, got '{numbers[bad]}'")
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None
     return list(records.values())

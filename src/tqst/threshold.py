@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ElementIndex, basis_words, read_head, read_table, write_table, written
+from .core import ElementIndex, basis_words, decimal_rows, read_head, row_format, write_table, written
 from .projectors import projector_for
 
 EXPECTED_ZERO = 1e-12
@@ -39,8 +39,9 @@ class DiagonalRecord:
             raise ValueError(f"counts length {counts.size} is not a power of two >= 2")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        if counts.sum() != self.shots:
-            raise ValueError(f"counts sum to {counts.sum()}, expected shots={self.shots}")
+        # the int64 sum is exact modulo 2**64; the float sum rules out a wrap past 2**64
+        if counts.sum() != self.shots or counts.sum(dtype=float) > 1.5 * self.shots:
+            raise ValueError(f"counts sum to {counts.sum(dtype=object)}, expected shots={self.shots}")
 
     @property
     def n(self) -> int:
@@ -225,46 +226,19 @@ def write_diagonal_csv(path: str | Path, record: DiagonalRecord) -> None:
 
 def read_diagonal_csv(path: str | Path) -> DiagonalRecord:
     """Read a diagonal CSV, requiring the basis indices to run 0..N-1, each
-    once and in order, with counts that are plain decimals.
-
-    The rows are checked as one array; only a file that fails that check is
-    read again row by row, to name its first bad line."""
+    once and in order, with counts that are plain decimals below 2**63."""
     fields, header, data = read_head(path, DIAGONAL_COLUMNS, ("n_s",))
-    rows = _decimal_rows(data, len(DIAGONAL_COLUMNS))
-    if rows is not None and np.array_equal(rows[:, 0], np.arange(len(rows))):
-        counts = rows[:, 1]
-    else:
-        counts = []
-        for k, (line, (index, count)) in enumerate(read_table(path, DIAGONAL_COLUMNS, ("n_s",))[1]):
-            value = written(int, count, -1)
-            if value < 0 or index != str(k):
-                raise ValueError(f"{path}:{line}: expected '{k},<count >= 0>' (indices run "
-                                 f"0..N-1, each once and in order), got '{index},{count}'")
-            counts.append(value)
+    rows, bad = decimal_rows(data, len(DIAGONAL_COLUMNS))
+    out_of_order = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
+    if out_of_order.size or bad is not None:
+        k = int(out_of_order[0]) if out_of_order.size else bad
+        got = data.split("\n", k + 1)[k]
+        raise ValueError(f"{path}:{header + 1 + k}: expected '{k},<count >= 0>' (indices run "
+                         f"0..N-1, each once and in order), got '{got}'")
     try:
-        return DiagonalRecord(counts=counts, shots=written(int, fields["n_s"]))
-    except (ValueError, OverflowError) as exc:  # OverflowError: a count over int64
+        return DiagonalRecord(counts=rows[:, 1], shots=written(int, fields["n_s"]))
+    except ValueError as exc:
         raise ValueError(f"{path}: not a '# n_s=<shots>' diagonal record ({exc!r})") from None
-
-
-def _decimal_rows(data: str, width: int) -> np.ndarray | None:
-    """The lines of ``data`` as an m x ``width`` int64 array when each is
-    ``width`` comma-separated plain decimals of at most 18 digits, so that
-    none overflows; None for anything else: a sign, a space, a leading zero,
-    an empty field or line, a longer number."""
-    if not data.isascii():
-        return None
-    text = data if data.endswith("\n") else data + "\n"
-    chars = np.frombuffer(text.encode(), dtype=np.uint8)
-    ends = np.flatnonzero((chars < ord("0")) | (chars > ord("9")))  # each field's separator
-    pattern = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
-    if ends.size % width or not (chars[ends].reshape(-1, width) == pattern).all():
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    digits = ends - starts
-    if digits.min() < 1 or digits.max() > 18 or (digits[chars[starts] == ord("0")] > 1).any():
-        return None
-    return np.fromstring(text.replace(",", " "), dtype=np.int64, sep=" ").reshape(-1, width)
 
 
 def _plan_rows(plan: MeasurementPlan):
@@ -285,25 +259,29 @@ def read_plan_csv(path: str | Path) -> MeasurementPlan:
     """Read a plan: its pairs are the plain decimal ``i,j`` of every other row after the
     2**n diagonal rows, each new and with i < j < 2**n, in file order, and the file must
     hold exactly the rows that :func:`write_plan_csv` writes for them."""
-    fields, rows = read_table(path, PLAN_COLUMNS, ("n_qubits", "threshold"))
+    fields, header, data = read_head(path, PLAN_COLUMNS, ("n_qubits", "threshold"))
     try:
         n, t = written(int, fields["n_qubits"]), written(float, fields["threshold"])
     except ValueError as exc:
         raise ValueError(f"{path}:1: need '# n_qubits=<n> threshold=<t>' ({exc!r})") from None
-    # 1 <= n and 2**n <= len(rows), without computing 2**n for a huge n
-    if not (1 <= n < len(rows).bit_length() and 0.0 <= t <= 1.0):
-        raise ValueError(f"{path}:1: n_qubits={n} threshold={t} out of range for {len(rows)} rows")
-    pairs = {}  # in file order
-    for line, (i, j, _, _) in rows[2**n::2]:
-        pair = (written(int, i, -1), written(int, j, -1))
-        if not 0 <= pair[0] < pair[1] < 2**n or pair in pairs:
-            raise ValueError(f"{path}:{line}: '{i},{j}' is not a new pair i < j < {2**n} in plain decimals")
-        pairs[pair] = None
+    lines = data.removesuffix("\n").split("\n")
+    # 1 <= n and 2**n <= len(lines), without computing 2**n for a huge n
+    if not (1 <= n < len(lines).bit_length() and 0.0 <= t <= 1.0):
+        raise ValueError(f"{path}:1: n_qubits={n} threshold={t} out of range for {len(lines)} rows")
+    targets = [",".join(line.split(",", 2)[:2]) for line in lines[2**n::2]]  # each pair row's i,j
+    pairs = {}  # in file order, up to the first pair row that is not plain decimals or not a new pair
+    for i, j in decimal_rows("".join(ij + "\n" for ij in targets), 2)[0].tolist():
+        if not i < j < 2**n or (i, j) in pairs:
+            break
+        pairs[i, j] = None
     plan = MeasurementPlan(n=n, threshold=t, pairs=list(pairs))
-    expected = _plan_rows(plan)
-    for (line, row), want in zip(rows, expected):
-        if row != list(map(str, want)):
-            raise ValueError(f"{path}:{line}: expected '{','.join(map(str, want))}', got '{','.join(row)}'")
-    if next(expected, None):  # the last row is a pair's re row
-        raise ValueError(f"{path}:{line}: '{','.join(row)}' has no 'im' row after it")
+    expected = list(map(row_format(len(PLAN_COLUMNS)).__mod__, _plan_rows(plan)))
+    if lines[: len(expected)] != expected[: len(lines)]:
+        k = next(k for k, (got, want) in enumerate(zip(lines, expected)) if got != want)
+        raise ValueError(f"{path}:{header + 1 + k}: expected '{expected[k]}', got '{lines[k]}'")
+    if len(pairs) < len(targets):  # the rows before this pair's are the plan's
+        raise ValueError(f"{path}:{header + 1 + len(expected)}: '{targets[len(pairs)]}' is not "
+                         f"a new pair i < j < {2**n} in plain decimals")
+    if len(lines) < len(expected):  # the last row is a pair's re row
+        raise ValueError(f"{path}:{header + len(lines)}: '{lines[-1]}' has no 'im' row after it")
     return plan

@@ -465,6 +465,14 @@ def block_file(**edit):
     pytest.param({"counts.csv": "projector_word,observed,shots\nHH,5,10\nHV,5\n"},
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "counts.csv:3:", id="short-counts-row"),
+    pytest.param({"counts.csv": "projector_word,observed,shots\nHH,+5,10\nHV,5\n"},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 "counts.csv:2: expected decimal counts, got '+5,10'",
+                 id="counts-sign-before-short-row"),
+    pytest.param({"counts.csv": COUNTS_N2.replace("HH,50,100", f"HH,50,{10**21}")},
+                 ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
+                 f"counts.csv:2: expected decimal counts, got '50,{10**21}'",
+                 id="counts-shots-over-int64"),
     pytest.param({"counts.csv": "projector_word,observed,shots\nHH,5,10\nHV,5,10\nVHH,5,10\n"},
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "{tmp}/counts.csv:4: 3-qubit word 'VHH' after 2-qubit words",
@@ -493,7 +501,12 @@ def block_file(**edit):
                  "diag.csv:4: expected '1,<count >= 0>'", id="diagonal-fullwidth-digit"),
     pytest.param({"diag.csv": "# n_s=10\nbasis_index,count\n0,99999999999999999999\n1,0\n"},
                  ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.1),
-                 "diag.csv: not a '# n_s=<shots>' diagonal record", id="diagonal-count-overflow"),
+                 "diag.csv:3: expected '0,<count >= 0>'", id="diagonal-count-overflow"),
+    pytest.param({"diag.csv": "# n_s=4611686018427387904\nbasis_index,count\n"
+                              + "".join(f"{k},{2**62 * (k < 5)}\n" for k in range(8))},
+                 ("plan", "--diagonal", "{tmp}/diag.csv", "--threshold", 0.5,
+                  "--out", "{tmp}/plan.csv"),
+                 "diag.csv: not a '# n_s=<shots>' diagonal record", id="diagonal-sum-wraps"),
     pytest.param({"counts.csv": COUNTS_N2.replace("HH,50,", "HH,\u06650,")},
                  ("reconstruct", "--counts", "{tmp}/counts.csv", "--out", "{tmp}/o"),
                  "counts.csv:2: expected decimal counts, got '\u06650,100'",

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tqst.core import (
     BlockState,
@@ -13,14 +13,15 @@ from tqst.core import (
     STATE_VECTORS,
     basis_word,
     basis_words,
+    decimal_rows,
     density,
     expectation,
     load_density,
     load_state,
     product_ket,
-    read_table,
     save_density,
     validate_density,
+    written,
 )
 from tqst.mle import read_counts_csv
 from tqst.simulator import w_state
@@ -305,10 +306,6 @@ def test_load_density_rejects_malformed(tmp_path):
         save_density(path, np.zeros((0, 2)))
 
 
-def _read_two_columns(path):
-    return read_table(path, ("word", "count"))
-
-
 @pytest.mark.parametrize("reader, text, line", [
     pytest.param(read_diagonal_csv, "# n_s=12\nbasis_index,count\n0,5\n2,7\n", 4, id="gap"),
     pytest.param(read_counts_csv, "projector_word,observed,shots\nHV,1,2\nHV,1,2\n", 3,
@@ -322,7 +319,8 @@ def _read_two_columns(path):
                  id="counts-quoted"),
     pytest.param(read_plan_csv, '# n_qubits=1 threshold=0.5\ni,j,part,projector_word\n'
                  '0,0,diag,H\n1,1,diag,"V"\n', 4, id="plan-quoted"),
-    pytest.param(_read_two_columns, "word,count\nHV,1\nVH,1,2\n", 3, id="wrong-field-count"),
+    pytest.param(read_counts_csv, "projector_word,observed,shots\nHV,1,2\nVH,1,2,2\n", 3,
+                 id="wrong-field-count"),
     # a comment holds exactly the keys its writer writes
     pytest.param(read_diagonal_csv, "# n_s=10 colour=blue\nbasis_index,count\n0,4\n1,6\n", 1,
                  id="diagonal-unknown-key"),
@@ -337,6 +335,41 @@ def test_table_readers_name_file_and_line(tmp_path, reader, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"table.csv:{line}:"):
         reader(path)
+
+
+#: fields for the row parser: ASCII and non-ASCII digits, signs, spaces and
+#: ``_``, leading zeros, 1 to 20 digits, and the numbers next to 2**63
+decimal_fields = st.one_of(
+    st.text("0123456789+- _\uff15\u0665", max_size=21),
+    st.integers(0, 10**20).map(str),
+    st.integers(0, 10**19).map(lambda v: "0" + str(v)),
+    st.sampled_from([str(2**63 - 1), str(2**63), "0"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(
+           lambda width: st.lists(st.lists(decimal_fields, min_size=width, max_size=width),
+                                  min_size=1, max_size=4)),
+       final_newline=st.booleans())
+def test_row_parser_reads_a_number_exactly_when_written_reads_it(rows, final_newline):
+    # a row's number is an int that written() accepts, from 0 up to 2**63 - 1;
+    # the comments use written() and the rows the parser, so the two must agree
+    def value(field):
+        try:
+            number = written(int, field)
+        except ValueError:
+            return None
+        return number if 0 <= number < 2**63 else None
+
+    values = [[value(field) for field in row] for row in rows]
+    first_bad = next((k for k, row in enumerate(values) if None in row), None)
+    lines = [",".join(row) for row in rows]
+    # an empty last line needs its newline: without it the text ends in the line before
+    text = "\n".join(lines) + "\n" * (final_newline or not lines[-1])
+    parsed, bad = decimal_rows(text, len(rows[0]))
+    assert bad == first_bad
+    assert parsed.dtype == np.int64 and parsed.tolist() == values[:first_bad]
 
 
 def test_element_index_invariants():

@@ -19,9 +19,14 @@ ones; w6_conventional couples every state, so its fit, and its ``rho.json``
 byte for byte, stayed the same.
 """
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from tqst.settings import settings_for_plan, write_settings_csv
 from tqst.threshold import read_plan_csv, write_plan_csv
 
 GOLDEN = Path(__file__).parent / "golden"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 TOLERANCE = 1e-9  # absolute, on every factor entry and fidelity.json value
 
 NOISY = ("--lambda", 0.05, "--shots", 10000, "--seed", 42, "--parametrization", "low_rank",
@@ -77,7 +83,7 @@ def sha256(path: Path) -> str:
 
 @pytest.fixture(scope="module", params=RUNS)
 def golden_run(request, tmp_path_factory):
-    """The name of a reference run and the directory it wrote."""
+    """The name of a reference run, the directory it wrote and its stdout summary."""
     name = request.param
     tmp_path = tmp_path_factory.mktemp(name)
     run_files = []
@@ -86,12 +92,24 @@ def golden_run(request, tmp_path_factory):
                  "--seed", seed, "--out", tmp_path / f"replica{seed}")
         run_files += ["--run-file", tmp_path / f"replica{seed}" / "diagonal.csv"]
     out = tmp_path / name
-    tqst_cli("run", *RUNS[name], *run_files, "--out", out)
-    return name, out
+    summary = io.StringIO()
+    with contextlib.redirect_stdout(summary):
+        tqst_cli("run", *RUNS[name], *run_files, "--out", out)
+    return name, out, summary.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workloads module, read from perfbench/ without changing it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # for its dataclasses
+        spec.loader.exec_module(module)
+    return module
 
 
 def test_golden_outputs(golden_run):
-    name, out = golden_run
+    name, out, _ = golden_run
     for file, digest in DIGESTS[name].items():
         assert sha256(out / file) == digest, file
 
@@ -113,9 +131,17 @@ def test_golden_outputs(golden_run):
 def test_golden_plan_reads_back(golden_run, tmp_path):
     # the reader accepts the reference plans, and the plan it returns writes
     # the same plan and settings files again
-    name, out = golden_run
+    name, out, _ = golden_run
     plan = read_plan_csv(out / "plan.csv")
     write_plan_csv(tmp_path / "plan.csv", plan)
     assert sha256(tmp_path / "plan.csv") == DIGESTS[name]["plan.csv"]
     write_settings_csv(tmp_path / "settings.csv", settings_for_plan(plan))
     assert sha256(tmp_path / "settings.csv") == DIGESTS[name]["settings.csv"]
+
+
+@pytest.mark.parametrize("golden_run", ["w6_conventional", "w10_noisy_lowrank"], indirect=True)
+def test_benchmark_workloads_pass_their_output_check(golden_run, workloads):
+    # the check that every benchmark invocation must pass, which reads
+    # diagonal.csv with tqst.threshold.read_diagonal_csv
+    name, out, summary = golden_run
+    assert workloads.check_outputs(workloads.WORKLOADS[name], 0, summary, out, tqst) == []

@@ -149,7 +149,14 @@ def _replace(line, old, new):
     return edit
 
 
-#: one edit each to the file of the 2-qubit plan with pairs (2, 3) and (1, 2):
+def _both(first, second):
+    def edit(lines):
+        first(lines)
+        second(lines)
+    return edit
+
+
+#: one edit each (or two) to the file of the 2-qubit plan with pairs (2, 3) and (1, 2):
 #: the comment, the header, the diagonal rows on lines 3-6, then the re and im
 #: rows of (2, 3) on lines 7-8 and of (1, 2) on lines 9-10; and the line that
 #: the reader must name
@@ -162,6 +169,8 @@ PLAN_EDITS = {
     "changed-word": (_replace(8, ",im,VR", ",im,HH"), 8),
     "moved-diagonal-row": (_swap(3, 4), 3),
     "lone-re": (lambda lines: lines.append("0,1,re,HD"), 11),
+    # the first bad line, even when a later pair row is not plain decimals
+    "changed-word-before-plus-sign": (_both(_replace(3, ",HH", ",VV"), _replace(9, "1,2,", "+1,2,")), 3),
 }
 
 
@@ -199,10 +208,15 @@ def test_diagonal_csv_roundtrip(tmp_path, counts):
     pytest.param(10, "0,5\n\n1,5\n", ":4:", id="empty-middle-line"),
     pytest.param(10, "0,5\n1,5\n\n", ":5:", id="empty-last-line"),
     pytest.param(10, "0,5,0\n1,5\n", ":3:", id="three-fields"),
+    # the first bad line, not the first with the wrong field count
+    pytest.param(10, "0,05\n1,5,0\n", ":3:", id="bad-count-before-three-fields"),
     # a saturating parse would read 2**63 as n_s = 2**63 - 1 and accept it
-    pytest.param(2**63 - 1, f"0,{2**63}\n1,0\n", ": not a", id="count-2-to-the-63"),
+    pytest.param(2**63 - 1, f"0,{2**63}\n1,0\n", ":3:", id="count-2-to-the-63"),
     pytest.param(10, "0,5\n1,5\n2,0\n", ": not a", id="length-not-a-power-of-two"),
     pytest.param(10, "0,5\n1,4\n", ": not a", id="sum-not-n_s"),
+    # five counts of 2**62 sum to 2**62 in int64, which wraps
+    pytest.param(2**62, "".join(f"{k},{2**62 * (k < 5)}\n" for k in range(8)), ": not a",
+                 id="sum-wraps-to-n_s"),
 ])
 def test_diagonal_reader_names_the_bad_line_or_the_file(tmp_path, n_s, rows, where):
     path = tmp_path / "diag.csv"
@@ -216,7 +230,7 @@ def test_diagonal_reader_names_the_bad_line_or_the_file(tmp_path, n_s, rows, whe
     pytest.param(b"# n_s=10\nbasis_index,count\n0,4\n1,6", [4, 6], id="no-final-newline"),
     pytest.param(b"# n_s=10\r\nbasis_index,count\r\n0,4\r\n1,6", [4, 6], id="crlf-no-final-newline"),
     pytest.param(b"# n_s=10\nbasis_index,count\n0,0\n1,10\n2,0\n3,0\n", [0, 10, 0, 0], id="zeros"),
-    # 19 digits fit int64 but not the array parse, which leaves them to the row-by-row reading
+    # the row parser reads up to 19 digits, below 2**63
     pytest.param(b"# n_s=1000000000000000000\nbasis_index,count\n0,0\n1,1000000000000000000\n",
                  [0, 10**18], id="19-digits"),
 ])
