@@ -34,6 +34,7 @@ for _amplitudes in STATE_VECTORS.values():
     _amplitudes.setflags(write=False)
 
 STATE_LABELS = "HVDARL"
+_NOT_LETTERS = str.maketrans("", "", STATE_LABELS)  # deletes the letters: what a word keeps is bad
 
 #: Largest qubit count of a state: its basis indices are int64.
 MAX_QUBITS = 62
@@ -76,8 +77,8 @@ def validate_word(word: str) -> str:
     """Check a projector word and return it unchanged."""
     if not word:
         raise ValueError("projector word must not be empty")
-    bad = set(word) - set(STATE_LABELS)
-    if bad:
+    if word.translate(_NOT_LETTERS):
+        bad = set(word) - set(STATE_LABELS)
         raise ValueError(f"unknown state letters {sorted(bad)} in {word!r}")
     if len(word) > MAX_QUBITS:
         raise ValueError(f"{len(word)}-letter word: at most {MAX_QUBITS} qubits")

@@ -13,13 +13,13 @@ from pathlib import Path
 from .core import validate_word
 from .threshold import MeasurementPlan
 
-_BASIS_OF_LETTER = {"H": "Z", "V": "Z", "D": "X", "A": "X", "R": "Y", "L": "Y"}
+_BASIS_OF_LETTER = str.maketrans("HVDARL", "ZZXXYY")
 
 
 def setting_of(word: str) -> str:
     """Pauli setting containing a projector word: H/V -> Z, D/A -> X, R/L -> Y."""
     validate_word(word)
-    return "".join(_BASIS_OF_LETTER[c] for c in word)
+    return word.translate(_BASIS_OF_LETTER)
 
 
 def settings_for_plan(plan: MeasurementPlan) -> list[str]:

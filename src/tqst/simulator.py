@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,12 @@ class NoiseModel:
     ``sampling="exact"`` returns rounded expectation values instead of random
     draws; with ``depolarizing=0`` that reproduces the ideal expectations.
     ``seed`` is resolved once, at construction, to ``SeedSequence(seed).entropy``:
-    an integer seed stays itself and None becomes fresh entropy, so every
-    sampling call with one model draws from the same streams.
+    an integer seed stays itself, as a Python int, and None becomes fresh
+    entropy, so every sampling call with one model draws from the same
+    streams.  A sequence, which SeedSequence also takes, raises TypeError.
+    Stream k is the ``SeedSequence(seed, spawn_key=(k,))`` stream of
+    ``default_rng``; the seed words of every stream one call draws from are
+    derived in one array pass.
     """
 
     depolarizing: float = 0.0
@@ -40,7 +45,7 @@ class NoiseModel:
             raise ValueError("depolarizing strength must be in [0, 1]")
         if self.sampling not in ("exact", "multinomial"):
             raise ValueError("sampling must be 'exact' or 'multinomial'")
-        object.__setattr__(self, "seed", np.random.SeedSequence(self.seed).entropy)
+        object.__setattr__(self, "seed", operator.index(np.random.SeedSequence(self.seed).entropy))
 
 
 TRACE_TOLERANCE = 1e-9  # how far the trace ||F||_F**2 of a sampled factor may stray from 1
@@ -129,9 +134,101 @@ def populations(factor: np.ndarray) -> np.ndarray:
     return np.real(factor * factor.conj()).sum(axis=0)
 
 
-def _stream(noise: NoiseModel, k: int) -> np.random.Generator:
-    """Stream k of ``noise``, the child ``SeedSequence.spawn`` would give its seed."""
-    return np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(k,)))
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool of 4 uint32
+# words, hashed under constants that advance by one multiplication per hash.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _constants(first: int, mult: int, count: int) -> list[int]:
+    """``first`` and the ``count`` hash constants after it."""
+    out = [first]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashed(value, const, next_const):
+    """SeedSequence's hash of ``value`` under ``const``, on ints or uint32 arrays."""
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> 16
+
+
+def _mixed(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _stream_seeds(entropy: int, keys) -> np.ndarray:
+    """The PCG64 seed words of the streams ``keys`` (integers below 2**64) of
+    ``entropy``: row i is what
+    ``SeedSequence(entropy, spawn_key=(keys[i],)).generate_state(4, np.uint64)`` gives.
+
+    SeedSequence mixes the run entropy into its pool the same way for every
+    key, and its hash constants advance the same way whatever the words, so
+    the pool is mixed once, in Python ints, and only the key words and the
+    output are hashed, as uint32 arrays over all keys at once.
+    """
+    words = []  # the entropy's 32-bit words, low first, padded to the pool size
+    while True:
+        words.append(entropy & _MASK32)
+        entropy >>= 32
+        if not entropy:
+            break
+    words += [0] * (_POOL - len(words))
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        previous, const = const, const * _MULT_A & _MASK32
+        return _hashed(value, previous, const)
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mixed(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mixed(pool[dst], hashmix(w))
+
+    keys = np.asarray(keys, dtype=np.uint64)
+    pool = np.tile(np.array(pool, dtype=np.uint32), (keys.size, 1))
+    a = np.array(_constants(const, _MULT_A, 2 * _POOL), dtype=np.uint32)
+    low = (keys & _MASK32).astype(np.uint32)
+    pool = _mixed(pool, _hashed(low[:, None], a[:_POOL], a[1:_POOL + 1]))
+    two = keys > _MASK32  # a key of 2**32 or more is two words, low first
+    high = (keys[two] >> 32).astype(np.uint32)
+    pool[two] = _mixed(pool[two], _hashed(high[:, None], a[_POOL:-1], a[_POOL + 1:]))
+    b = np.array(_constants(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+    state = _hashed(np.tile(pool, 2), b[:-1], b[1:])  # the pool cycled twice: 8 words
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def _streams(noise: NoiseModel, keys):
+    """The generators of the streams ``keys`` of ``noise``, each made when it
+    is reached: stream k draws what
+    ``default_rng(SeedSequence(noise.seed, spawn_key=(k,)))`` draws."""
+    from numpy.random import PCG64, Generator  # loaded at the first draw, not at import
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        """One stream's precomputed seed words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    for words in _stream_seeds(noise.seed, keys):
+        yield Generator(PCG64(Seeded(words)))
 
 
 def _unit_trace_populations(factor: np.ndarray) -> np.ndarray:
@@ -167,7 +264,7 @@ def sample_diagonal(factor: np.ndarray, shots: int,
     if noise.sampling == "exact":
         counts = _exact_multinomial(p_diag, shots)
     else:
-        counts = _stream(noise, 0).multinomial(shots, p_diag)
+        counts = next(_streams(noise, [0])).multinomial(shots, p_diag)
     return DiagonalRecord(counts=counts, shots=shots)
 
 
@@ -180,7 +277,10 @@ def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecor
     round, so it is not drawn again, and the fit and the counts writer take
     it as it is.  Each plan word is a binomial at ``diag.shots`` on its
     depolarized projector expectation, drawn from stream 2**n + k + 1 of
-    ``noise`` for word k, or rounded for "exact".
+    ``noise`` for word k, or rounded for "exact".  The streams are the
+    ``SeedSequence(noise.seed, spawn_key=(2**n + k + 1,))`` streams, their
+    seed words derived for all words in one pass and each generator made
+    when its word draws.
     """
     dim = 2**plan.n
     if factor.shape[1:] != (dim,) or diag.n != plan.n:
@@ -190,12 +290,13 @@ def sample_counts(factor: np.ndarray, plan: MeasurementPlan, diag: DiagonalRecor
     noise = NoiseModel() if noise is None else noise
     lam = noise.depolarizing
     shots = diag.shots
+    streams = _streams(noise, np.arange(dim + 1, dim + 1 + len(plan.words), dtype=np.uint64))
     records = []
-    for k, word in enumerate(plan.words):
+    for word in plan.words:
         q = min(max((1.0 - lam) * expectation(factor, word) + lam / dim, 0.0), 1.0)
         if noise.sampling == "exact":
             observed = int(round(q * shots))
         else:
-            observed = int(_stream(noise, dim + k + 1).binomial(shots, q))
+            observed = int(next(streams).binomial(shots, q))
         records.append(CountRecord(word, observed, shots))
     return records

@@ -63,13 +63,13 @@ def test_run_draws_the_diagonal_stream_once(tmp_path, monkeypatch, capsys):
     from tqst import cli, simulator
 
     streams = []
-    original = simulator._stream
+    original = simulator._stream_seeds
 
-    def spy(noise, k):
-        streams.append(k)
-        return original(noise, k)
+    def spy(entropy, keys):
+        streams.extend(np.asarray(keys).tolist())
+        return original(entropy, keys)
 
-    monkeypatch.setattr(simulator, "_stream", spy)
+    monkeypatch.setattr(simulator, "_stream_seeds", spy)
     cli.cli.main(["run", "--state", "w", "--n", "3", "--threshold", "0.1", "--lambda", "0.05",
                   "--seed", "1", "--out", str(tmp_path)], standalone_mode=False)
     pairs = json.loads(capsys.readouterr().out)["pairs_kept"]
@@ -697,7 +697,7 @@ def tqst_cli(*args):
     tqst.cli.cli.main([str(a) for a in args], standalone_mode=False)
 
 out = Path(sys.argv[1])
-seen = {"import": scipy_loaded()}
+seen = {"import": scipy_loaded(), "numpy.random": "numpy.random" in sys.modules}
 tqst_cli("simulate", "--state", "w", "--n", 3, "--exact", "--seed", 1, "--out", out / "ideal")
 for k in range(2):
     tqst_cli("simulate", "--state", "w", "--n", 3, "--lambda", 0.05, "--seed", 10 + k,
@@ -723,7 +723,7 @@ def test_only_the_fit_loads_scipy(tmp_path):
     r = python("-c", SCIPY_GUARD, tmp_path)
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout.splitlines()[-1])
-    assert seen == {"import": False, "commands": False, "reconstruct": True}
+    assert seen == {"import": False, "numpy.random": False, "commands": False, "reconstruct": True}
 
 
 def test_colorcode_run_summary(tmp_path):

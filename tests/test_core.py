@@ -21,6 +21,7 @@ from tqst.core import (
     product_ket,
     save_density,
     validate_density,
+    validate_word,
     written,
 )
 from tqst.mle import read_counts_csv
@@ -58,6 +59,18 @@ def test_product_ket_rd_expansion():
 @pytest.mark.parametrize("word", ["HVD", "RLA", "DDRR", "ALVH"])
 def test_product_ket_matches_brute_force(word):
     assert np.allclose(dense_ket(word), brute_force_tensor(word), atol=1e-14)
+
+
+@pytest.mark.parametrize("word, message", [
+    ("", "projector word must not be empty"),
+    ("HxVxé", r"unknown state letters \['x', 'é'\] in 'HxVxé'"),
+    ("h" + "H" * 70, r"unknown state letters \['h'\] in"),  # the letters are checked first
+    ("H" * 63, "63-letter word: at most 62 qubits"),
+])
+def test_validate_word_names_what_is_wrong(word, message):
+    with pytest.raises(ValueError, match=message):
+        validate_word(word)
+    assert validate_word("HVDARL" * 10) == "HVDARL" * 10
 
 
 @given(st.text(alphabet=STATE_LABELS, min_size=1, max_size=10))

@@ -314,11 +314,35 @@ def test_noise_model_validation():
         NoiseModel(sampling="poisson")
     with pytest.raises(ValueError):
         NoiseModel(seed=-1)
+    with pytest.raises(TypeError):
+        NoiseModel(seed=[1, 2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(entropy=st.integers(0, 2**128 - 1),
+       keys=st.lists(st.integers(0, 2**64 - 1), max_size=20))
+def test_stream_seeds_are_the_seed_sequence_words(entropy, keys):
+    # every stream's seed words, derived in one pass, are SeedSequence's own,
+    # and its generator draws what default_rng draws
+    keys = [0, 2**32 - 1, 2**32, 2**62 + 5, *keys]
+    seeds = simulator._stream_seeds(entropy, keys)
+    assert seeds.shape == (len(keys), 4) and seeds.dtype == np.uint64
+    for words, k in zip(seeds, keys):
+        expected = np.random.SeedSequence(entropy, spawn_key=(k,)).generate_state(4, np.uint64)
+        assert np.array_equal(words, expected), k
+    assert simulator._stream_seeds(entropy, []).shape == (0, 4)
+    noise = NoiseModel(seed=entropy)
+    for rng, k in zip(simulator._streams(noise, keys[:4]), keys):
+        reference = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
+        assert np.array_equal(rng.binomial(1000, 0.3, size=8), reference.binomial(1000, 0.3, size=8))
+    with pytest.raises(ValueError, match="4 uint64"):
+        rng.bit_generator.seed_seq.generate_state(8, np.uint32)
 
 
 def test_one_unseeded_model_draws_one_set_of_streams():
     # the seed is resolved once per model; an integer seed stays itself
     assert NoiseModel(seed=7).seed == 7
+    assert type(NoiseModel(seed=np.int64(7)).seed) is int
     noise = NoiseModel(0.05, "multinomial")
     assert isinstance(noise.seed, int) and noise.seed >= 0
     # two draws with one model see one diagonal and one set of plan records
