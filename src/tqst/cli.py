@@ -23,12 +23,6 @@ from . import core, metrics, mle, projectors, settings as settings_mod, simulato
 STATE_NAMES = ("w", "ghz", "colorcode0", "colorcode1", "random")
 
 
-def _resolve_seed(seed: int | None) -> int:
-    """The seed as given, or fresh entropy when unset: drawn once per command,
-    shared by everything it samples or fits, and reported so the command replays."""
-    return np.random.SeedSequence(seed).entropy
-
-
 def _target_factor(state: str, n: int | None, filling: float | None,
                    seed: int | None) -> tuple[np.ndarray, int]:
     if filling is not None and state != "random":
@@ -133,7 +127,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
         parametrization, rank, max_iterations, gradient_tolerance, out):
     """Full pipeline: diagonal, threshold, plan, measurements, reconstruction."""
     t = _check_threshold(threshold_spec, run_files)
-    seed = _resolve_seed(seed)
+    seed = simulator.resolve_seed(seed)
     target, n = _target_factor(state, n, filling, seed)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
     options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
@@ -200,7 +194,7 @@ def run(state, n, filling, threshold_spec, run_files, shots, seed, lam, exact,
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True)
 def simulate(state, n, filling, lam, shots, seed, exact, plan_file, out):
     """Sample synthetic counts for a target state; writes diagonal and counts CSVs."""
-    seed = _resolve_seed(seed)
+    seed = simulator.resolve_seed(seed)
     target, n = _target_factor(state, n, filling, seed)
     plan = threshold.read_plan_csv(plan_file) if plan_file else threshold.diagonal_plan(n)
     noise = simulator.NoiseModel(lam, sampling="exact" if exact else "multinomial", seed=seed)
@@ -256,7 +250,7 @@ def plan(diagonal_file, threshold_spec, ideal_file, run_files, out):
 def reconstruct(counts_file, diagonal_file, seed, parametrization, rank,
                 max_iterations, gradient_tolerance, out):
     """Maximum-likelihood reconstruction from measured counts."""
-    seed = _resolve_seed(seed)
+    seed = simulator.resolve_seed(seed)
     options = mle.MleOptions(parametrization, rank, max_iterations, gradient_tolerance, seed)
     records = mle.read_counts_csv(counts_file)
     diag_record = None

@@ -17,7 +17,10 @@ plain factor over all 2**n columns.  The Gaussian negative log-likelihood
 
     L = sum_K ((n_K - N_K) / (2 sqrt(n_K)))^2,    n_K = shots_K <P_K rho P_K>
 
-is minimized with a quasi-Newton descent using the analytic gradient.
+is minimized with a quasi-Newton descent using the analytic gradient.  When
+every state is coupled and every word lies on {H, V, D, R}**n, as in a
+conventional plan, the model counts are n mode products of rho, one 4 x 4
+matrix per qubit; otherwise they come from the records' sparse kets.
 :func:`likelihood` and :func:`gradient` evaluate the same model, and
 ``likelihood`` adds the left-out records' constant.
 """
@@ -34,8 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (BlockState, basis_word, basis_words, decimal_rows, product_ket, read_head,
-                   validate_word, write_table)
+from .core import (STATE_VECTORS, BlockState, basis_word, basis_words, decimal_rows, product_ket,
+                   read_head, validate_word, write_table)
+from .projectors import TABLE_CAP
 
 EPSILON = 1e-9  # relative floor for model counts n_K
 JITTER = 1e-3  # scale of the random start off the measured diagonal
@@ -46,6 +50,11 @@ JITTER = 1e-3  # scale of the random start off the measured diagonal
 #: none.  A fit whose line searches all end within 20 steps takes the same
 #: path either way.
 LINE_SEARCH_STEPS = 50
+#: Terms per block of :func:`_squared_norm`.  OpenBLAS spreads a dot product
+#: of more than 10000 terms over its threads, which moves the sum's last
+#: bits with the thread count and, through the optimizer, the whole fit (a
+#: `full` factor at n = 7 has 16384 entries); a block this long runs on one.
+DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,57 @@ def _lacking(records: list[CountRecord], diag) -> np.ndarray:
     return np.flatnonzero(lacking)
 
 
+_GRID_LETTERS = "HVDR"
+#: T[l, 2a + b] = v_l[a] conj(v_l[b]) for the grid letters l = H, V, D, R:
+#: the one-qubit factor of |psi_w><psi_w| over a pair (a, b) of rho's bits
+_GRID_PAIRS = np.array([np.outer(STATE_VECTORS[c], STATE_VECTORS[c].conj()).ravel()
+                        for c in _GRID_LETTERS])
+_GRID_DIGITS = np.full(128, -1, dtype=np.int64)  # a letter's base-4 digit, -1 off the grid
+_GRID_DIGITS[[ord(c) for c in _GRID_LETTERS]] = np.arange(4)
+
+
+def _grid_cells(records: list[CountRecord], lacking: np.ndarray, n: int) -> np.ndarray | None:
+    """The cells of the basis states ``lacking``, then of the records, in the
+    4**n word grid {H, V, D, R}**n: the letters as base-4 digits, H = 0,
+    V = 1, D = 2, R = 3, first letter most significant; None if a record's
+    word has an A or L."""
+    codes = np.frombuffer("".join(rec.projector for rec in records).encode(), dtype=np.uint8)
+    digits = _GRID_DIGITS[codes].reshape(-1, n)
+    if (digits < 0).any():
+        return None
+    place = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    bits = (lacking[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.concatenate((bits @ place, digits @ place))
+
+
+def _mode_products(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """``x``, 4**n entries over n base-4 digits, first most significant, with
+    the 4 x 4 matrix ``m`` applied along every digit."""
+    mt = m.T
+    for _ in range(n):
+        # contracts the leading digit and puts the new one last: after n
+        # steps the digits are back in order
+        x = x.reshape(4, -1).T @ mt
+    return x.reshape(-1)
+
+
+def _grid_probabilities(f: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """||F psi_w||^2 of the grid words at ``cells``: X = F^T conj(F), its
+    row and column bits paired as (a_1, b_1, ..., a_n, b_n), through T
+    along each pair."""
+    x = (f.T @ f.conj()).reshape((2,) * 2 * n).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    return _mode_products(x, _GRID_PAIRS, n)[cells].real
+
+
+def _grid_adjoint(alpha: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """H = sum_w alpha_w psi_w psi_w^dag, the adjoint of
+    :func:`_grid_probabilities` at X, as a 2**n x 2**n matrix: the
+    per-cell sums of ``alpha`` through T^T along each pair."""
+    g = _mode_products(np.bincount(cells, alpha, minlength=4**n), _GRID_PAIRS.T, n)
+    pairs = g.reshape((2,) * 2 * n).transpose(np.arange(2 * n).reshape(n, 2).T.ravel())
+    return pairs.reshape(2**n, 2**n)
+
+
 @dataclass(frozen=True)
 class MleOptions:
     parametrization: str = "full"  # "full" or "low_rank"
@@ -108,7 +168,9 @@ class ReconstructionResult:
     ``full``) and the populations of the isolated ones.  ``parameters`` is
     the number of real parameters fitted; ``nfev``, ``status`` and
     ``message`` are scipy's for the minimization.  ``records`` counts the
-    records fitted, the diagonal round's basis states included."""
+    records fitted, the diagonal round's basis states included, and
+    ``forward_model`` is ``"grid"`` or ``"kets"``, as :class:`_Bundle`
+    chose."""
 
     state: BlockState
     final_objective: float
@@ -121,6 +183,7 @@ class ReconstructionResult:
     converged: bool
     parameters: int
     records: int
+    forward_model: str
     wall_time_s: float = 0.0
 
 
@@ -135,13 +198,20 @@ class _Bundle:
     doubles the support).  ``diagonal`` is each basis state's measured
     frequency, -1 where no record measures it.  ``columns`` are the coupled
     states C, the columns hit by the superposition words; ``isolated`` are
-    the basis states outside C with a nonzero count.  ``kets`` is the CSR
-    matrix of the records on C: their kets' amplitudes at their supports,
-    restricted to those columns.  ``kets_h`` is its conjugate transpose.
-    ``observed`` and ``shots`` list those records, then the records of the
-    isolated states, whose positions in ``isolated`` are ``iso``.  The
-    zero-count basis records left over see a model of zero, floored;
-    ``constant`` is their share of the objective."""
+    the basis states outside C with a nonzero count.  ``observed`` and
+    ``shots`` list the records on C, then the records of the isolated
+    states, whose positions in ``isolated`` are ``iso``.  The zero-count
+    basis records left over see a model of zero, floored; ``constant`` is
+    their share of the objective.
+
+    The fit reads the records on C through one of two forward models,
+    ``forward_model``.  ``"grid"`` holds when C is every state, n <=
+    ``projectors.TABLE_CAP`` and every word is on the grid {H, V, D, R}**n,
+    as in a conventional plan: ``cells`` are the records' grid cells
+    (:func:`_grid_cells`), and all 4**n probabilities are n mode products
+    of rho.  Otherwise ``"kets"``: ``kets`` is the CSR matrix of the records
+    on C, their kets' amplitudes at their supports restricted to those
+    columns, and ``kets_h`` its conjugate transpose."""
 
     def __init__(self, records: list[CountRecord], diag=None):
         if not records and diag is None:
@@ -151,8 +221,6 @@ class _Bundle:
         for rec in records:
             if len(rec.projector) != n:
                 raise ValueError("records mix qubit counts")
-        from scipy import sparse  # loaded at the first fit, not at import
-
         self.n = n
         self.dim = 2**n
         self.records = lacking.size + len(records)
@@ -183,18 +251,27 @@ class _Bundle:
         left_out = ~(on_coupled | on_isolated)
         self.constant = float(np.sum(EPSILON * shots[left_out] / 4.0))
 
-        entries = np.repeat(on_coupled, sizes)
-        position = np.cumsum(coupled) - 1  # the column of each coupled state in F
-        self.kets = sparse.csr_array(
-            (values[entries], position[indices[entries]],
-             np.concatenate(([0], np.cumsum(sizes[on_coupled])))),
-            shape=(int(on_coupled.sum()), int(coupled.sum())),
-        )
-        self.kets_h = self.kets.conj().T.tocsr()
+        self.cells = _grid_cells(records, lacking, n) if coupled.all() and n <= TABLE_CAP else None
+        self.kets = self.kets_h = None  # built for the kets model only
+        if self.cells is None:
+            from scipy import sparse  # loaded at the first fit, not at import
+
+            entries = np.repeat(on_coupled, sizes)
+            position = np.cumsum(coupled) - 1  # the column of each coupled state in F
+            self.kets = sparse.csr_array(
+                (values[entries], position[indices[entries]],
+                 np.concatenate(([0], np.cumsum(sizes[on_coupled])))),
+                shape=(int(on_coupled.sum()), int(coupled.sum())),
+            )
+            self.kets_h = self.kets.conj().T.tocsr()
         self.observed = np.concatenate((observed[on_coupled], observed[on_isolated]))
         self.shots = np.concatenate((shots[on_coupled], shots[on_isolated]))
         self.columns, self.isolated = np.flatnonzero(coupled), np.flatnonzero(isolated)
         self.iso = np.searchsorted(self.isolated, state[on_isolated])
+
+    @property
+    def forward_model(self) -> str:
+        return "kets" if self.cells is None else "grid"
 
 
 class _Layout(NamedTuple):
@@ -232,6 +309,14 @@ def _factor_params(f: np.ndarray, layout: _Layout) -> np.ndarray:
     return np.concatenate((flat[layout.real].real, flat[layout.complex].view(float)))
 
 
+def _squared_norm(x: np.ndarray) -> float:
+    """||x||^2 as BLAS dot products over blocks of ``DOT_BLOCK`` entries,
+    summed in order: the same at any BLAS thread count."""
+    x = x.reshape(-1)
+    return sum((float(np.vdot(x[k:k + DOT_BLOCK], x[k:k + DOT_BLOCK]).real)
+                for k in range(0, x.size, DOT_BLOCK)), 0.0)
+
+
 def _evaluate(params, bundle, layout):
     """The likelihood and its gradient with respect to the parameters: F's in
     ``layout``, then the amplitudes d of the bundle's isolated states."""
@@ -240,14 +325,19 @@ def _evaluate(params, bundle, layout):
     if params.size != k + bundle.isolated.size:
         raise ValueError(f"expected {k + bundle.isolated.size} parameters, got {params.size}")
     f, d = _build_factor(params[:k], layout), params[k:]
-    tau = float(np.real(np.vdot(f, f))) + float(d @ d)
+    tau = _squared_norm(f) + _squared_norm(d)
     if tau <= 0.0 or not math.isfinite(tau):
         raise ValueError("all-zero parameters: trace normalization undefined")
 
-    # w_K = F psi_K for the records on the coupled states, over the kets' nonzeros only;
+    # u_K = ||F psi_K||^2 for the records on the coupled states: on the grid from
+    # X = F^T conj(F), else from w_K = F psi_K over the kets' nonzeros only;
     # an isolated state's record sees its own d^2
-    w = bundle.kets @ f.T
-    u = np.einsum("kr,kr->k", w, w.conj()).real
+    if bundle.cells is None:
+        w = bundle.kets @ f.T
+        u = np.einsum("kr,kr->k", w, w.conj()).real
+    else:
+        u = _grid_probabilities(f, bundle.cells, bundle.n)
+    m = u.size
     if d.size:
         u = np.concatenate((u, d[bundle.iso] ** 2))
     model = bundle.shots * (u / tau)
@@ -259,8 +349,10 @@ def _evaluate(params, bundle, layout):
     dldn = 0.25 * (1.0 - (bundle.observed / n_eff) ** 2)
     dldn[floored] = 0.0  # flat region of the floor
     alpha = dldn * bundle.shots / tau
-    m = w.shape[0]
-    c = (bundle.kets_h @ (w * alpha[:m, None])).T
+    if bundle.cells is None:
+        c = (bundle.kets_h @ (w * alpha[:m, None])).T
+    else:
+        c = f @ _grid_adjoint(alpha, bundle.cells, bundle.n)
     scale = float(np.sum(alpha * u) / tau)
     # packing the complex factor-space gradient reuses the parameter layout
     grad = _factor_params(2.0 * (c - scale * f), layout)
@@ -349,10 +441,10 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions(),
         },
     )
     f, d = _build_factor(res.x[: layout.size], layout), res.x[layout.size :]
-    tau = float(np.real(np.vdot(f, f))) + float(d @ d)
+    tau = _squared_norm(f) + _squared_norm(d)
     if not f.shape[0]:  # `full` with no coupled state: an empty factor row
         f = np.zeros((1, 0), dtype=complex)
-    gnorm = float(np.linalg.norm(res.jac))
+    gnorm = math.sqrt(_squared_norm(res.jac))
     return ReconstructionResult(
         state=BlockState(bundle.n, bundle.columns, f / math.sqrt(tau), bundle.isolated, d * d / tau),
         final_objective=float(res.fun) + bundle.constant,
@@ -365,6 +457,7 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions(),
         converged=bool(res.success or gnorm <= options.gradient_tolerance),
         parameters=int(res.x.size),
         records=bundle.records,
+        forward_model=bundle.forward_model,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -427,6 +520,7 @@ def write_diagnostics(path: str | Path, result: ReconstructionResult) -> None:
                 "columns_fitted": int(result.state.columns.size),
                 "isolated": int(result.state.isolated.size),
                 "parameters": result.parameters,
+                "forward_model": result.forward_model,
                 "converged": result.converged,
             },
             indent=2,

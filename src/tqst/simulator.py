@@ -27,10 +27,10 @@ class NoiseModel:
 
     ``sampling="exact"`` returns rounded expectation values instead of random
     draws; with ``depolarizing=0`` that reproduces the ideal expectations.
-    ``seed`` is resolved once, at construction, to ``SeedSequence(seed).entropy``:
-    an integer seed stays itself, as a Python int, and None becomes fresh
+    ``seed`` is resolved once, at construction, by :func:`resolve_seed`: an
+    integer seed stays itself, as a Python int, and None becomes fresh
     entropy, so every sampling call with one model draws from the same
-    streams.  A sequence, which SeedSequence also takes, raises TypeError.
+    streams.
     Stream k is the ``SeedSequence(seed, spawn_key=(k,))`` stream of
     ``default_rng``; the seed words of every stream one call draws from are
     derived in one array pass.
@@ -45,7 +45,22 @@ class NoiseModel:
             raise ValueError("depolarizing strength must be in [0, 1]")
         if self.sampling not in ("exact", "multinomial"):
             raise ValueError("sampling must be 'exact' or 'multinomial'")
-        object.__setattr__(self, "seed", operator.index(np.random.SeedSequence(self.seed).entropy))
+        object.__setattr__(self, "seed", resolve_seed(self.seed))
+
+
+def resolve_seed(seed: int | None) -> int:
+    """The seed as a Python int: an integer seed stays itself, and None
+    becomes fresh 128-bit entropy, as ``SeedSequence(None)`` draws it.  A
+    negative seed raises ValueError and a non-integer one, a sequence too,
+    TypeError.  Nothing is drawn, so ``numpy.random`` stays unloaded."""
+    if seed is None:
+        import secrets  # 3 ms of imports, paid only when a seed is drawn
+
+        return secrets.randbits(128)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    return seed
 
 
 TRACE_TOLERANCE = 1e-9  # how far the trace ||F||_F**2 of a sampled factor may stray from 1

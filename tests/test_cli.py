@@ -171,6 +171,19 @@ def test_diagnostics_report_the_fit_size(w3_run, tmp_path):
     assert (fit["columns_fitted"], fit["isolated"], fit["parameters"]) == (7, 0, 28)
 
 
+def test_diagnostics_report_the_forward_model(w3_run, tmp_path):
+    # the threshold plan couples 7 of 8 states, so the fit reads the kets; noisy
+    # W at t = 0 measures all 64 grid words on every state
+    out, _ = w3_run
+    assert json.loads((out / "diagnostics.json").read_text())["forward_model"] == "kets"
+    r = tqst("run", "--state", "w", "--n", 3, "--threshold", 0, "--lambda", 0.05, "--seed", 1,
+             "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["measurements"] == 64
+    diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert (diagnostics["forward_model"], diagnostics["columns_fitted"]) == ("grid", 8)
+
+
 def _dense_report(a, b):
     from tqst import core, metrics
 
@@ -699,6 +712,7 @@ def tqst_cli(*args):
 out = Path(sys.argv[1])
 seen = {"import": scipy_loaded(), "numpy.random": "numpy.random" in sys.modules}
 tqst_cli("simulate", "--state", "w", "--n", 3, "--exact", "--seed", 1, "--out", out / "ideal")
+seen["exact"] = "numpy.random" in sys.modules  # the exact counts draw nothing
 for k in range(2):
     tqst_cli("simulate", "--state", "w", "--n", 3, "--lambda", 0.05, "--seed", 10 + k,
              "--out", out / f"replica{k}")
@@ -723,7 +737,8 @@ def test_only_the_fit_loads_scipy(tmp_path):
     r = python("-c", SCIPY_GUARD, tmp_path)
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout.splitlines()[-1])
-    assert seen == {"import": False, "numpy.random": False, "commands": False, "reconstruct": True}
+    assert seen == {"import": False, "numpy.random": False, "exact": False, "commands": False,
+                    "reconstruct": True}
 
 
 def test_colorcode_run_summary(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -16,13 +21,14 @@ from tqst.mle import (
     _factor_params,
     _initial_params,
     _layout,
+    _squared_norm,
     gradient,
     likelihood,
     read_counts_csv,
     reconstruct,
     write_counts_csv,
 )
-from tqst.projectors import build_projector_table
+from tqst.projectors import TABLE_CAP, build_projector_table
 from tqst.simulator import NoiseModel, sample_counts, sample_diagonal, w_state
 from tqst.threshold import DiagonalRecord, select_offdiagonal
 
@@ -130,12 +136,17 @@ def dense_evaluate(params, records, options):
     return value, grad, kets, int(floored.sum())
 
 
+OFF_GRID = str.maketrans("DR", "AL")
+
+
 @pytest.mark.parametrize("options", [MleOptions(), MleOptions(parametrization="low_rank", rank=2)])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sparse_kernel_matches_dense_reference(n, options):
+    # the table's words with A for D and L for R: every state is coupled, but
+    # the words are off the grid {H, V, D, R}**n, so the fit reads the kets
     rng = np.random.default_rng(20 + n)
     dim = 2**n
-    words = build_projector_table(n).words()
+    words = [w.translate(OFF_GRID) for w in build_projector_table(n).words()]
     observed = rng.integers(0, 900, size=len(words))
     observed[rng.random(len(words)) < 0.2] = 0
     records = [CountRecord(w, int(k), 1000) for w, k in zip(words, observed)]
@@ -146,6 +157,7 @@ def test_sparse_kernel_matches_dense_reference(n, options):
     params = _factor_params(f, layout)
 
     bundle = _Bundle(records)
+    assert bundle.forward_model == "kets" and bundle.cells is None
     value, grad = _evaluate(params, bundle, layout)
     ref_value, ref_grad, kets, floored = dense_evaluate(params, records, options)
     assert floored > 0
@@ -154,6 +166,60 @@ def test_sparse_kernel_matches_dense_reference(n, options):
     assert np.array_equal(bundle.kets.toarray(), kets)
     superposed = np.array([sum(w.count(c) for c in "DARL") for w in words])
     assert np.array_equal(np.diff(bundle.kets.indptr), 2**superposed)
+
+
+GRID_DIGITS = str.maketrans("HVDR", "0123")
+
+
+@pytest.mark.parametrize("options", [MleOptions(), MleOptions(parametrization="low_rank", rank=2)])
+@pytest.mark.parametrize("n, dropped", [(3, 0.0), (4, 0.0), (3, 0.3), (4, 0.3)])
+def test_grid_kernel_matches_dense_reference(n, dropped, options):
+    # a conventional plan's superposition words, all of them or a part that
+    # still couples every state, after a diagonal round with zero counts
+    rng = np.random.default_rng(70 + n)
+    dim = 2**n
+    words = [w for w in build_projector_table(n).words() if w.strip("HV") and rng.random() >= dropped]
+    observed = rng.integers(0, 900, size=len(words))
+    observed[rng.random(len(words)) < 0.2] = 0
+    records = [CountRecord(w, int(k), 1000) for w, k in zip(words, observed)]
+    counts = rng.integers(0, 100, size=dim)
+    counts[[0, dim - 1]] = 0
+    diag = DiagonalRecord(counts, int(counts.sum()))
+    layout = _layout(dim, options)
+    f = _build_factor(rng.normal(size=layout.size), layout)
+    f[:, 1] *= 1e-6  # puts <P rho P> of basis state 1 under the floor
+    params = _factor_params(f, layout)
+
+    bundle = _Bundle(records, diag)
+    assert bundle.forward_model == "grid" and bundle.kets is None and bundle.kets_h is None
+    explicit = with_round(records, diag)
+    assert bundle.cells.tolist() == [int(rec.projector.translate(GRID_DIGITS), 4) for rec in explicit]
+    value, grad = _evaluate(params, bundle, layout)
+    ref_value, ref_grad, _, floored = dense_evaluate(params, explicit, options)
+    assert floored > 0
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_forward_model_is_the_grid_only_on_a_coupled_grid():
+    def bundle(n, *words):
+        basis = [CountRecord(basis_word(k, n), 10, 1000) for k in range(2**n)]
+        return _Bundle(basis + [CountRecord(w, 500, 1000) for w in words])
+
+    grid = bundle(3, "DDD", "RHV")
+    assert grid.forward_model == "grid" and grid.kets is None
+    assert grid.cells.tolist()[-2:] == [2 * 16 + 2 * 4 + 2, 3 * 16 + 0 * 4 + 1]
+    # every state coupled, but an A or L word is off the grid
+    for word in ("DDA", "LDD"):
+        off = bundle(3, "DDD", word)
+        assert off.forward_model == "kets" and off.cells is None
+        assert off.kets.shape == (10, 8) and off.kets_h.shape == (8, 10)
+    # DDH couples the states with a last bit 0: the other four are isolated
+    isolated = bundle(3, "DDH")
+    assert isolated.isolated.tolist() == [1, 3, 5, 7] and isolated.forward_model == "kets"
+    # above projectors.TABLE_CAP the grid's 4**n cells are not formed
+    assert bundle(TABLE_CAP, "D" * TABLE_CAP).forward_model == "grid"
+    assert bundle(TABLE_CAP + 1, "D" * (TABLE_CAP + 1)).forward_model == "kets"
 
 
 @pytest.mark.parametrize("options", [MleOptions()] + [
@@ -542,7 +608,10 @@ def test_bundle_of_a_round_equals_the_bundle_of_its_basis_records(tmp_path, case
     for name in ("diagonal", "observed", "shots", "columns", "isolated", "iso"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
-    for name in ("kets", "kets_h"):
+    assert a.forward_model == b.forward_model
+    if a.forward_model == "grid":
+        assert np.array_equal(a.cells, b.cells)
+    for name in ("kets", "kets_h") if a.forward_model == "kets" else ():
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape, name
         for part in ("data", "indices", "indptr"):
@@ -571,3 +640,29 @@ def test_the_round_must_match_the_records_qubits():
         reconstruct([CountRecord("DH", 1, 4)], MleOptions(), diag)
     with pytest.raises(ValueError, match="no records given"):
         reconstruct([])
+
+
+SOURCE = str(Path(mle.__file__).resolve().parents[1])  # the child imports the package under test
+SQUARED_NORMS = """
+import numpy as np
+from tqst.mle import DOT_BLOCK, _squared_norm
+rng = np.random.default_rng(3)
+x = rng.normal(size=2 * DOT_BLOCK + 5) + 1j * rng.normal(size=2 * DOT_BLOCK + 5)
+print(_squared_norm(x).hex(), _squared_norm(x.real).hex())
+"""
+
+
+def test_squared_norm_is_the_same_at_any_blas_thread_count():
+    # a short array is one BLAS dot, as before; a long one is the same sum at
+    # one and two threads, where a single dot product of it is not
+    rng = np.random.default_rng(2)
+    for x in (np.zeros(0), rng.normal(size=37), rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))):
+        assert _squared_norm(x) == float(np.vdot(x, x).real)
+    sums = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (SOURCE, os.environ.get("PYTHONPATH")))))
+        r = subprocess.run([sys.executable, "-c", SQUARED_NORMS], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        sums.add(r.stdout)
+    assert len(sums) == 1

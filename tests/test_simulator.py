@@ -318,6 +318,16 @@ def test_noise_model_validation():
         NoiseModel(seed=[1, 2])
 
 
+def test_resolve_seed_keeps_an_integer_and_draws_for_none():
+    assert simulator.resolve_seed(7) == 7
+    assert type(simulator.resolve_seed(np.int64(7))) is int
+    fresh = simulator.resolve_seed(None)
+    assert isinstance(fresh, int) and 0 <= fresh < 2**128
+    for bad, error in ((-1, ValueError), (1.5, TypeError), ("3", TypeError), ([1, 2], TypeError)):
+        with pytest.raises(error):
+            simulator.resolve_seed(bad)
+
+
 @settings(max_examples=100, deadline=None)
 @given(entropy=st.integers(0, 2**128 - 1),
        keys=st.lists(st.integers(0, 2**64 - 1), max_size=20))
