@@ -18,9 +18,10 @@ plain factor over all 2**n columns.  The Gaussian negative log-likelihood
     L = sum_K ((n_K - N_K) / (2 sqrt(n_K)))^2,    n_K = shots_K <P_K rho P_K>
 
 is minimized with a quasi-Newton descent using the analytic gradient.  When
-every state is coupled and every word lies on {H, V, D, R}**n, as in a
-conventional plan, the model counts are n mode products of rho, one 4 x 4
-matrix per qubit; otherwise they come from the records' sparse kets.
+every state is coupled, every word lies on {H, V, D, R}**n and the words'
+kets are dense enough, as in a conventional plan, the model counts are n
+mode products of rho, one 4 x 4 matrix per qubit; otherwise they come from
+the records' sparse kets.
 :func:`likelihood` and :func:`gradient` evaluate the same model, and
 ``likelihood`` adds the left-out records' constant.
 """
@@ -50,11 +51,6 @@ JITTER = 1e-3  # scale of the random start off the measured diagonal
 #: none.  A fit whose line searches all end within 20 steps takes the same
 #: path either way.
 LINE_SEARCH_STEPS = 50
-#: Terms per block of :func:`_squared_norm`.  OpenBLAS spreads a dot product
-#: of more than 10000 terms over its threads, which moves the sum's last
-#: bits with the thread count and, through the optimizer, the whole fit (a
-#: `full` factor at n = 7 has 16384 entries); a block this long runs on one.
-DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -140,6 +136,18 @@ def _grid_adjoint(alpha: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
     return pairs.reshape(2**n, 2**n)
 
 
+def _grid_pays(nonzeros: int, rows: int, n: int) -> bool:
+    """Whether an evaluation on the grid is cheaper than on the kets, for a
+    factor of ``rows`` rows over all 2**n states and records on them whose
+    kets have ``nonzeros`` nonzeros in all.  Counted in steps of the kets'
+    sparse products, one nonzero times one factor row (about 3 ns), the kets
+    take nonzeros * rows; the grid takes 2n + rows / 10 per cell of its 4**n,
+    for the mode products each way and the gemms X = F^T conj(F) and F H,
+    and 2000 n for its 4n array steps.  Measured at one BLAS thread on a
+    2-core x86-64 host, n = 3 to 8, ranks 1, 2 and 2**n."""
+    return nonzeros * rows > 4**n * (2 * n + rows / 10) + 2000 * n
+
+
 @dataclass(frozen=True)
 class MleOptions:
     parametrization: str = "full"  # "full" or "low_rank"
@@ -206,14 +214,17 @@ class _Bundle:
 
     The fit reads the records on C through one of two forward models,
     ``forward_model``.  ``"grid"`` holds when C is every state, n <=
-    ``projectors.TABLE_CAP`` and every word is on the grid {H, V, D, R}**n,
-    as in a conventional plan: ``cells`` are the records' grid cells
-    (:func:`_grid_cells`), and all 4**n probabilities are n mode products
-    of rho.  Otherwise ``"kets"``: ``kets`` is the CSR matrix of the records
-    on C, their kets' amplitudes at their supports restricted to those
-    columns, and ``kets_h`` its conjugate transpose."""
+    ``projectors.TABLE_CAP``, every word is on the grid {H, V, D, R}**n and
+    the grid costs less than the kets for a factor of ``rows`` rows
+    (``None``: one per coupled state, as in ``full``; :func:`_grid_pays`),
+    as in a conventional plan: ``cells``
+    are the records' grid cells (:func:`_grid_cells`), and all 4**n
+    probabilities are n mode products of rho.  Otherwise ``"kets"``:
+    ``kets`` is the CSR matrix of the records on C, their kets' amplitudes
+    at their supports restricted to those columns, and ``kets_h`` its
+    conjugate transpose."""
 
-    def __init__(self, records: list[CountRecord], diag=None):
+    def __init__(self, records: list[CountRecord], diag=None, rows: int | None = None):
         if not records and diag is None:
             raise ValueError("no records given")
         lacking = np.arange(0) if diag is None else _lacking(records, diag)
@@ -251,7 +262,9 @@ class _Bundle:
         left_out = ~(on_coupled | on_isolated)
         self.constant = float(np.sum(EPSILON * shots[left_out] / 4.0))
 
-        self.cells = _grid_cells(records, lacking, n) if coupled.all() and n <= TABLE_CAP else None
+        nonzeros = int(sizes[on_coupled].sum())
+        grid = coupled.all() and n <= TABLE_CAP and _grid_pays(nonzeros, rows or self.dim, n)
+        self.cells = _grid_cells(records, lacking, n) if grid else None
         self.kets = self.kets_h = None  # built for the kets model only
         if self.cells is None:
             from scipy import sparse  # loaded at the first fit, not at import
@@ -284,6 +297,11 @@ class _Layout(NamedTuple):
     size: int
 
 
+def _rows(options: MleOptions) -> int | None:
+    """The factor's rows, None for ``full``'s one per coupled state."""
+    return options.rank if options.parametrization == "low_rank" else None
+
+
 def _layout(dim: int, options: MleOptions) -> _Layout:
     """``full``: the real diagonal, then the strict upper triangle in
     row-major order.  ``low_rank``: every entry of the r x dim factor."""
@@ -309,14 +327,6 @@ def _factor_params(f: np.ndarray, layout: _Layout) -> np.ndarray:
     return np.concatenate((flat[layout.real].real, flat[layout.complex].view(float)))
 
 
-def _squared_norm(x: np.ndarray) -> float:
-    """||x||^2 as BLAS dot products over blocks of ``DOT_BLOCK`` entries,
-    summed in order: the same at any BLAS thread count."""
-    x = x.reshape(-1)
-    return sum((float(np.vdot(x[k:k + DOT_BLOCK], x[k:k + DOT_BLOCK]).real)
-                for k in range(0, x.size, DOT_BLOCK)), 0.0)
-
-
 def _evaluate(params, bundle, layout):
     """The likelihood and its gradient with respect to the parameters: F's in
     ``layout``, then the amplitudes d of the bundle's isolated states."""
@@ -325,7 +335,7 @@ def _evaluate(params, bundle, layout):
     if params.size != k + bundle.isolated.size:
         raise ValueError(f"expected {k + bundle.isolated.size} parameters, got {params.size}")
     f, d = _build_factor(params[:k], layout), params[k:]
-    tau = _squared_norm(f) + _squared_norm(d)
+    tau = float(np.real(np.vdot(f, f))) + float(d @ d)
     if tau <= 0.0 or not math.isfinite(tau):
         raise ValueError("all-zero parameters: trace normalization undefined")
 
@@ -367,14 +377,14 @@ def likelihood(params: np.ndarray, records: list[CountRecord], options: MleOptio
     """The objective :func:`reconstruct` minimizes, with the left-out records'
     constant: the parameters are F's over the coupled states, packed as in
     :func:`_layout`, then the isolated states' amplitudes."""
-    bundle = _Bundle(records, diag)
+    bundle = _Bundle(records, diag, _rows(options))
     return _evaluate(params, bundle, _layout(bundle.columns.size, options))[0] + bundle.constant
 
 
 def gradient(params: np.ndarray, records: list[CountRecord], options: MleOptions = MleOptions(),
              diag=None) -> np.ndarray:
     """Analytic gradient of :func:`likelihood` with respect to the parameters."""
-    bundle = _Bundle(records, diag)
+    bundle = _Bundle(records, diag, _rows(options))
     return _evaluate(params, bundle, _layout(bundle.columns.size, options))[1]
 
 
@@ -423,7 +433,7 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions(),
     Non-convergence is reported through ``converged`` on the result, not raised.
     """
     start = time.perf_counter()
-    bundle = _Bundle(records, diag)
+    bundle = _Bundle(records, diag, _rows(options))
     layout = _layout(bundle.columns.size, options)
     x0 = _initial_params(bundle, layout, options)
     res = minimize(
@@ -441,10 +451,10 @@ def reconstruct(records: list[CountRecord], options: MleOptions = MleOptions(),
         },
     )
     f, d = _build_factor(res.x[: layout.size], layout), res.x[layout.size :]
-    tau = _squared_norm(f) + _squared_norm(d)
+    tau = float(np.real(np.vdot(f, f))) + float(d @ d)
     if not f.shape[0]:  # `full` with no coupled state: an empty factor row
         f = np.zeros((1, 0), dtype=complex)
-    gnorm = math.sqrt(_squared_norm(res.jac))
+    gnorm = float(np.linalg.norm(res.jac))
     return ReconstructionResult(
         state=BlockState(bundle.n, bundle.columns, f / math.sqrt(tau), bundle.isolated, d * d / tau),
         final_objective=float(res.fun) + bundle.constant,

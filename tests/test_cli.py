@@ -173,15 +173,16 @@ def test_diagnostics_report_the_fit_size(w3_run, tmp_path):
 
 def test_diagnostics_report_the_forward_model(w3_run, tmp_path):
     # the threshold plan couples 7 of 8 states, so the fit reads the kets; noisy
-    # W at t = 0 measures all 64 grid words on every state
+    # W at t = 0 measures all 256 grid words on every state, whose kets' 1296
+    # nonzeros times the full factor's 16 rows cost more than the grid
     out, _ = w3_run
     assert json.loads((out / "diagnostics.json").read_text())["forward_model"] == "kets"
-    r = tqst("run", "--state", "w", "--n", 3, "--threshold", 0, "--lambda", 0.05, "--seed", 1,
+    r = tqst("run", "--state", "w", "--n", 4, "--threshold", 0, "--lambda", 0.05, "--seed", 1,
              "--out", tmp_path)
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout)["measurements"] == 64
+    assert json.loads(r.stdout)["measurements"] == 256
     diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
-    assert (diagnostics["forward_model"], diagnostics["columns_fitted"]) == ("grid", 8)
+    assert (diagnostics["forward_model"], diagnostics["columns_fitted"]) == ("grid", 16)
 
 
 def _dense_report(a, b):

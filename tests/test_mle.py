@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from tqst import mle
-from tqst.core import BlockState, basis_word, density, expectation, validate_density
+from tqst.core import BlockState, ElementIndex, basis_word, density, expectation, validate_density
 from tqst.metrics import compare, trace_distance
 from tqst.mle import (
     EPSILON,
@@ -21,14 +16,13 @@ from tqst.mle import (
     _factor_params,
     _initial_params,
     _layout,
-    _squared_norm,
     gradient,
     likelihood,
     read_counts_csv,
     reconstruct,
     write_counts_csv,
 )
-from tqst.projectors import TABLE_CAP, build_projector_table
+from tqst.projectors import TABLE_CAP, build_projector_table, projector_for
 from tqst.simulator import NoiseModel, sample_counts, sample_diagonal, w_state
 from tqst.threshold import DiagonalRecord, select_offdiagonal
 
@@ -173,9 +167,11 @@ GRID_DIGITS = str.maketrans("HVDR", "0123")
 
 @pytest.mark.parametrize("options", [MleOptions(), MleOptions(parametrization="low_rank", rank=2)])
 @pytest.mark.parametrize("n, dropped", [(3, 0.0), (4, 0.0), (3, 0.3), (4, 0.3)])
-def test_grid_kernel_matches_dense_reference(n, dropped, options):
+def test_grid_kernel_matches_dense_reference(n, dropped, options, monkeypatch):
     # a conventional plan's superposition words, all of them or a part that
-    # still couples every state, after a diagonal round with zero counts
+    # still couples every state, after a diagonal round with zero counts; at
+    # these sizes the kets cost less, so the grid is forced
+    monkeypatch.setattr(mle, "_grid_pays", lambda *_: True)
     rng = np.random.default_rng(70 + n)
     dim = 2**n
     words = [w for w in build_projector_table(n).words() if w.strip("HV") and rng.random() >= dropped]
@@ -201,7 +197,9 @@ def test_grid_kernel_matches_dense_reference(n, dropped, options):
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
-def test_forward_model_is_the_grid_only_on_a_coupled_grid():
+def test_forward_model_is_the_grid_only_on_a_coupled_grid(monkeypatch):
+    monkeypatch.setattr(mle, "_grid_pays", lambda *_: True)  # whatever the cost
+
     def bundle(n, *words):
         basis = [CountRecord(basis_word(k, n), 10, 1000) for k in range(2**n)]
         return _Bundle(basis + [CountRecord(w, 500, 1000) for w in words])
@@ -220,6 +218,27 @@ def test_forward_model_is_the_grid_only_on_a_coupled_grid():
     # above projectors.TABLE_CAP the grid's 4**n cells are not formed
     assert bundle(TABLE_CAP, "D" * TABLE_CAP).forward_model == "grid"
     assert bundle(TABLE_CAP + 1, "D" * (TABLE_CAP + 1)).forward_model == "kets"
+
+
+def test_forward_model_is_the_grid_only_where_it_costs_less():
+    # a conventional plan at n = 6: 4096 words whose kets have 6**6 nonzeros
+    words = build_projector_table(6).words()
+    conventional = [CountRecord(w, 500, 1000) for w in words]
+    assert _Bundle(conventional, rows=2).forward_model == "grid"  # w6_conventional
+    assert _Bundle(conventional).forward_model == "grid"  # full: 64 rows
+    assert _Bundle(conventional, rows=1).forward_model == "kets"
+    # a sparse plan at n = 8 that couples every state through the 255 pairs
+    # (k, k + 1): 4352 nonzeros, where the grid has 65536 cells
+    n = 8
+    pairs = [projector_for(n, ElementIndex(k, k + 1, part)) for k in range(2**n - 1)
+             for part in ("re", "im")]
+    sparse = [CountRecord(w, 500, 1000) for w in [basis_word(k, n) for k in range(2**n)] + pairs]
+    bundle = _Bundle(sparse, rows=2)
+    assert bundle.columns.size == 2**n and bundle.forward_model == "kets"
+    assert bundle.kets.nnz == 4352
+    # reconstruct hands the bundle the factor's rows
+    assert reconstruct(conventional, MleOptions(max_iterations=1)).forward_model == "grid"
+    assert reconstruct(conventional, MleOptions("low_rank", 1, max_iterations=1)).forward_model == "kets"
 
 
 @pytest.mark.parametrize("options", [MleOptions()] + [
@@ -640,29 +659,3 @@ def test_the_round_must_match_the_records_qubits():
         reconstruct([CountRecord("DH", 1, 4)], MleOptions(), diag)
     with pytest.raises(ValueError, match="no records given"):
         reconstruct([])
-
-
-SOURCE = str(Path(mle.__file__).resolve().parents[1])  # the child imports the package under test
-SQUARED_NORMS = """
-import numpy as np
-from tqst.mle import DOT_BLOCK, _squared_norm
-rng = np.random.default_rng(3)
-x = rng.normal(size=2 * DOT_BLOCK + 5) + 1j * rng.normal(size=2 * DOT_BLOCK + 5)
-print(_squared_norm(x).hex(), _squared_norm(x.real).hex())
-"""
-
-
-def test_squared_norm_is_the_same_at_any_blas_thread_count():
-    # a short array is one BLAS dot, as before; a long one is the same sum at
-    # one and two threads, where a single dot product of it is not
-    rng = np.random.default_rng(2)
-    for x in (np.zeros(0), rng.normal(size=37), rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))):
-        assert _squared_norm(x) == float(np.vdot(x, x).real)
-    sums = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, (SOURCE, os.environ.get("PYTHONPATH")))))
-        r = subprocess.run([sys.executable, "-c", SQUARED_NORMS], capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        sums.add(r.stdout)
-    assert len(sums) == 1
