@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
 
@@ -21,7 +22,8 @@ import numpy as np
 
 #: Amplitudes of the six single-qubit measurement states in the computational
 #: basis (H = |0>, V = |1>), read-only.  ``product_ket`` reads H and V as
-#: fixed bits and multiplies the entries of the D, A, R and L letters.
+#: fixed bits and multiplies the entries of the D, A, R and L letters, one
+#: table entry per letter string (:func:`_letter_amplitudes`).
 STATE_VECTORS = {
     "H": np.array([1.0, 0.0], dtype=complex),
     "V": np.array([0.0, 1.0], dtype=complex),
@@ -86,7 +88,6 @@ def validate_word(word: str) -> str:
 
 
 _BITS_TO_HV = str.maketrans("01", "HV")
-_V_BITS = str.maketrans("HVDARL", "010000")
 
 
 def basis_word(index: int, n: int) -> str:
@@ -106,20 +107,63 @@ def basis_words(n: int) -> np.ndarray:
     return letters.view(f"U{n}").ravel()
 
 
+#: Kets of at most this many nonzeros (8 D/A/R/L letters) have their parts
+#: kept in the two ket tables; larger ones are built anew at each call.
+KET_TABLE_NONZEROS = 2**8
+#: Entries of each ket table, least recently used evicted first: at most
+#: 1024 x 2 KiB of offsets and 1024 x 4 KiB of amplitudes, 6 MiB in all.
+KET_TABLE_ENTRIES = 1024
+
+_V_BYTES = bytes.maketrans(b"HVDARL", b"010000")
+_SUPERPOSITION_BYTES = bytes.maketrans(b"HVDARL", b"001111")
+
+
+@lru_cache(maxsize=KET_TABLE_ENTRIES)
+def _support_offsets(mask: int) -> np.ndarray:
+    """The increasing sums of the subsets of the bits of ``mask``, read-only
+    int64: a ket's support above its H/V base index, for the D/A/R/L letters
+    at the set bits (bit q is the letter q places from the end)."""
+    offsets = [0]
+    for q in range(mask.bit_length()):  # bit q, lowest first: the offsets stay increasing
+        if mask >> q & 1:
+            offsets += [k | 1 << q for k in offsets]
+    offsets = np.array(offsets, dtype=np.int64)
+    offsets.setflags(write=False)
+    return offsets
+
+
+@lru_cache(maxsize=KET_TABLE_ENTRIES)
+def _letter_amplitudes(letters: str) -> np.ndarray:
+    """The products of np.kron over the D/A/R/L ``letters``, read-only: one
+    chained ``np.multiply.outer`` per letter after the first."""
+    amplitudes = STATE_VECTORS[letters[0]] if letters else np.ones(1, dtype=complex)
+    for c in letters[1:]:
+        amplitudes = np.multiply.outer(amplitudes, STATE_VECTORS[c]).ravel()
+    amplitudes.setflags(write=False)
+    return amplitudes
+
+
 def product_ket(word: str) -> tuple[np.ndarray, np.ndarray]:
     """The nonzeros of the tensor product of single-qubit amplitudes, first
     letter most significant: increasing int64 basis indices ``support`` and
-    their ``amplitudes``.  H and V fix a bit; each D/A/R/L letter doubles both."""
+    their ``amplitudes``.  H and V fix a bit; each D/A/R/L letter doubles both.
+
+    The support is the word's H/V base index plus offsets that depend only on
+    its D/A/R/L bit mask; the amplitudes depend only on its D/A/R/L letters.
+    Both are kept in a table, :func:`_support_offsets` by the mask and
+    :func:`_letter_amplitudes` by the letter string, of at most
+    ``KET_TABLE_ENTRIES`` entries each, for kets of at most
+    ``KET_TABLE_NONZEROS`` nonzeros; a larger ket is built by the same
+    functions without a table.  The amplitudes returned are read-only and may
+    be shared between calls; the support is a new array."""
     validate_word(word)
-    support = [int(word.translate(_V_BITS), 2)]
-    for q, c in enumerate(reversed(word)):  # bit q, lowest first: the support stays increasing
-        if c in "DARL":
-            support += [k | 1 << q for k in support]
+    code = word.encode()
+    base = int(code.translate(_V_BYTES), 2)
+    mask = int(code.translate(_SUPERPOSITION_BYTES), 2)
     letters = word.replace("H", "").replace("V", "")
-    amplitudes = STATE_VECTORS[letters[0]] if letters else np.ones(1, dtype=complex)
-    for c in letters[1:]:  # the products of np.kron, over the D/A/R/L letters
-        amplitudes = np.multiply.outer(amplitudes, STATE_VECTORS[c]).ravel()
-    return np.array(support, dtype=np.int64), amplitudes
+    if 2 ** len(letters) > KET_TABLE_NONZEROS:
+        return base + _support_offsets.__wrapped__(mask), _letter_amplitudes.__wrapped__(letters)
+    return base + _support_offsets(mask), _letter_amplitudes(letters)
 
 
 def expectation(factor: np.ndarray, word: str) -> float:

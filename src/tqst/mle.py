@@ -69,19 +69,27 @@ class CountRecord:
             raise ValueError(f"observed={self.observed} outside [0, shots={self.shots}]")
 
 
-_BASIS_BITS = str.maketrans("HV", "01")
+def _letter_codes(records: list[CountRecord], n: int) -> np.ndarray:
+    """The records' words as one m x ``n`` array of their letters' code points."""
+    return np.frombuffer("".join(rec.projector for rec in records).encode(),
+                         dtype=np.uint8).reshape(-1, n)
 
 
 def _lacking(records: list[CountRecord], diag) -> np.ndarray:
     """The basis states of the diagonal round ``diag``, a
     :class:`~tqst.threshold.DiagonalRecord`, that no record measures, in
     basis order; a record of another qubit count raises."""
-    lacking = np.ones(2**diag.n, dtype=bool)
-    for rec in records:
-        if len(rec.projector) != diag.n:
-            raise ValueError(f"a {len(rec.projector)}-qubit record with a {diag.n}-qubit diagonal")
-        if not rec.projector.strip("HV"):
-            lacking[int(rec.projector.translate(_BASIS_BITS), 2)] = False
+    n = diag.n
+    lengths = np.fromiter((len(rec.projector) for rec in records), dtype=np.int64,
+                          count=len(records))
+    wrong = np.flatnonzero(lengths != n)
+    if wrong.size:
+        raise ValueError(f"a {lengths[wrong[0]]}-qubit record with a {n}-qubit diagonal")
+    codes = _letter_codes(records, n)
+    v = codes == ord("V")
+    basis = (v | (codes == ord("H"))).all(axis=1)  # the H/V words
+    lacking = np.ones(2**n, dtype=bool)
+    lacking[v[basis] @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))] = False
     return np.flatnonzero(lacking)
 
 
@@ -99,8 +107,7 @@ def _grid_cells(records: list[CountRecord], lacking: np.ndarray, n: int) -> np.n
     4**n word grid {H, V, D, R}**n: the letters as base-4 digits, H = 0,
     V = 1, D = 2, R = 3, first letter most significant; None if a record's
     word has an A or L."""
-    codes = np.frombuffer("".join(rec.projector for rec in records).encode(), dtype=np.uint8)
-    digits = _GRID_DIGITS[codes].reshape(-1, n)
+    digits = _GRID_DIGITS[_letter_codes(records, n)]
     if (digits < 0).any():
         return None
     place = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)

@@ -4,6 +4,7 @@ renamed or deleted, or a call pattern the benchmark's invariants count on
 changes, instead of in the minutes-long perfbench/smoke.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,22 +44,42 @@ def test_tracer_patches_and_restores_tqst_attributes(tracing):
     assert _changed(before) == []
 
 
-def test_traced_run_keeps_the_smoke_invariants(tracing, tmp_path, capsys):
-    """perfbench/smoke.py's call-count invariants, on one small traced run."""
+def _traced_run(tracing, args, capsys):
+    """The metrics of one traced ``tqst run`` invocation with ``args``."""
     tracer = tracing.Tracer()
     tracer.invocation = 0
     tracer.install(tqst)
     try:
         root = tracer.open("cli.main")
-        tqst.cli.cli.main(["run", "--state", "w", "--n", "3", "--threshold", "0.1", "--exact",
-                           "--seed", "1", "--out", str(tmp_path)], standalone_mode=False)
+        tqst.cli.cli.main(["run", *map(str, args)], standalone_mode=False)
         tracer.close(root)
     finally:
         tracer.uninstall()
     capsys.readouterr()
     m, _ = tracing.invocation_metrics(tracer.spans, root)
+    return m
+
+
+def test_traced_run_keeps_the_smoke_invariants(tracing, tmp_path, capsys):
+    """perfbench/smoke.py's call-count invariants, on one small traced run."""
+    m = _traced_run(tracing, ["--state", "w", "--n", "3", "--threshold", "0.1", "--exact",
+                              "--seed", "1", "--out", tmp_path], capsys)
     assert m["mle.records"] == 6  # the plan's records; the 8 basis states stay in the diagonal round
     assert m["core.product_ket_calls"] == m["mle.records"]
     assert m["threshold.pairs_kept"] == 3
+    kept = 2 * m["threshold.pairs_kept"]
+    assert m["core.expectation_calls"] == m["projectors.projector_for_calls"] == kept
+
+
+def test_traced_run_on_the_grid_keeps_the_smoke_invariants(tracing, tmp_path, capsys):
+    """The same invariants when the fit takes the grid forward model, as
+    w6_conventional does: a conventional n = 4 plan (t = 0) on a state with
+    every population nonzero, fitted in ``full``."""
+    m = _traced_run(tracing, ["--state", "random", "--filling", "1", "--n", "4",
+                              "--threshold", "0", "--exact", "--seed", "1",
+                              "--parametrization", "full", "--out", tmp_path], capsys)
+    assert json.loads((tmp_path / "diagnostics.json").read_text())["forward_model"] == "grid"
+    assert m["threshold.pairs_kept"] == 16 * 15 // 2
+    assert m["core.product_ket_calls"] == m["mle.records"]
     kept = 2 * m["threshold.pairs_kept"]
     assert m["core.expectation_calls"] == m["projectors.projector_for_calls"] == kept

@@ -711,7 +711,10 @@ def tqst_cli(*args):
     tqst.cli.cli.main([str(a) for a in args], standalone_mode=False)
 
 out = Path(sys.argv[1])
-seen = {"import": scipy_loaded(), "numpy.random": "numpy.random" in sys.modules}
+seen = {"import": scipy_loaded(), "numpy.random": "numpy.random" in sys.modules,
+        # no ket table is filled at import: setup time builds none
+        "ket tables": [core._support_offsets.cache_info().currsize,
+                       core._letter_amplitudes.cache_info().currsize]}
 tqst_cli("simulate", "--state", "w", "--n", 3, "--exact", "--seed", 1, "--out", out / "ideal")
 seen["exact"] = "numpy.random" in sys.modules  # the exact counts draw nothing
 for k in range(2):
@@ -738,8 +741,8 @@ def test_only_the_fit_loads_scipy(tmp_path):
     r = python("-c", SCIPY_GUARD, tmp_path)
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout.splitlines()[-1])
-    assert seen == {"import": False, "numpy.random": False, "exact": False, "commands": False,
-                    "reconstruct": True}
+    assert seen == {"import": False, "numpy.random": False, "ket tables": [0, 0], "exact": False,
+                    "commands": False, "reconstruct": True}
 
 
 def test_colorcode_run_summary(tmp_path):

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tqst import core
 from tqst.core import (
+    KET_TABLE_NONZEROS,
+    MAX_QUBITS,
     BlockState,
     ElementIndex,
     STATE_LABELS,
@@ -26,9 +29,9 @@ from tqst.core import (
 )
 from tqst.mle import read_counts_csv
 from tqst.simulator import w_state
-from tqst.threshold import read_diagonal_csv, read_plan_csv
+from tqst.threshold import DiagonalRecord, read_diagonal_csv, read_plan_csv, select_offdiagonal
 
-from kets import dense_ket
+from kets import dense_ket, reference_ket
 
 
 def brute_force_tensor(word):
@@ -107,16 +110,67 @@ def test_product_ket_of_a_62_letter_word():
 
 
 def test_product_ket_table_is_read_only():
-    # writing into a returned array either raises or leaves later kets unchanged
-    words = ("H", "V", "D", "HL", "RA", "HVH")
-    before = [dense_ket(word) for word in words]
-    for word in words:
-        for array in product_ket(word):
-            try:
-                array[0] = 5
-            except ValueError as exc:
-                assert "read-only" in str(exc)
-    assert all(np.array_equal(dense_ket(w), b) for w, b in zip(words, before))
+    # the amplitudes may be a table's own array; the support is new at each call
+    for word in ("H", "D", "HL", "RAVD", "D" * 9):
+        support, amplitudes = product_ket(word)
+        with pytest.raises(ValueError, match="read-only"):
+            amplitudes[0] = 5
+        support[0] = -1
+        assert product_ket(word)[0][0] != -1
+
+
+@st.composite
+def sparse_words(draw):
+    """Words of 1 to 62 letters with at most 12 D/A/R/L letters: kets of up to
+    4096 nonzeros, on both sides of the tables' gate."""
+    letters = draw(st.lists(st.sampled_from("HV"), min_size=1, max_size=MAX_QUBITS))
+    places = draw(st.lists(st.integers(0, len(letters) - 1), max_size=12, unique=True))
+    for q in places:
+        letters[q] = draw(st.sampled_from("DARL"))
+    return "".join(letters)
+
+
+@given(sparse_words())
+@example("D" * 8)  # 256 nonzeros: the largest ket kept in the tables
+@example("D" * 9)  # 512: built anew
+@example("V" + "H" * 49 + "RLADRLADRLAD")  # 12 letters at the low bits, near 2**61
+@example("ALRD" + "V" * 58)  # 4 letters at the top bits
+def test_product_ket_matches_the_reference_bit_for_bit(word):
+    support, amplitudes = product_ket(word)
+    ref_support, ref_amplitudes = reference_ket(word)
+    assert support.dtype == ref_support.dtype == np.int64
+    assert np.array_equal(support, ref_support)
+    assert amplitudes.dtype == ref_amplitudes.dtype
+    assert amplitudes.tobytes() == ref_amplitudes.tobytes()
+
+
+def _table_sizes():
+    return (core._support_offsets.cache_info().currsize,
+            core._letter_amplitudes.cache_info().currsize)
+
+
+def test_ket_tables_keep_only_kets_below_the_gate():
+    core._support_offsets.cache_clear()
+    core._letter_amplitudes.cache_clear()
+    assert 2**8 == KET_TABLE_NONZEROS
+    product_ket("H" * 40 + "DRLADRLA" + "V" * 14)  # 2**8 nonzeros: kept
+    assert _table_sizes() == (1, 1)
+    support, _ = product_ket("H" * 40 + "DRLADRLAD" + "V" * 13)  # 2**9: built anew
+    assert _table_sizes() == (1, 1) and support.size == 2**9
+    assert core._support_offsets.cache_info().maxsize == core.KET_TABLE_ENTRIES == 1024
+    assert core._letter_amplitudes.cache_info().maxsize == core.KET_TABLE_ENTRIES
+
+
+def test_ket_tables_of_the_w6_plan_hold_its_masks_and_letter_strings():
+    # the conventional n = 6 plan, as w6_conventional keeps it: 4032 words on
+    # {H, V, D, R}**6, with 63 D/R bit masks and 126 D/R letter strings
+    plan = select_offdiagonal(DiagonalRecord(counts=np.ones(64, dtype=np.int64), shots=64), 0.0)
+    assert len(plan.words) == 4032
+    core._support_offsets.cache_clear()
+    core._letter_amplitudes.cache_clear()
+    for word in plan.words:
+        product_ket(word)
+    assert _table_sizes() == (63, 126)
 
 
 def test_product_ket_rejects_empty_and_bad_letters():
