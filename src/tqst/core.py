@@ -52,10 +52,6 @@ class ResourceLimitError(TomographyError):
     """A computation was requested above its configured size cap."""
 
 
-class NumericalFailureError(TomographyError):
-    """A numerical step failed (singular system, non-convergent factorization)."""
-
-
 @dataclass(frozen=True)
 class ElementIndex:
     """Targeted density-matrix element: row ``i``, column ``j``, and which real

@@ -38,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (STATE_VECTORS, BlockState, basis_word, basis_words, decimal_rows, product_ket,
-                   read_head, validate_word, write_table)
-from .projectors import TABLE_CAP
+from .core import (BlockState, basis_word, basis_words, decimal_rows, product_ket, read_head,
+                   validate_word, write_table)
+from .projectors import TABLE_CAP, _grid_adjoint, _grid_cells, _grid_probabilities, _letter_codes
 
 EPSILON = 1e-9  # relative floor for model counts n_K
 JITTER = 1e-3  # scale of the random start off the measured diagonal
@@ -69,12 +69,6 @@ class CountRecord:
             raise ValueError(f"observed={self.observed} outside [0, shots={self.shots}]")
 
 
-def _letter_codes(records: list[CountRecord], n: int) -> np.ndarray:
-    """The records' words as one m x ``n`` array of their letters' code points."""
-    return np.frombuffer("".join(rec.projector for rec in records).encode(),
-                         dtype=np.uint8).reshape(-1, n)
-
-
 def _lacking(records: list[CountRecord], diag) -> np.ndarray:
     """The basis states of the diagonal round ``diag``, a
     :class:`~tqst.threshold.DiagonalRecord`, that no record measures, in
@@ -85,62 +79,12 @@ def _lacking(records: list[CountRecord], diag) -> np.ndarray:
     wrong = np.flatnonzero(lengths != n)
     if wrong.size:
         raise ValueError(f"a {lengths[wrong[0]]}-qubit record with a {n}-qubit diagonal")
-    codes = _letter_codes(records, n)
+    codes = _letter_codes((rec.projector for rec in records), n)
     v = codes == ord("V")
     basis = (v | (codes == ord("H"))).all(axis=1)  # the H/V words
     lacking = np.ones(2**n, dtype=bool)
     lacking[v[basis] @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))] = False
     return np.flatnonzero(lacking)
-
-
-_GRID_LETTERS = "HVDR"
-#: T[l, 2a + b] = v_l[a] conj(v_l[b]) for the grid letters l = H, V, D, R:
-#: the one-qubit factor of |psi_w><psi_w| over a pair (a, b) of rho's bits
-_GRID_PAIRS = np.array([np.outer(STATE_VECTORS[c], STATE_VECTORS[c].conj()).ravel()
-                        for c in _GRID_LETTERS])
-_GRID_DIGITS = np.full(128, -1, dtype=np.int64)  # a letter's base-4 digit, -1 off the grid
-_GRID_DIGITS[[ord(c) for c in _GRID_LETTERS]] = np.arange(4)
-
-
-def _grid_cells(records: list[CountRecord], lacking: np.ndarray, n: int) -> np.ndarray | None:
-    """The cells of the basis states ``lacking``, then of the records, in the
-    4**n word grid {H, V, D, R}**n: the letters as base-4 digits, H = 0,
-    V = 1, D = 2, R = 3, first letter most significant; None if a record's
-    word has an A or L."""
-    digits = _GRID_DIGITS[_letter_codes(records, n)]
-    if (digits < 0).any():
-        return None
-    place = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (lacking[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return np.concatenate((bits @ place, digits @ place))
-
-
-def _mode_products(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """``x``, 4**n entries over n base-4 digits, first most significant, with
-    the 4 x 4 matrix ``m`` applied along every digit."""
-    mt = m.T
-    for _ in range(n):
-        # contracts the leading digit and puts the new one last: after n
-        # steps the digits are back in order
-        x = x.reshape(4, -1).T @ mt
-    return x.reshape(-1)
-
-
-def _grid_probabilities(f: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
-    """||F psi_w||^2 of the grid words at ``cells``: X = F^T conj(F), its
-    row and column bits paired as (a_1, b_1, ..., a_n, b_n), through T
-    along each pair."""
-    x = (f.T @ f.conj()).reshape((2,) * 2 * n).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
-    return _mode_products(x, _GRID_PAIRS, n)[cells].real
-
-
-def _grid_adjoint(alpha: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
-    """H = sum_w alpha_w psi_w psi_w^dag, the adjoint of
-    :func:`_grid_probabilities` at X, as a 2**n x 2**n matrix: the
-    per-cell sums of ``alpha`` through T^T along each pair."""
-    g = _mode_products(np.bincount(cells, alpha, minlength=4**n), _GRID_PAIRS.T, n)
-    pairs = g.reshape((2,) * 2 * n).transpose(np.arange(2 * n).reshape(n, 2).T.ravel())
-    return pairs.reshape(2**n, 2**n)
 
 
 def _grid_pays(nonzeros: int, rows: int, n: int) -> bool:
@@ -225,7 +169,8 @@ class _Bundle:
     the grid costs less than the kets for a factor of ``rows`` rows
     (``None``: one per coupled state, as in ``full``; :func:`_grid_pays`),
     as in a conventional plan: ``cells``
-    are the records' grid cells (:func:`_grid_cells`), and all 4**n
+    are the grid cells of the lacking basis states' words, then of the
+    records' (:func:`~tqst.projectors._grid_cells`), and all 4**n
     probabilities are n mode products of rho.  Otherwise ``"kets"``:
     ``kets`` is the CSR matrix of the records on C, their kets' amplitudes
     at their supports restricted to those columns, and ``kets_h`` its
@@ -271,7 +216,8 @@ class _Bundle:
 
         nonzeros = int(sizes[on_coupled].sum())
         grid = coupled.all() and n <= TABLE_CAP and _grid_pays(nonzeros, rows or self.dim, n)
-        self.cells = _grid_cells(records, lacking, n) if grid else None
+        words = chain(basis_words(n)[lacking], (rec.projector for rec in records))
+        self.cells = _grid_cells(words, n) if grid else None
         self.kets = self.kets_h = None  # built for the kets model only
         if self.cells is None:
             from scipy import sparse  # loaded at the first fit, not at import

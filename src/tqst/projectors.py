@@ -11,10 +11,12 @@ are provided:
 * :func:`projector_for` computes a single word on demand by walking the
   nested 2x2 quadrant subdivision of the matrix, one qubit per level.
 
-The resulting 4**n words are exactly the product words over {H, V, D, R}, so
-their Gram matrix of squared overlaps factorizes over qubits and is always
-invertible; :func:`linear_inversion` uses it to reconstruct a matrix from
-exact or sampled expectation values.
+The resulting 4**n words are exactly the product words over {H, V, D, R},
+the cells of one 4**n word grid.  Probabilities and sums over that grid are
+n mode products, one 4 x 4 matrix per qubit, the kernel that the fit's grid
+model, :func:`linear_inversion` and :func:`completeness_check` share: in
+cell order the Gram matrix of squared overlaps is the n-fold Kronecker power
+of the one-qubit one, and so always invertible.
 """
 
 from __future__ import annotations
@@ -25,17 +27,14 @@ import numpy as np
 
 from .core import (
     ElementIndex,
-    NumericalFailureError,
     ResourceLimitError,
     STATE_LABELS,
     STATE_VECTORS,
     basis_word,
-    product_ket,
     validate_word,
 )
 
 TABLE_CAP = 8
-GRAM_CAP = 6
 MIN_SINGULAR_VALUE = 1e-10  # completeness: smallest Gram singular value
 HERMITIAN_TOL = 1e-9  # psd_projection input checks
 TRACE_TOL = 1e-6
@@ -166,17 +165,68 @@ def build_projector_table(n: int) -> ProjectorTable:
     return ProjectorTable(n=n, grid=tuple(map(tuple, grid)))
 
 
-def _letter_overlap_sq() -> np.ndarray:
-    """6x6 table of |<a|b>|**2 between single-qubit states."""
-    table = np.empty((6, 6))
-    for p, a in enumerate(STATE_LABELS):
-        for q, b in enumerate(STATE_LABELS):
-            table[p, q] = abs(np.vdot(STATE_VECTORS[a], STATE_VECTORS[b])) ** 2
-    return table
+_GRID_LETTERS = "HVDR"
+#: T[l, 2a + b] = v_l[a] conj(v_l[b]) for the grid letters l = H, V, D, R:
+#: the one-qubit factor of |psi_w><psi_w| over a pair (a, b) of rho's bits
+_GRID_PAIRS = np.array([np.outer(STATE_VECTORS[c], STATE_VECTORS[c].conj()).ravel()
+                        for c in _GRID_LETTERS])
+_GRID_DIGITS = np.full(128, -1, dtype=np.int64)  # a letter's base-4 digit, -1 off the grid
+_GRID_DIGITS[[ord(c) for c in _GRID_LETTERS]] = np.arange(4)
+
+
+def _letter_codes(words, n: int) -> np.ndarray:
+    """The ``n``-letter ``words`` as one m x ``n`` array of their letters' code points."""
+    return np.frombuffer("".join(words).encode(), dtype=np.uint8).reshape(-1, n)
+
+
+def _grid_cells(words, n: int) -> np.ndarray | None:
+    """The cells of the ``n``-letter ``words`` in the 4**n word grid
+    {H, V, D, R}**n: the letters as base-4 digits, H = 0, V = 1, D = 2,
+    R = 3, first letter most significant; None if a word has an A or L."""
+    digits = _GRID_DIGITS[_letter_codes(words, n)]
+    if (digits < 0).any():
+        return None
+    return digits @ 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _mode_products(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """``x``, 4**n entries over n base-4 digits, first most significant, with
+    the 4 x 4 matrix ``m`` applied along every digit."""
+    mt = m.T
+    for _ in range(n):
+        # contracts the leading digit and puts the new one last: after n
+        # steps the digits are back in order
+        x = x.reshape(4, -1).T @ mt
+    return x.reshape(-1)
+
+
+def _grid_probabilities(f: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """||F psi_w||^2 of the grid words at ``cells``: X = F^T conj(F), its
+    row and column bits paired as (a_1, b_1, ..., a_n, b_n), through T
+    along each pair."""
+    x = (f.T @ f.conj()).reshape((2,) * 2 * n).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    return _mode_products(x, _GRID_PAIRS, n)[cells].real
+
+
+def _grid_adjoint(alpha: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """H = sum_w alpha_w psi_w psi_w^dag, the adjoint of
+    :func:`_grid_probabilities` at X, as a 2**n x 2**n matrix: the
+    per-cell sums of ``alpha`` through T^T along each pair."""
+    g = _mode_products(np.bincount(cells, alpha, minlength=4**n), _GRID_PAIRS.T, n)
+    pairs = g.reshape((2,) * 2 * n).transpose(np.arange(2 * n).reshape(n, 2).T.ravel())
+    return pairs.reshape(2**n, 2**n)
+
+
+def _grid_gram() -> np.ndarray:
+    """G_1 = T T^dag, the squared overlaps |<l|l'>|^2 of the grid letters:
+    in cell order, the Gram matrix of the 4**n grid words is its n-fold
+    Kronecker power."""
+    return (_GRID_PAIRS @ _GRID_PAIRS.conj().T).real
 
 
 def gram_matrix(projectors: list[str]) -> np.ndarray:
-    """Matrix of squared overlaps |<psi_a|psi_b>|**2 between projector kets.
+    """Matrix of squared overlaps |<psi_a|psi_b>|**2 between projector kets,
+    by brute force over every pair of words.
 
     Overlaps of product states factorize over qubits, so the matrix is built
     from the 6x6 single-qubit table without forming any 2**n kets.
@@ -189,7 +239,8 @@ def gram_matrix(projectors: list[str]) -> np.ndarray:
         if len(w) != n:
             raise ValueError(f"mixed word lengths: {w!r} vs length {n}")
     letters = np.array([[STATE_LABELS.index(c) for c in w] for w in projectors])
-    base = _letter_overlap_sq()
+    vectors = np.array([STATE_VECTORS[c] for c in STATE_LABELS])
+    base = np.abs(vectors.conj() @ vectors.T) ** 2  # |<a|b>|**2 between single-qubit states
     m = np.ones((len(projectors), len(projectors)))
     for q in range(n):
         col = letters[:, q]
@@ -206,17 +257,14 @@ class CompletenessReport:
 
 
 def completeness_check(n: int) -> CompletenessReport:
-    """Invertibility of the full 4**n Gram matrix via its smallest singular value."""
-    if n < 1:
-        raise ValueError("qubit count must be >= 1")
-    if n > GRAM_CAP:
-        raise ResourceLimitError(
-            f"Gram matrix for n={n} has order 4**{n}; the limit is n <= {GRAM_CAP}"
-        )
+    """Invertibility of the full set's Gram matrix, from its smallest
+    singular value: sigma_min(G_1)**n when the table's words fill each cell
+    of the word grid once (:func:`_grid_gram`), and 0 when they do not, as
+    with a repeated word, whose two equal rows make the matrix singular."""
     words = build_projector_table(n).words()
-    m = gram_matrix(words)
-    # symmetric matrix: singular values are the absolute eigenvalues
-    smin = float(np.min(np.abs(np.linalg.eigvalsh(m))))
+    cells = _grid_cells(words, n)
+    filled = cells is not None and np.array_equal(np.sort(cells), np.arange(4**n))
+    smin = float(np.linalg.eigvalsh(_grid_gram())[0]) ** n if filled else 0.0
     return CompletenessReport(
         n=n, order=len(words), min_singular_value=smin, invertible=smin > MIN_SINGULAR_VALUE
     )
@@ -225,15 +273,20 @@ def completeness_check(n: int) -> CompletenessReport:
 def linear_inversion(records) -> np.ndarray:
     """Reconstruct a matrix from one count record per projector of the full set.
 
-    Solves the Gram system for the expansion coefficients of the measured
-    state over the 4**n projectors (least-squares with a rank check rather
-    than an explicit inverse) and assembles the matrix from them.  The output
+    The frequencies f satisfy f = G c for the expansion coefficients c of the
+    measured state over the 4**n projectors, rho = sum_w c_w psi_w psi_w^dag.
+    In cell order G is the Kronecker power of G_1, so c is n mode products
+    of f with G_1's inverse and rho their :func:`_grid_adjoint`.  The output
     is Hermitized but may fail positivity on noisy data; follow with
     :func:`psd_projection`.
     """
     if not records:
         raise ValueError("no records given")
     n = len(records[0].projector)
+    if n > TABLE_CAP:
+        raise ResourceLimitError(
+            f"the full set for n={n} has 4**{n} projectors; the limit is n <= {TABLE_CAP}"
+        )
     by_word = {}
     for rec in records:
         if len(rec.projector) != n:
@@ -241,25 +294,17 @@ def linear_inversion(records) -> np.ndarray:
         if rec.projector in by_word:
             raise ValueError(f"duplicate record for projector {rec.projector!r}")
         by_word[rec.projector] = rec
-    words = build_projector_table(n).words()
-    missing = [w for w in words if w not in by_word]
-    if missing:
+    cells = _grid_cells(by_word, n)
+    if cells is None:
+        extra = sorted(w for w in by_word if set(w) - set(_GRID_LETTERS))
+        raise ValueError(f"records for projectors outside the set: {extra[:4]}")
+    if cells.size < 4**n:  # distinct grid words fill distinct cells
+        missing = [w for w in build_projector_table(n).words() if w not in by_word]
         raise ValueError(f"records do not cover the full set; missing {missing[:4]}...")
-    extra = set(by_word) - set(words)
-    if extra:
-        raise ValueError(f"records for projectors outside the set: {sorted(extra)[:4]}")
 
-    freq = np.array([by_word[w].observed / by_word[w].shots for w in words])
-    m = gram_matrix(words)
-    coeff, _, rank, _ = np.linalg.lstsq(m, freq, rcond=None)
-    if rank < len(words):
-        raise NumericalFailureError(f"Gram matrix is rank deficient ({rank} < {len(words)})")
-
-    kets = np.zeros((len(words), 2**n), dtype=complex)
-    for ket, w in zip(kets, words):
-        support, amplitudes = product_ket(w)
-        ket[support] = amplitudes
-    rho = (kets.T * coeff) @ kets.conj()
+    freq = np.array([rec.observed / rec.shots for rec in by_word.values()])
+    coeff = _mode_products(np.bincount(cells, freq, minlength=4**n), np.linalg.inv(_grid_gram()), n)
+    rho = _grid_adjoint(coeff, np.arange(4**n), n)
     return (rho + rho.conj().T) / 2.0
 
 

@@ -337,6 +337,14 @@ def test_completeness_command():
     assert payload["order"] == 16
 
 
+def test_completeness_command_at_the_table_cap():
+    r = tqst("completeness", "--n", 8)
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["invertible"] is True
+    assert payload["order"] == 65536
+
+
 def test_auto_threshold_pipeline(tmp_path):
     ideal = tmp_path / "ideal"
     r = tqst("simulate", "--state", "ghz", "--n", 2, "--shots", 10000,
@@ -451,8 +459,8 @@ def block_file(**edit):
                   "--out", "{tmp}/o"),
                  "dimension mismatch: plan is for 2 qubits, factor is (1, 8)",
                  id="simulate-plan-qubit-mismatch"),
-    pytest.param({}, ("completeness", "--n", 7),
-                 "Gram matrix for n=7 has order 4**7; the limit is n <= 6",
+    pytest.param({}, ("completeness", "--n", 9),
+                 "table for n=9 has 4**9 projectors; the limit is n <= 8",
                  id="completeness-over-cap"),
     pytest.param({"diag.csv": DIAG_N3},
                  ("bound", "--diagonal", "{tmp}/diag.csv", "--threshold", "nan"),

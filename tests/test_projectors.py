@@ -1,11 +1,14 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from tqst import projectors
 from tqst.core import ElementIndex, ResourceLimitError, STATE_LABELS, density
 from tqst.mle import CountRecord
 from tqst.projectors import (
+    ProjectorTable,
     build_projector_table,
     completeness_check,
     gram_matrix,
@@ -16,7 +19,7 @@ from tqst.projectors import (
 )
 from tqst.simulator import w_state
 
-from kets import dense_ket
+from kets import dense_ket, reference_linear_inversion
 
 
 def test_two_qubit_offdiagonal_pair():
@@ -175,8 +178,27 @@ def test_completeness_regression_value():
 
 
 def test_completeness_cap():
-    with pytest.raises(ResourceLimitError, match="the limit is n <= 6"):
-        completeness_check(7)
+    with pytest.raises(ResourceLimitError, match="the limit is n <= 8"):
+        completeness_check(9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_completeness_matches_the_gram_eigensolve(n):
+    # the Gram matrix is symmetric: its singular values are its absolute eigenvalues
+    words = build_projector_table(n).words()
+    dense = float(np.min(np.abs(np.linalg.eigvalsh(gram_matrix(words)))))
+    assert completeness_check(n).min_singular_value == pytest.approx(dense, rel=1e-9)
+
+
+def test_completeness_of_a_table_with_a_repeated_word(monkeypatch):
+    grid = [list(row) for row in build_projector_table(2).grid]
+    grid[1][2] = grid[0][3]
+    table = ProjectorTable(2, tuple(map(tuple, grid)))
+    assert len(set(table.words())) == 15
+    monkeypatch.setattr(projectors, "build_projector_table", lambda n: table)
+    report = completeness_check(2)
+    assert report.order == 16
+    assert report.min_singular_value == 0.0 and not report.invertible
 
 
 def exact_records(factor, n, shots=2**40):
@@ -233,6 +255,38 @@ def test_linear_inversion_sampled_maximally_mixed():
 def test_linear_inversion_requires_full_set():
     records = exact_records(np.eye(2) / np.sqrt(2), 1)[:-1]
     with pytest.raises(ValueError):
+        linear_inversion(records)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_linear_inversion_matches_the_dense_reference(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(2):
+        g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        records = exact_records(g / np.linalg.norm(g), n)
+        diff = linear_inversion(records) - reference_linear_inversion(records)
+        assert np.max(np.abs(diff)) < 1e-12
+
+
+FULL_N2 = exact_records(np.eye(4) / 2, 2)
+
+
+@pytest.mark.parametrize("records, error, message", [
+    pytest.param([], ValueError, "no records given", id="no-records"),
+    pytest.param(FULL_N2 + [CountRecord("HHH", 1, 4)], ValueError, "records mix qubit counts",
+                 id="mixed-qubit-counts"),
+    pytest.param(FULL_N2 + [CountRecord("DR", 1, 4)], ValueError,
+                 "duplicate record for projector 'DR'", id="duplicate"),
+    pytest.param(FULL_N2[5:], ValueError,
+                 "records do not cover the full set; missing ['HH', 'HD', 'HR', 'DH']...",
+                 id="missing"),
+    pytest.param(FULL_N2 + [CountRecord("HA", 1, 4), CountRecord("LD", 1, 4)], ValueError,
+                 "records for projectors outside the set: ['HA', 'LD']", id="outside"),
+    pytest.param([CountRecord("D" * 9, 1, 4)], ResourceLimitError,
+                 "the full set for n=9 has 4**9 projectors; the limit is n <= 8", id="over-cap"),
+])
+def test_linear_inversion_rejects(records, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         linear_inversion(records)
 
 
