@@ -41,8 +41,6 @@ _NOT_LETTERS = str.maketrans("", "", STATE_LABELS)  # deletes the letters: what 
 #: Largest qubit count of a state: its basis indices are int64.
 MAX_QUBITS = 62
 
-PARTS = ("re", "im", "diag")
-
 
 class TomographyError(Exception):
     """Base class for tomography-specific failures."""
@@ -50,25 +48,6 @@ class TomographyError(Exception):
 
 class ResourceLimitError(TomographyError):
     """A computation was requested above its configured size cap."""
-
-
-@dataclass(frozen=True)
-class ElementIndex:
-    """Targeted density-matrix element: row ``i``, column ``j``, and which real
-    degree of freedom (``re``/``im`` for off-diagonal, ``diag`` on the diagonal).
-    """
-
-    i: int
-    j: int
-    part: str
-
-    def __post_init__(self):
-        if self.part not in PARTS:
-            raise ValueError(f"part must be one of {PARTS}, got {self.part!r}")
-        if self.i < 0 or self.j < self.i:
-            raise ValueError(f"need 0 <= i <= j, got i={self.i}, j={self.j}")
-        if (self.part == "diag") != (self.i == self.j):
-            raise ValueError("part='diag' exactly when i == j")
 
 
 def validate_word(word: str) -> str:

@@ -216,8 +216,9 @@ class _Bundle:
 
         nonzeros = int(sizes[on_coupled].sum())
         grid = coupled.all() and n <= TABLE_CAP and _grid_pays(nonzeros, rows or self.dim, n)
-        words = chain(basis_words(n)[lacking], (rec.projector for rec in records))
-        self.cells = _grid_cells(words, n) if grid else None
+        self.cells = None
+        if grid:  # basis_words spells out all 2**n states: only the grid, at n <= TABLE_CAP, reads them
+            self.cells = _grid_cells(chain(basis_words(n)[lacking], (rec.projector for rec in records)), n)
         self.kets = self.kets_h = None  # built for the kets model only
         if self.cells is None:
             from scipy import sparse  # loaded at the first fit, not at import

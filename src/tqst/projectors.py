@@ -1,15 +1,16 @@
 """Tomographically complete separable projector sets.
 
 Every element of an n-qubit density matrix is assigned a product projector
-over the letters {H, V, D, R}: diagonal element k gets its computational
-basis word, and each off-diagonal element (i, j) with j > i gets one word for
-its real part and one for its imaginary part.  Two equivalent constructions
-are provided:
+over the letters {H, V, D, R}, and every projector has its place, its cell,
+in one 2**n x 2**n table: diagonal element k gets its computational basis
+word at cell (k, k), and each off-diagonal element (i, j) with i < j gets
+its real-part word at cell (i, j) and its imaginary-part word at (j, i).
+Two equivalent constructions are provided:
 
-* :func:`build_projector_table` materializes all 4**n words as one
-  2**n x 2**n word grid by a quadrant recursion, and
-* :func:`projector_for` computes a single word on demand by walking the
-  nested 2x2 quadrant subdivision of the matrix, one qubit per level.
+* :func:`build_projector_table` materializes the whole table by a quadrant
+  recursion, and
+* :func:`projector_for` computes the word at one cell on demand by walking
+  the nested 2x2 quadrant subdivision of the matrix, one qubit per level.
 
 The resulting 4**n words are exactly the product words over {H, V, D, R},
 the cells of one 4**n word grid.  Probabilities and sums over that grid are
@@ -25,14 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ElementIndex,
-    ResourceLimitError,
-    STATE_LABELS,
-    STATE_VECTORS,
-    basis_word,
-    validate_word,
-)
+from .core import ResourceLimitError, STATE_LABELS, STATE_VECTORS, validate_word
 
 TABLE_CAP = 8
 MIN_SINGULAR_VALUE = 1e-10  # completeness: smallest Gram singular value
@@ -40,75 +34,38 @@ HERMITIAN_TOL = 1e-9  # psd_projection input checks
 TRACE_TOL = 1e-6
 
 
-def quadrant_walk(n: int, idx: ElementIndex) -> list[str]:
-    """Quadrant labels visited when locating element (i, j) in the n-qubit table.
+def projector_for(n: int, row: int, col: int) -> str:
+    """The word at cell (``row``, ``col``) of the n-qubit table, by walking
+    the nested 2x2 quadrant subdivision of the matrix, one qubit per level.
 
-    At each level the current block is split into quadrants 1 (upper left),
-    2 (upper right), 3 (lower left), and 4 (lower right).  Quadrants 2 and 3
-    additionally carry ``u`` or ``l`` for the position inside the sub-block:
-    strictly above its diagonal is ``u``, strictly below is ``l``, and a
-    position exactly on it resolves by the requested part (re -> u, im -> l).
-    Once on a sub-block diagonal the walk stays on it, so that resolution
-    happens at most once.
+    The walk locates element (i, j), i = min(row, col) and j = max(row, col),
+    first qubit first.  At each level the current block splits into
+    quadrants 1 (upper left), 2 (upper right), 3 (lower left) and 4 (lower
+    right).  Quadrant 1 emits H and quadrant 4 emits V: i and j share the
+    bit.  Where they differ, the walk enters quadrant 2 or 3 and lands on
+    its upper portion when the rest of i is below the rest of j, on its
+    lower portion when it is above; on the sub-block's diagonal it lands on
+    the upper portion exactly for the real part, row < col.  The upper
+    portion emits D and the lower one R, swapped whenever the most recent
+    quadrant-2/3 step landed in a lower portion: walking through an H or V
+    level stays inside the same (mirrored or not) sub-table.  A diagonal
+    cell walks quadrants 1 and 4 only and gives its basis word.
     """
-    _check_index(n, idx)
-    labels = []
-    for k in reversed(range(n)):
-        bi = (idx.i >> k) & 1
-        bj = (idx.j >> k) & 1
-        if bi == bj:
-            labels.append("1" if bi == 0 else "4")
-            continue
-        quad = "2" if bi == 0 else "3"
-        mask = (1 << k) - 1
-        si = idx.i & mask
-        sj = idx.j & mask
-        if si == sj:
-            upper = idx.part == "re"
-        else:
-            upper = si < sj
-        labels.append(quad + ("u" if upper else "l"))
-    return labels
-
-
-def projector_for(n: int, idx: ElementIndex) -> str:
-    """Product-projector word measuring one density-matrix element.
-
-    Diagonal elements map to their computational-basis word.  Off-diagonal
-    elements emit one letter per quadrant-walk step: quadrant 1 -> H,
-    quadrant 4 -> V, and quadrants 2/3 emit D on the upper portion and R on
-    the lower one, with D and R swapped whenever the most recent quadrant-2/3
-    step landed in a lower portion.  Quadrant 1/4 steps keep that context:
-    walking through an H or V level stays inside the same (mirrored or not)
-    sub-table, so only u/l steps may toggle it.
-    """
-    _check_index(n, idx)
-    if idx.part == "diag":
-        return basis_word(idx.i, n)
+    if n < 1 or not (0 <= row < 2**n and 0 <= col < 2**n):
+        raise ValueError(f"cell ({row}, {col}) is outside the {n}-qubit table")
+    i, j = min(row, col), max(row, col)
     letters = []
-    # True while the walk is inside the mirrored companion table, i.e. after a
-    # lower (2l/3l) step; H/V steps stay within the current table.
-    prev_lower = False
-    for label in quadrant_walk(n, idx):
-        if label == "1":
-            letters.append("H")
-        elif label == "4":
-            letters.append("V")
-        else:
-            upper = label.endswith("u")
-            if upper:
-                letters.append("R" if prev_lower else "D")
-            else:
-                letters.append("D" if prev_lower else "R")
-            prev_lower = not upper
+    lower = False  # after a lower step: inside the mirrored companion table
+    for k in reversed(range(n)):
+        bit = 1 << k
+        if not (i ^ j) & bit:
+            letters.append("V" if i & bit else "H")
+            continue
+        rest_i, rest_j = i & (bit - 1), j & (bit - 1)
+        upper = row < col if rest_i == rest_j else rest_i < rest_j
+        letters.append("R" if upper == lower else "D")
+        lower = not upper
     return "".join(letters)
-
-
-def _check_index(n: int, idx: ElementIndex) -> None:
-    if n < 1:
-        raise ValueError("qubit count must be >= 1")
-    if idx.j >= 2**n:
-        raise ValueError(f"element ({idx.i}, {idx.j}) out of range for {n} qubits")
 
 
 @dataclass(frozen=True)
@@ -123,18 +80,15 @@ class ProjectorTable:
     n: int
     grid: tuple[tuple[str, ...], ...] = field(repr=False)
 
-    def elements(self) -> list[tuple[ElementIndex, str]]:
-        """All (element, word) pairs in row-major upper-triangle order."""
+    def words(self) -> list[str]:
+        """Each diagonal word, then the re and im words of the later pairs in its row."""
         g = self.grid
         out = []
-        for i in range(len(g)):
-            out.append((ElementIndex(i, i, "diag"), g[i][i]))
+        for i, row in enumerate(g):
+            out.append(row[i])
             for j in range(i + 1, len(g)):
-                out += [(ElementIndex(i, j, "re"), g[i][j]), (ElementIndex(i, j, "im"), g[j][i])]
+                out += [row[j], g[j][i]]
         return out
-
-    def words(self) -> list[str]:
-        return [w for _, w in self.elements()]
 
 
 def build_projector_table(n: int) -> ProjectorTable:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ElementIndex, basis_words, decimal_rows, read_head, row_format, write_table, written
+from .core import basis_words, decimal_rows, read_head, row_format, write_table, written
 from .projectors import projector_for
 
 EXPECTED_ZERO = 1e-12
@@ -54,8 +54,9 @@ class DiagonalRecord:
 @dataclass(frozen=True, eq=False)
 class MeasurementPlan:
     """The threshold's choice: ``pairs``, the k x 2 int64 array of the kept (i, j) with
-    i < j, and ``words``, formed once: each pair's re word, then its im word.  Every
-    plan measures the 2**n basis states first, in the diagonal round; ``size`` counts them."""
+    i < j, and ``words``, formed once: each pair's re word, the table's cell (i, j), then
+    its im word, cell (j, i).  Every plan measures the 2**n basis states first, in the
+    diagonal round; ``size`` counts them."""
 
     n: int
     threshold: float
@@ -65,8 +66,7 @@ class MeasurementPlan:
     def __post_init__(self):
         pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
         pairs.setflags(write=False)
-        words = (projector_for(self.n, ElementIndex(i, j, part))
-                 for i, j in pairs.tolist() for part in ("re", "im"))
+        words = (projector_for(self.n, *cell) for i, j in pairs.tolist() for cell in ((i, j), (j, i)))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "words", tuple(words))
 

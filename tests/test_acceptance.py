@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from tqst.core import BlockState, ElementIndex, STATE_LABELS, density, expectation
+from tqst.core import BlockState, STATE_LABELS, density, expectation
 from tqst.metrics import (
     compare,
     fidelity,
@@ -70,10 +70,10 @@ def random_pure(rng, n):
 
 def test_criterion_1_projector_fixtures():
     start = time.perf_counter()
-    assert projector_for(2, ElementIndex(1, 2, "re")) == "RR"
-    assert projector_for(2, ElementIndex(1, 2, "im")) == "RD"
-    assert projector_for(3, ElementIndex(3, 5, "im")) == "RDV"
-    assert projector_for(4, ElementIndex(4, 9, "re")) == "RRHD"
+    assert projector_for(2, 1, 2) == "RR"
+    assert projector_for(2, 2, 1) == "RD"
+    assert projector_for(3, 5, 3) == "RDV"
+    assert projector_for(4, 4, 9) == "RRHD"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, f"RR/RD, RDV, RRHD reproduced in {elapsed * 1e3:.1f} ms")
@@ -103,17 +103,15 @@ def test_criterion_3_frobenius_minimizers():
             word = "".join(letters)
             ket = dense_ket(word)
             candidates[word] = np.outer(ket, ket.conj())
-        for idx, word in build_projector_table(n).elements():
-            if idx.part == "diag":
-                continue
+        grid = build_projector_table(n).grid
+        for row, col in itertools.permutations(range(dim), 2):
+            # the real part of element (row, col) above the diagonal; below it, the
+            # imaginary part of (col, row), read with the words' sign flip
             target = np.zeros((dim, dim), dtype=complex)
-            if idx.part == "re":
-                target[idx.i, idx.j] = target[idx.j, idx.i] = 0.5
-            else:
-                target[idx.i, idx.j] = -0.5j
-                target[idx.j, idx.i] = 0.5j
+            target[row, col], target[col, row] = (0.5, 0.5) if row < col else (0.5j, -0.5j)
+            word = grid[row][col]
             distances = {w: np.linalg.norm(target - p) for w, p in candidates.items()}
-            assert distances[word] <= min(distances.values()) + 1e-10, (idx, word)
+            assert distances[word] <= min(distances.values()) + 1e-10, (row, col, word)
             checked += 1
     report(3, f"{checked} off-diagonal words attain the 6**n brute-force minimum")
 

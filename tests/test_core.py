@@ -11,7 +11,6 @@ from tqst.core import (
     KET_TABLE_NONZEROS,
     MAX_QUBITS,
     BlockState,
-    ElementIndex,
     STATE_LABELS,
     STATE_VECTORS,
     basis_word,
@@ -437,17 +436,6 @@ def test_row_parser_reads_a_number_exactly_when_written_reads_it(rows, final_new
     parsed, bad = decimal_rows(text, len(rows[0]))
     assert bad == first_bad
     assert parsed.dtype == np.int64 and parsed.tolist() == values[:first_bad]
-
-
-def test_element_index_invariants():
-    with pytest.raises(ValueError):
-        ElementIndex(2, 1, "re")
-    with pytest.raises(ValueError):
-        ElementIndex(1, 1, "im")
-    with pytest.raises(ValueError):
-        ElementIndex(0, 1, "diag")
-    with pytest.raises(ValueError):
-        ElementIndex(0, 1, "real")
 
 
 def test_basis_word_and_index_roundtrip():

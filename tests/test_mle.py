@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from tqst import mle
-from tqst.core import BlockState, ElementIndex, basis_word, density, expectation, validate_density
+from tqst.core import BlockState, basis_word, density, expectation, validate_density
 from tqst.metrics import compare, trace_distance
 from tqst.mle import (
     EPSILON,
@@ -220,6 +220,22 @@ def test_forward_model_is_the_grid_only_on_a_coupled_grid(monkeypatch):
     assert bundle(TABLE_CAP + 1, "D" * (TABLE_CAP + 1)).forward_model == "kets"
 
 
+def test_bundle_on_the_kets_model_forms_no_basis_words(monkeypatch):
+    # only the grid model reads the lacking basis states' words: a kets-model
+    # fit with a diagonal round never spells out the 2**n basis words
+    psi = w_state(4)
+    noise = NoiseModel(0.2, "multinomial", seed=3)
+    diag = sample_diagonal(psi, 10**4, noise)
+    records = sample_counts(psi, select_offdiagonal(diag, 0.1), diag, noise)
+
+    def refuse(n):
+        raise AssertionError("basis_words called on the kets model")
+
+    monkeypatch.setattr(mle, "basis_words", refuse)
+    bundle = _Bundle(records, diag)
+    assert bundle.forward_model == "kets" and (bundle.columns.size, bundle.isolated.size) == (11, 5)
+
+
 def test_forward_model_is_the_grid_only_where_it_costs_less():
     # a conventional plan at n = 6: 4096 words whose kets have 6**6 nonzeros
     words = build_projector_table(6).words()
@@ -230,8 +246,7 @@ def test_forward_model_is_the_grid_only_where_it_costs_less():
     # a sparse plan at n = 8 that couples every state through the 255 pairs
     # (k, k + 1): 4352 nonzeros, where the grid has 65536 cells
     n = 8
-    pairs = [projector_for(n, ElementIndex(k, k + 1, part)) for k in range(2**n - 1)
-             for part in ("re", "im")]
+    pairs = [projector_for(n, *cell) for k in range(2**n - 1) for cell in ((k, k + 1), (k + 1, k))]
     sparse = [CountRecord(w, 500, 1000) for w in [basis_word(k, n) for k in range(2**n)] + pairs]
     bundle = _Bundle(sparse, rows=2)
     assert bundle.columns.size == 2**n and bundle.forward_model == "kets"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tqst import projectors
-from tqst.core import ElementIndex, ResourceLimitError, STATE_LABELS, density
+from tqst.core import ResourceLimitError, density
 from tqst.mle import CountRecord
 from tqst.projectors import (
     ProjectorTable,
@@ -15,7 +15,6 @@ from tqst.projectors import (
     linear_inversion,
     projector_for,
     psd_projection,
-    quadrant_walk,
 )
 from tqst.simulator import w_state
 
@@ -23,33 +22,31 @@ from kets import dense_ket, reference_linear_inversion
 
 
 def test_two_qubit_offdiagonal_pair():
-    assert projector_for(2, ElementIndex(1, 2, "re")) == "RR"
-    assert projector_for(2, ElementIndex(1, 2, "im")) == "RD"
+    # the real part of element (1, 2) at cell (1, 2), its imaginary part at (2, 1)
+    assert projector_for(2, 1, 2) == "RR"
+    assert projector_for(2, 2, 1) == "RD"
 
 
 def test_three_qubit_imaginary_element():
-    assert projector_for(3, ElementIndex(3, 5, "im")) == "RDV"
+    assert projector_for(3, 5, 3) == "RDV"
 
 
 def test_four_qubit_real_element():
-    assert projector_for(4, ElementIndex(4, 9, "re")) == "RRHD"
+    assert projector_for(4, 4, 9) == "RRHD"
 
 
 def test_diagonal_is_binary_word():
-    assert projector_for(3, ElementIndex(5, 5, "diag")) == "VHV"
+    assert projector_for(3, 5, 5) == "VHV"
 
 
-def test_quadrant_walk_labels():
-    assert quadrant_walk(3, ElementIndex(3, 5, "im")) == ["2l", "3l", "4"]
-    assert quadrant_walk(4, ElementIndex(4, 9, "re")) == ["2l", "3u", "1", "2u"]
-    assert len(quadrant_walk(5, ElementIndex(3, 19, "re"))) == 5
-
-
-def test_projector_for_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        projector_for(2, ElementIndex(1, 4, "re"))
-    with pytest.raises(ValueError):
-        ElementIndex(1, 1, "im")  # im on the diagonal is not constructible
+@pytest.mark.parametrize("n, row, col", [
+    (0, 0, 0),
+    (2, -1, 1), (2, 1, -1),
+    (2, 4, 1), (2, 1, 4),
+], ids=["n0", "negative-row", "negative-col", "row-past-table", "col-past-table"])
+def test_projector_for_rejects_bad_indices(n, row, col):
+    with pytest.raises(ValueError, match=re.escape(f"cell ({row}, {col})")):
+        projector_for(n, row, col)
 
 
 def test_single_qubit_table():
@@ -69,11 +66,11 @@ def test_two_qubit_table_layout():
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_walk_equals_table(n):
-    table = build_projector_table(n)
-    for idx, word in table.elements():
-        assert projector_for(n, idx) == word, f"mismatch at ({idx.i},{idx.j},{idx.part})"
+    grid = build_projector_table(n).grid
+    for row, col in itertools.product(range(2**n), repeat=2):
+        assert projector_for(n, row, col) == grid[row][col], f"mismatch at cell ({row}, {col})"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -89,38 +86,6 @@ def test_table_cap():
         build_projector_table(9)
     with pytest.raises(ValueError):
         build_projector_table(0)
-
-
-def element_target(dim, i, j, part):
-    """Operator whose trace against rho reads off one real degree of freedom.
-
-    The imaginary-part operator carries -i/2 at (i, j): the construction's
-    words measure the imaginary part with a sign flip, and this is the
-    convention under which they are Frobenius minimizers.
-    """
-    op = np.zeros((dim, dim), dtype=complex)
-    if part == "re":
-        op[i, j] = op[j, i] = 0.5
-    else:
-        op[i, j] = -0.5j
-        op[j, i] = 0.5j
-    return op
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_words_are_frobenius_minimizers(n):
-    dim = 2**n
-    candidates = {
-        "".join(w): np.outer(dense_ket("".join(w)), dense_ket("".join(w)).conj())
-        for w in itertools.product(STATE_LABELS, repeat=n)
-    }
-    for idx, word in build_projector_table(n).elements():
-        if idx.part == "diag":
-            continue
-        target = element_target(dim, idx.i, idx.j, idx.part)
-        distances = {w: np.linalg.norm(target - p) for w, p in candidates.items()}
-        best = min(distances.values())
-        assert distances[word] <= best + 1e-10, (idx, word, distances[word], best)
 
 
 def test_gram_orthogonal_pair():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tqst.core import validate_word
+from tqst.projectors import build_projector_table
 from tqst.simulator import NoiseModel, populations, sample_diagonal, w_state
 from tqst.threshold import (
     DiagonalRecord,
@@ -110,6 +111,18 @@ def test_plan_size_formula_for_uniform_support():
         record = uniform_support_record(n, list(support))
         plan = select_offdiagonal(record, record.probabilities().max() / 10)
         assert plan.size == 2**n + support_size * (support_size - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_plan_words_are_the_table_cells(n):
+    # at t = 0 with every count nonzero the plan keeps every pair: the re word of
+    # pair (i, j) is the table's cell (i, j), its im word the cell (j, i)
+    record = DiagonalRecord(counts=np.arange(1, 2**n + 1), shots=2**n * (2**n + 1) // 2)
+    plan = select_offdiagonal(record, 0.0)
+    grid = build_projector_table(n).grid
+    assert len(plan.pairs) == 2**n * (2**n - 1) // 2
+    for k, (i, j) in enumerate(plan.pairs.tolist()):
+        assert plan.words[2 * k] == grid[i][j] and plan.words[2 * k + 1] == grid[j][i], (i, j)
 
 
 #: diagonal counts over 2**n indices, 1 <= n <= 4, with a positive sum
